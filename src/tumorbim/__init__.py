@@ -10,23 +10,3 @@ independent verification oracle and as a stability-diagram generator.
 """
 
 __version__ = "0.1.0"
-
-from .bessel import bessel_i, bessel_k
-from .config import ConfigError, SimulationConfig, load_config, write_config
-from .driver import (ConvergenceStudy, RunRecord, RunResult, RunStatus,
-                     convergence_study, emit_traces, load_checkpoint, resume,
-                     run, save_checkpoint)
-from .geometry import (FixedBoundary, InterfaceState, PlanarCurveSamples,
-                       area, curvature, equal_arclength_reparam,
-                       fourier_filter, initial_interface, krasny_filter,
-                       read_snapshot, reconstruct, shape_diagnostics,
-                       spectral_derivative, write_snapshot)
-from .kernels import apply_layer, kress_weights
-from .linear import (LinearConfig, LinearPrediction, critical_apoptosis,
-                     dr_dt, dshape_dt, integrate_linear_odes,
-                     linear_boundary_traces, perturb_coeffs, pressure_coeffs,
-                     radial_coeffs, shape_rate_terms, stability_curve)
-from .solver import (BoundaryFields, FieldSolver, Params, SolverFailure,
-                     dimensionless_params, hydrostatic_pressure,
-                     normal_velocity, pressure_rhs, solve_nutrient,
-                     solve_pressure)

@@ -1,6 +1,6 @@
 """Run configuration: flat key = value files and validation."""
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from .solver import Params
 

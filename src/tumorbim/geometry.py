@@ -67,18 +67,9 @@ def periodic_antiderivative(f):
     return big_f - big_f[0], mean
 
 
-def fourier_filter(f):
-    """25th-order smoothing filter: mode k is damped by exp(-10 (2|k|/N)^25)."""
-    f = np.asarray(f, dtype=float)
-    n = f.size
-    fh = np.fft.rfft(f)
-    k = np.arange(n // 2 + 1, dtype=float)
-    fh *= np.exp(-10.0 * (2.0 * k / n) ** 25)
-    return np.fft.irfft(fh, n)
-
-
 def fourier_filter_coeffs(fh, n):
-    """Same 25th-order damping applied in place on rfft coefficients."""
+    """25th-order smoothing of the rfft coefficients `fh` of n samples:
+    mode k is damped by exp(-10 (2|k|/N)^25)."""
     k = np.arange(n // 2 + 1, dtype=float)
     return fh * np.exp(-10.0 * (2.0 * k / n) ** 25)
 

@@ -13,6 +13,7 @@ All kernels carry the source metric, so matrices act on plain node values.
 """
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import resample
@@ -24,8 +25,6 @@ LAPLACE = "laplace"
 HELMHOLTZ = "modified_helmholtz"
 SINGLE = "single"
 DOUBLE = "double"
-
-EULER_GAMMA = np.euler_gamma
 
 
 @lru_cache(maxsize=16)
@@ -73,144 +72,129 @@ def _alternating_mask(n):
     return ((i[:, None] - i[None, :]) % 2).astype(bool)
 
 
-def _pair_geometry(src, tgt):
-    """Distances r and the scaled dipole factor h = (x_t - x_s).n_s m_s/(2 pi r)."""
+class PairGeometry(NamedTuple):
+    """Distances r and dipole factors h of sources `src` on targets `tgt`.
+
+    r[i, j] runs from source node j to target node i, h = (x_t - x_s).n_s
+    m_s/(2 pi r); on a cross pair `h_rev` holds the factors of tgt on src,
+    whose distances are r.T bitwise (subtraction and hypot are symmetric).
+    """
+
+    src: PlanarCurveSamples
+    tgt: PlanarCurveSamples
+    r: np.ndarray
+    h: np.ndarray
+    h_rev: np.ndarray | None = None
+
+
+def _safe(r):
+    """Distances with the zero self distances replaced by 1."""
+    return np.where(r == 0.0, 1.0, r)
+
+
+def _dipole(dx, dy, src, r):
+    return (dx * src.normal_x[None, :] + dy * src.normal_y[None, :]) \
+        * src.s_alpha[None, :] / (TWO_PI * _safe(r))
+
+
+def _geometry(src, tgt):
     dx = tgt.x[:, None] - src.x[None, :]
     dy = tgt.y[:, None] - src.y[None, :]
     r = np.hypot(dx, dy)
-    safe = np.where(r == 0.0, 1.0, r)
-    h = (dx * src.normal_x[None, :] + dy * src.normal_y[None, :]) \
-        * src.s_alpha[None, :] / (TWO_PI * safe)
-    return r, safe, h
+    return dx, dy, r, _dipole(dx, dy, src, r)
 
 
-def log_split(field, layer, bnd):
-    """Smooth factors (G1, G2) with kernel*metric = G1 ln(2|sin|) + G2.
+def self_geometry(bnd):
+    """Geometry of one boundary acting on itself (zero diagonal distance)."""
+    _, _, r, h = _geometry(bnd, bnd)
+    return PairGeometry(bnd, bnd, r, h)
 
-    Diagonals carry the analytic limits: for the single layers they come
-    from r -> s_alpha |a - a'| and the small-argument K0 expansion
-    K0(z) = -(ln(z/2) + C) I0(z) + ...; the modified-Helmholtz double layer
-    has G1 = 0 on the diagonal and G2(a, a) equal to the limit of h K1(r),
-    which is -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
+
+def cross_geometry(src, tgt):
+    """Geometry of two disjoint boundaries, serving both directions."""
+    dx, dy, r, h = _geometry(src, tgt)
+    if np.min(r) == 0.0:
+        raise ValueError("cross-boundary blocks require disjoint boundaries")
+    h_rev = np.ascontiguousarray(_dipole(-dx.T, -dy.T, tgt, r.T))
+    return PairGeometry(src, tgt, r, h, h_rev)
+
+
+def _kress_rule(g1, g2):
+    """Nystrom matrix of kernel*metric = G1 ln(2|sin|) + G2 on n nodes."""
+    n = g2.shape[0]
+    return _kress_matrix(n) * g1 + (TWO_PI / n) * g2
+
+
+def helmholtz_self_split(geom):
+    """Smooth factors ((G1, G2) single, (G1, G2) double) of the log split.
+
+    kernel*metric = G1 ln(2|sin|) + G2.  Diagonals carry the analytic
+    limits: for the single layer they come from r -> s_alpha |a - a'| and
+    the small-argument expansion K0(z) = -(ln(z/2) + C) I0(z) + ...; the
+    double layer has G1 = 0 on the diagonal and G2(a, a) equal to the limit
+    of h K1(r), which is -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
     """
-    n = bnd.n
-    ls = _log_sin_matrix(n)
-    r, safe, h = _pair_geometry(bnd, bnd)
+    bnd, r, hker = geom.src, geom.r, geom.h
+    ls = _log_sin_matrix(bnd.n)
     m = bnd.s_alpha
-    diag = np.arange(n)
-    if field == LAPLACE and layer == SINGLE:
-        g1 = np.broadcast_to(-m[None, :] / TWO_PI, (n, n)).copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g2 = -np.log(safe) * m[None, :] / TWO_PI - g1 * ls
-        g2[diag, diag] = -np.log(m) * m / TWO_PI
-    elif field == HELMHOLTZ and layer == SINGLE:
-        i0r = i0(r)
-        g1 = -i0r * m[None, :] / TWO_PI
-        kv = k0(np.where(r == 0.0, 1.0, r))
-        g2 = (kv + i0r * ls) * m[None, :] / TWO_PI
-        g2[diag, diag] = -(EULER_GAMMA + np.log(m / 2.0)) * m / TWO_PI
-    elif field == HELMHOLTZ and layer == DOUBLE:
-        g1 = h * i1(r)
-        g1[diag, diag] = 0.0
-        kv = k1(np.where(r == 0.0, 1.0, r))
-        g2 = h * (kv - i1(r) * ls)
-        g2[diag, diag] = -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a) \
-            / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2))
-    else:
-        raise ValueError(f"no log split for kernel ({field}, {layer})")
+    safe = _safe(r)
+    i0r, i1r, k0r, k1r = i0(r), i1(r), k0(safe), k1(safe)
+    g1 = -i0r * m[None, :] / TWO_PI
+    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
+    np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
+    g1d = hker * i1r
+    np.fill_diagonal(g1d, 0.0)
+    g2d = hker * (k1r - i1r * ls)
+    np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
+    return (g1, g2), (g1d, g2d)
+
+
+def helmholtz_self_blocks(geom):
+    """(single, double) modified-Helmholtz self blocks by the Kress rule."""
+    return tuple(_kress_rule(*split) for split in helmholtz_self_split(geom))
+
+
+def helmholtz_cross_blocks(geom):
+    """(single, double) of src on tgt, then (single, double) of tgt on src."""
+    src, tgt, r = geom.src, geom.tgt, geom.r
+    k0r, k1r = k0(r), k1(r)
+    h_src, h_tgt = TWO_PI / src.n, TWO_PI / tgt.n
+    return (h_src * k0r * src.s_alpha[None, :] / TWO_PI,
+            h_src * geom.h * k1r,
+            np.ascontiguousarray(h_tgt * k0r.T * tgt.s_alpha[None, :] / TWO_PI),
+            np.ascontiguousarray(h_tgt * geom.h_rev * k1r.T))
+
+
+def laplace_single_split(geom):
+    """Smooth factors (G1, G2) of the Laplace single layer's log split."""
+    m = geom.src.s_alpha
+    g1 = -m[None, :] / TWO_PI
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = -np.log(_safe(geom.r)) * m[None, :] / TWO_PI \
+            - g1 * _log_sin_matrix(geom.src.n)
+    np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
     return g1, g2
 
 
-def self_matrix(field, layer, bnd):
-    """Dense self-interaction matrix of one layer potential on one boundary."""
-    n = bnd.n
-    h_grid = TWO_PI / n
-    if field == LAPLACE and layer == DOUBLE:
-        # removable singularity only: alternating-point rule, doubled weights
-        r, safe, hker = _pair_geometry(bnd, bnd)
-        mat = np.where(_alternating_mask(n), 2.0 * h_grid * hker / safe, 0.0)
-        return mat
-    g1, g2 = log_split(field, layer, bnd)
-    return _kress_matrix(n) * g1 + h_grid * g2
+def laplace_self_blocks(geom):
+    """(single, double) Laplace self blocks; the double layer's kernel has only
+    a removable singularity: alternating-point rule with doubled weights."""
+    n = geom.src.n
+    double = np.where(_alternating_mask(n),
+                      2.0 * (TWO_PI / n) * geom.h / _safe(geom.r), 0.0)
+    return _kress_rule(*laplace_single_split(geom)), double
 
 
-def cross_matrix(field, layer, src, tgt):
-    """Dense matrix mapping source densities to values on a disjoint boundary."""
-    r, safe, hker = _pair_geometry(src, tgt)
-    if np.min(r) == 0.0:
-        raise ValueError("cross_matrix requires disjoint boundaries")
-    h_grid = TWO_PI / src.n
-    if field == LAPLACE:
-        if layer == SINGLE:
-            return -h_grid * np.log(r) * src.s_alpha[None, :] / TWO_PI
-        return h_grid * hker / r
-    if field == HELMHOLTZ:
-        if layer == SINGLE:
-            return h_grid * k0(r) * src.s_alpha[None, :] / TWO_PI
-        return h_grid * hker * k1(r)
-    raise ValueError(f"unknown kernel field {field!r}")
-
-
-def helmholtz_self_blocks(bnd):
-    """(single, double) modified-Helmholtz self blocks sharing one r matrix."""
-    n = bnd.n
-    h_grid = TWO_PI / n
-    ls = _log_sin_matrix(n)
-    r, safe, hker = _pair_geometry(bnd, bnd)
-    m = bnd.s_alpha
-    diag = np.arange(n)
-    i0r = i0(r)
-    i1r = i1(r)
-    k0r = k0(safe)
-    k1r = k1(safe)
-
-    g1 = -i0r * m[None, :] / TWO_PI
-    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
-    g2[diag, diag] = -(EULER_GAMMA + np.log(m / 2.0)) * m / TWO_PI
-    single = _kress_matrix(n) * g1 + h_grid * g2
-
-    g1d = hker * i1r
-    g1d[diag, diag] = 0.0
-    g2d = hker * (k1r - i1r * ls)
-    g2d[diag, diag] = -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a) \
-        / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2))
-    double = _kress_matrix(n) * g1d + h_grid * g2d
-    return single, double
-
-
-def helmholtz_cross_blocks(src, tgt):
-    """(single, double) modified-Helmholtz cross blocks sharing one r matrix."""
-    r, _, hker = _pair_geometry(src, tgt)
-    h_grid = TWO_PI / src.n
-    single = h_grid * k0(r) * src.s_alpha[None, :] / TWO_PI
-    double = h_grid * hker * k1(r)
-    return single, double
-
-
-def laplace_self_blocks(bnd):
-    """(single, double) Laplace self blocks."""
-    return self_matrix(LAPLACE, SINGLE, bnd), self_matrix(LAPLACE, DOUBLE, bnd)
-
-
-def laplace_cross_blocks(src, tgt):
-    """(single, double) Laplace cross blocks sharing one r matrix."""
-    r, _, hker = _pair_geometry(src, tgt)
-    h_grid = TWO_PI / src.n
-    single = -h_grid * np.log(r) * src.s_alpha[None, :] / TWO_PI
-    double = h_grid * hker / r
-    return single, double
-
-
-def apply_layer(field, layer, source, target, density):
-    """Discretized layer potential of `density` at the target nodes.
-
-    `target is source` (or equal object) selects the self-interaction rules;
-    disjoint boundaries use plain trapezoidal quadrature.
-    """
-    density = np.asarray(density, dtype=float)
-    if target is source:
-        return self_matrix(field, layer, source) @ density
-    return cross_matrix(field, layer, source, target) @ density
+def laplace_cross_blocks(geom):
+    """(single, double) of src on tgt, then (single, double) of tgt on src."""
+    src, tgt, r = geom.src, geom.tgt, geom.r
+    log_r = np.log(r)
+    h_src, h_tgt = TWO_PI / src.n, TWO_PI / tgt.n
+    return (-h_src * log_r * src.s_alpha[None, :] / TWO_PI,
+            h_src * geom.h / r,
+            np.ascontiguousarray(-h_tgt * log_r.T * tgt.s_alpha[None, :] / TWO_PI),
+            np.ascontiguousarray(h_tgt * geom.h_rev / r.T))
 
 
 def eval_at_points(field, layer, source, points, density, upsample=1):

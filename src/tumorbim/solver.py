@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels as ker
-from .geometry import TWO_PI, min_gap_between, min_self_gap
+from .geometry import TWO_PI, min_gap_between
 
 D_DIM = 2  # all operations are two-dimensional
 
@@ -132,24 +132,26 @@ def proximity_warning(gamma0, gamma):
                       RuntimeWarning, stacklevel=3)
 
 
+def pair_geometries(gamma0, gamma):
+    """The (Gamma-Gamma, Gamma0-Gamma) geometries both fields share in a step."""
+    return ker.self_geometry(gamma), ker.cross_geometry(gamma0, gamma)
+
+
 # ---------------------------------------------------------------------------
 # nutrient system
 
-def nutrient_system(gamma0, gamma, params, cache=None):
+def nutrient_system(params, inner, pairs):
     """Assemble the block matrix and right-hand side of the nutrient solve.
 
-    Block order is (Gamma0 unknowns, Gamma unknowns).  `cache` may carry
-    precomputed static Gamma0 self blocks as (S00, D00).
+    Block order is (Gamma0 unknowns, Gamma unknowns); `inner` holds the static
+    Gamma0 self blocks (S00, D00) and `pairs` the step's `pair_geometries`.
     """
     beta = params.beta
-    n0, n = gamma0.n, gamma.n
-    if cache is None:
-        s00, d00 = ker.helmholtz_self_blocks(gamma0)
-    else:
-        s00, d00 = cache
-    s_g_to_0, d_g_to_0 = ker.helmholtz_cross_blocks(gamma, gamma0)
-    s_0_to_g, d_0_to_g = ker.helmholtz_cross_blocks(gamma0, gamma)
-    s_gg, d_gg = ker.helmholtz_self_blocks(gamma)
+    own, cross = pairs
+    n0, n = cross.src.n, cross.tgt.n
+    s00, d00 = inner
+    s_gg, d_gg = ker.helmholtz_self_blocks(own)
+    s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.helmholtz_cross_blocks(cross)
 
     mat = np.empty((n0 + n, n0 + n))
     mat[:n0, :n0] = s00
@@ -166,12 +168,13 @@ def nutrient_system(gamma0, gamma, params, cache=None):
     return mat, rhs
 
 
-def solve_nutrient(gamma0, gamma, params, tol=1e-10, maxiter=500, cache=None):
+def solve_nutrient(params, inner, pairs, tol=1e-10, maxiter=500):
     """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma); returns them + iters."""
-    proximity_warning(gamma0, gamma)
-    mat, rhs = nutrient_system(gamma0, gamma, params, cache=cache)
+    cross = pairs[1]
+    proximity_warning(cross.src, cross.tgt)
+    mat, rhs = nutrient_system(params, inner, pairs)
     x, iters = _solve_gmres(mat, rhs, tol, maxiter, "nutrient")
-    n0 = gamma0.n
+    n0 = cross.src.n
     return x[:n0], x[n0:], iters
 
 
@@ -193,16 +196,14 @@ def pressure_rhs(gamma0, gamma, params, dsigma_dn0, sigma_gamma, kappa):
     return g_neumann, g_dirichlet
 
 
-def pressure_system(gamma0, gamma, g_neumann, g_dirichlet, cache=None):
-    """Assemble the block matrix and right-hand side of the pressure solve."""
-    n0, n = gamma0.n, gamma.n
-    if cache is None:
-        s00, d00 = ker.laplace_self_blocks(gamma0)
-    else:
-        s00, d00 = cache
-    s_g_to_0, d_g_to_0 = ker.laplace_cross_blocks(gamma, gamma0)
-    s_0_to_g, d_0_to_g = ker.laplace_cross_blocks(gamma0, gamma)
-    s_gg, d_gg = ker.laplace_self_blocks(gamma)
+def pressure_system(inner, pairs, g_neumann, g_dirichlet):
+    """Block matrix and right-hand side of the pressure solve (Laplace
+    `inner` blocks, otherwise as for `nutrient_system`)."""
+    own, cross = pairs
+    n0, n = cross.src.n, cross.tgt.n
+    s00, d00 = inner
+    s_gg, d_gg = ker.laplace_self_blocks(own)
+    s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.laplace_cross_blocks(cross)
 
     mat = np.empty((n0 + n, n0 + n))
     mat[:n0, :n0] = d00
@@ -217,12 +218,12 @@ def pressure_system(gamma0, gamma, g_neumann, g_dirichlet, cache=None):
     return mat, rhs
 
 
-def solve_pressure(gamma0, gamma, g_neumann, g_dirichlet, tol=1e-10,
-                   maxiter=500, cache=None):
+def solve_pressure(inner, pairs, g_neumann, g_dirichlet, tol=1e-10,
+                   maxiter=500):
     """Solve for (pbar on Gamma0, d pbar/dn on Gamma); returns them + iters."""
-    mat, rhs = pressure_system(gamma0, gamma, g_neumann, g_dirichlet, cache=cache)
+    mat, rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet)
     x, iters = _solve_gmres(mat, rhs, tol, maxiter, "pressure")
-    n0 = gamma0.n
+    n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters
 
 
@@ -281,25 +282,19 @@ class FieldSolver:
         self.params = params
         self.tol = tol
         self.maxiter = maxiter
-        self._helm_cache = ker.helmholtz_self_blocks(gamma0)
-        self._lap_cache = ker.laplace_self_blocks(gamma0)
+        inner = ker.self_geometry(gamma0)
+        self._helm_blocks = ker.helmholtz_self_blocks(inner)
+        self._lap_blocks = ker.laplace_self_blocks(inner)
 
     def solve(self, gamma):
-        dsig, sig, it_n = solve_nutrient(self.gamma0, gamma, self.params,
-                                         tol=self.tol, maxiter=self.maxiter,
-                                         cache=self._helm_cache)
+        pairs = pair_geometries(self.gamma0, gamma)
+        dsig, sig, it_n = solve_nutrient(self.params, self._helm_blocks, pairs,
+                                         tol=self.tol, maxiter=self.maxiter)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
                                 gamma.curvature)
-        pbar0, dpdn, it_p = solve_pressure(self.gamma0, gamma, g_n, g_d,
-                                           tol=self.tol, maxiter=self.maxiter,
-                                           cache=self._lap_cache)
+        pbar0, dpdn, it_p = solve_pressure(self._lap_blocks, pairs, g_n, g_d,
+                                           tol=self.tol, maxiter=self.maxiter)
         return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
                               pbar_gamma0=pbar0, dpbar_dn=dpdn,
                               gmres_iters_nutrient=it_n,
                               gmres_iters_pressure=it_p)
-
-
-def gap_state(gamma0, gamma):
-    """(boundary gap, self gap, node spacing) used by the halting logic."""
-    spacing = TWO_PI * float(np.mean(gamma.s_alpha)) / gamma.n
-    return min_gap_between(gamma0, gamma), min_self_gap(gamma), spacing

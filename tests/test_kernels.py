@@ -50,21 +50,23 @@ class TestLogSplit:
     def test_split_recombines_offdiagonal(self):
         bnd = wavy(64)
         ls = ker._log_sin_matrix(64)
-        r, safe, hker = ker._pair_geometry(bnd, bnd)
+        geom = ker.self_geometry(bnd)
+        safe = np.where(geom.r == 0.0, 1.0, geom.r)
         off = ~np.eye(64, dtype=bool)
+        helm_single, helm_double = ker.helmholtz_self_split(geom)
         cases = [
-            (ker.LAPLACE, ker.SINGLE, -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (ker.HELMHOLTZ, ker.SINGLE, k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (ker.HELMHOLTZ, ker.DOUBLE, hker * k1(safe)),
+            (ker.laplace_single_split(geom),
+             -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
+            (helm_single, k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
+            (helm_double, geom.h * k1(safe)),
         ]
-        for field, layer, direct in cases:
-            g1, g2 = ker.log_split(field, layer, bnd)
+        for (g1, g2), direct in cases:
             recombined = g1 * ls + g2
             assert np.max(np.abs((recombined - direct)[off])) < 1e-13
 
     def test_laplace_single_antipode(self):
         bnd = circle(64)
-        g1, g2 = ker.log_split(ker.LAPLACE, ker.SINGLE, bnd)
+        g1, g2 = ker.laplace_single_split(ker.self_geometry(bnd))
         ls = ker._log_sin_matrix(64)
         # antipodal pair on the unit circle: kernel = -(1/2pi) ln 2
         val = g1[0, 32] * ls[0, 32] + g2[0, 32]
@@ -72,7 +74,7 @@ class TestLogSplit:
 
     def test_laplace_single_diagonal(self):
         bnd = wavy(64)
-        _, g2 = ker.log_split(ker.LAPLACE, ker.SINGLE, bnd)
+        _, g2 = ker.laplace_single_split(ker.self_geometry(bnd))
         expected = -np.log(bnd.s_alpha) * bnd.s_alpha / TWO_PI
         assert np.max(np.abs(np.diag(g2) - expected)) < 1e-14
 
@@ -80,7 +82,7 @@ class TestLogSplit:
         # g2(a, a) is the r -> 0 limit of (K0 + I0 ln 2|sin|) m/2pi:
         # -(C + ln(s_alpha/2)) m / 2pi from the K0 expansion
         bnd = wavy(128)
-        _, g2 = ker.log_split(ker.HELMHOLTZ, ker.SINGLE, bnd)
+        (_, g2), _ = ker.helmholtz_self_split(ker.self_geometry(bnd))
         expected = -(np.euler_gamma + np.log(bnd.s_alpha / 2)) * bnd.s_alpha / TWO_PI
         assert np.max(np.abs(np.diag(g2) - expected)) < 1e-13
         # numeric limit along the off-diagonal confirms the closed form
@@ -93,15 +95,14 @@ class TestLogSplit:
         # limit of h K1(r): -(1/4pi)(x_a y_aa - x_aa y_a)/s_alpha^2, which is
         # -1/(4pi) on the unit circle (counterclockwise, outward normal)
         bnd = circle(64)
-        _, g2 = ker.log_split(ker.HELMHOLTZ, ker.DOUBLE, bnd)
+        geom = ker.self_geometry(bnd)
+        _, (g1, g2) = ker.helmholtz_self_split(geom)
         assert np.diag(g2) == pytest.approx(np.full(64, -1.0 / (2 * TWO_PI)), abs=1e-14)
         # confirm against the numeric limit of the full kernel along row 0
-        r, safe, hker = ker._pair_geometry(bnd, bnd)
         ls = ker._log_sin_matrix(64)
-        g1, _ = ker.log_split(ker.HELMHOLTZ, ker.DOUBLE, bnd)
         vals = []
         for j in (1, 2):
-            full = hker[0, j] * k1(r[0, j])
+            full = geom.h[0, j] * k1(geom.r[0, j])
             vals.append(full - g1[0, j] * ls[0, j])
         # second-order Richardson in the node offset
         extrap = (4 * vals[0] - vals[1]) / 3.0
@@ -111,14 +112,17 @@ class TestLogSplit:
 class TestGaussAndJumpIdentities:
     def test_double_layer_pv_on_boundary(self):
         for bnd in (circle(256), wavy(256)):
-            d_mat = ker.self_matrix(ker.LAPLACE, ker.DOUBLE, bnd)
+            _, d_mat = ker.laplace_self_blocks(ker.self_geometry(bnd))
             assert np.max(np.abs(d_mat @ np.ones(bnd.n) + 0.5)) < 1e-10
 
     def test_double_layer_inside_outside(self):
         outer = wavy(128)
         inner = circle(128, radius=0.4)
-        inside = ker.cross_matrix(ker.LAPLACE, ker.DOUBLE, outer, inner) @ np.ones(128)
-        outside = ker.cross_matrix(ker.LAPLACE, ker.DOUBLE, inner, outer) @ np.ones(128)
+        # one cross geometry serves both directions
+        _, d_in_to_out, _, d_out_to_in = ker.laplace_cross_blocks(
+            ker.cross_geometry(inner, outer))
+        inside = d_out_to_in @ np.ones(128)
+        outside = d_in_to_out @ np.ones(128)
         assert np.max(np.abs(inside + 1.0)) < 1e-12
         assert np.max(np.abs(outside)) < 1e-12
 
@@ -146,7 +150,7 @@ class TestGaussAndJumpIdentities:
         bnd = wavy(256)
         a = geo.alpha_grid(256)
         density = 1.0 + 0.3 * np.cos(3 * a)
-        d_pv = (ker.self_matrix(ker.LAPLACE, ker.DOUBLE, bnd) @ density)[:1]
+        d_pv = (ker.laplace_self_blocks(ker.self_geometry(bnd))[1] @ density)[:1]
         pts = np.array([[bnd.x[0], bnd.y[0]]])
         nrm = np.array([[bnd.normal_x[0], bnd.normal_y[0]]])
         avg = {}
@@ -203,7 +207,7 @@ class TestGreenRepresentation:
 class TestSelfMatrices:
     def test_laplace_single_symmetric_up_to_metric(self):
         bnd = wavy(64)
-        s_mat = ker.self_matrix(ker.LAPLACE, ker.SINGLE, bnd)
+        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
         # kernel symmetric in (i, j): matrix / m_j is symmetric
         sym = s_mat / bnd.s_alpha[None, :]
         assert np.max(np.abs(sym - sym.T)) < 1e-13
@@ -214,8 +218,8 @@ class TestSelfMatrices:
         for n in (32, 64, 128):
             bnd = wavy(n)
             a = geo.alpha_grid(n)
-            vals.append((ker.self_matrix(ker.HELMHOLTZ, ker.SINGLE, bnd)
-                         @ np.cos(2 * a))[0])
+            s_mat, _ = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+            vals.append((s_mat @ np.cos(2 * a))[0])
         assert abs(vals[1] - vals[2]) < 1e-10
         assert abs(vals[0] - vals[2]) < 1e-6
 
@@ -224,7 +228,7 @@ class TestSelfMatrices:
         bnd = wavy(128)
         a = geo.alpha_grid(128)
         density = np.exp(np.cos(a))
-        coarse = ker.self_matrix(ker.LAPLACE, ker.DOUBLE, bnd) @ density
+        coarse = ker.laplace_self_blocks(ker.self_geometry(bnd))[1] @ density
         pts = np.column_stack([bnd.x[:2], bnd.y[:2]])
         nrm = np.column_stack([bnd.normal_x[:2], bnd.normal_y[:2]])
         vals = {}
@@ -238,19 +242,19 @@ class TestSelfMatrices:
         assert np.max(np.abs(extrap - coarse[:2])) < 1e-6
 
 
-def test_apply_layer_matches_matrix():
-    bnd = wavy(64)
-    inner = circle(64, radius=0.5)
-    density = np.cos(geo.alpha_grid(64))
-    out_self = ker.apply_layer(ker.HELMHOLTZ, ker.SINGLE, bnd, bnd, density)
-    assert np.array_equal(out_self,
-                          ker.self_matrix(ker.HELMHOLTZ, ker.SINGLE, bnd) @ density)
-    out_cross = ker.apply_layer(ker.LAPLACE, ker.DOUBLE, inner, bnd, density)
-    assert np.array_equal(out_cross,
-                          ker.cross_matrix(ker.LAPLACE, ker.DOUBLE, inner, bnd) @ density)
-
-
 def test_cross_matrix_rejects_touching():
     bnd = wavy(64)
     with pytest.raises(ValueError):
-        ker.cross_matrix(ker.LAPLACE, ker.SINGLE, bnd, bnd)
+        ker.cross_geometry(bnd, bnd)
+
+
+def test_cross_blocks_serve_both_directions():
+    # the reverse blocks of one cross geometry equal, bit for bit, the
+    # forward blocks of the swapped pair, and are C-ordered like them
+    outer, inner = wavy(64), circle(32, radius=0.5)
+    for blocks in (ker.helmholtz_cross_blocks, ker.laplace_cross_blocks):
+        both = blocks(ker.cross_geometry(inner, outer))
+        swapped = blocks(ker.cross_geometry(outer, inner))
+        for rev, fwd in zip(both[2:], swapped[:2]):
+            assert rev.shape == (32, 64) and rev.flags.c_contiguous
+            assert np.array_equal(rev, fwd)

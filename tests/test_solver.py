@@ -17,6 +17,17 @@ def circles(n, r_in=0.1, r_out=2.5):
     return g0, g
 
 
+def solve_nutrient(g0, g, params):
+    inner = ker.helmholtz_self_blocks(ker.self_geometry(g0))
+    return sol.solve_nutrient(params, inner, sol.pair_geometries(g0, g))
+
+
+def solve_pressure(g0, g, g_neumann, g_dirichlet):
+    inner = ker.laplace_self_blocks(ker.self_geometry(g0))
+    return sol.solve_pressure(inner, sol.pair_geometries(g0, g), g_neumann,
+                              g_dirichlet)
+
+
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -63,7 +74,7 @@ class TestNutrientSolve:
         g0, g = circles(n)
         params = sol.Params(**FIG7)
         a1, a2 = annulus_nutrient_coeffs(0.1, 2.5, params.beta, params.sigma_n)
-        dsig, sig, iters = sol.solve_nutrient(g0, g, params)
+        dsig, sig, iters = solve_nutrient(g0, g, params)
         sig_exact = a1 * iv(0, 2.5) + a2 * kv(0, 2.5)
         flux_exact = a1 * iv(1, 0.1) - a2 * kv(1, 0.1)
         assert np.max(np.abs(sig - sig_exact)) / abs(sig_exact) < 1e-8
@@ -74,7 +85,7 @@ class TestNutrientSolve:
         n = 128
         g0, g = circles(n)
         params = sol.Params(p=1, a=0, chi=0, beta=1e6, sigma_n=0.2, ginv=0)
-        _, sig, _ = sol.solve_nutrient(g0, g, params)
+        _, sig, _ = solve_nutrient(g0, g, params)
         assert np.max(np.abs(sig - 1.0)) < 1e-5
 
     def test_manufactured_radial_solution(self):
@@ -88,7 +99,7 @@ class TestNutrientSolve:
         beta = dsig_fun(r_out) / (1.0 - sig_fun(r_out))
         params = sol.Params(p=0, a=0, chi=0, beta=beta,
                             sigma_n=sig_fun(r_in), ginv=0)
-        dsig, sig, _ = sol.solve_nutrient(g0, g, params)
+        dsig, sig, _ = solve_nutrient(g0, g, params)
         assert np.max(np.abs(sig - sig_fun(r_out))) < 1e-10
         assert np.max(np.abs(dsig - dsig_fun(r_in))) < 1e-10
 
@@ -98,7 +109,7 @@ class TestNutrientSolve:
         for n in (128, 256):
             g0 = geo.FixedBoundary.from_radial(0.1, 0, 0, n).samples
             g = geo.initial_interface(2.5, 0.1, 2, n).samples()
-            _, sig, _ = sol.solve_nutrient(g0, g, params)
+            _, sig, _ = solve_nutrient(g0, g, params)
             values[n] = sig
         assert abs(values[128][0] - values[256][0]) < 1e-8
 
@@ -109,7 +120,7 @@ class TestNutrientSolve:
                                     sigma_n=sigma_n, ginv=0)
                 g0 = geo.FixedBoundary.from_radial(0.5, 0.1, 3, 128).samples
                 g = geo.initial_interface(2.5, 0.1, 2, 128).samples()
-                dsig, sig, _ = sol.solve_nutrient(g0, g, params)
+                dsig, sig, _ = solve_nutrient(g0, g, params)
                 fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0)
                 assert sol.sigma_bounds_violation(fields, params) < 1e-8
 
@@ -117,7 +128,7 @@ class TestNutrientSolve:
         n = 256
         g0, g = circles(n)
         params = sol.Params(**FIG7)
-        dsig, sig, _ = sol.solve_nutrient(g0, g, params)
+        dsig, sig, _ = solve_nutrient(g0, g, params)
         fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0)
         a1, a2 = annulus_nutrient_coeffs(0.1, 2.5, params.beta, params.sigma_n)
         probes = np.array([[1.0, 0.0], [0.0, -1.7]])
@@ -136,7 +147,7 @@ class TestNutrientSolve:
             g = geo.initial_interface(2.5, 0.05, 3, 256).samples()
             with pytest.warns(RuntimeWarning) if label == "narrow" else \
                     _no_warning():
-                _, _, iters[label] = sol.solve_nutrient(g0, g, params)
+                _, _, iters[label] = solve_nutrient(g0, g, params)
         assert iters["narrow"] > iters["wide"]
 
 
@@ -155,7 +166,7 @@ class TestPressureSolve:
         c1, c2 = 0.7, -0.3
         g_neumann = np.full(n, c2 / 0.1)
         g_dirichlet = np.full(n, c1 + c2 * np.log(2.5))
-        pbar0, dpdn, _ = sol.solve_pressure(g0, g, g_neumann, g_dirichlet)
+        pbar0, dpdn, _ = solve_pressure(g0, g, g_neumann, g_dirichlet)
         assert np.max(np.abs(pbar0 - (c1 + c2 * np.log(0.1)))) < 1e-8
         assert np.max(np.abs(dpdn - c2 / 2.5)) < 1e-8
 
@@ -173,14 +184,14 @@ class TestPressureSolve:
             w = ell * (b.x + 1j * b.y) ** (ell - 1)
             return w.real * b.normal_x - w.imag * b.normal_y
 
-        pbar0, dpdn, _ = sol.solve_pressure(g0, g, flux(g0), trace(g))
+        pbar0, dpdn, _ = solve_pressure(g0, g, flux(g0), trace(g))
         assert np.max(np.abs(pbar0 - trace(g0))) < 1e-8
         assert np.max(np.abs(dpdn - flux(g))) < 1e-8
 
     def test_zero_data_zero_solution(self):
         n = 64
         g0, g = circles(n)
-        pbar0, dpdn, iters = sol.solve_pressure(g0, g, np.zeros(n), np.zeros(n))
+        pbar0, dpdn, iters = solve_pressure(g0, g, np.zeros(n), np.zeros(n))
         assert np.all(pbar0 == 0) and np.all(dpdn == 0)
         assert iters <= 2
 
@@ -269,6 +280,6 @@ def test_field_solver_caches_match_fresh_solve():
     params = sol.Params(**FIG7)
     solver = sol.FieldSolver(g0, params)
     fields = solver.solve(g)
-    dsig, sig, _ = sol.solve_nutrient(g0, g, params)
+    dsig, sig, _ = solve_nutrient(g0, g, params)
     assert np.array_equal(fields.dsigma_dn0, dsig)
     assert np.array_equal(fields.sigma_gamma, sig)
