@@ -191,6 +191,7 @@ def _run_loop(config, state, history, start_index, out):
     status = RunStatus.COMPLETE
     message = "reached t_final"
     peak = 0
+    near_times = []     # times of the solves whose proximity warning fired
     t_start = _time.perf_counter()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -218,6 +219,8 @@ def _run_loop(config, state, history, start_index, out):
             break
         v = normal_velocity(fields, gamma, params)
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
+        if fields.near_contact:
+            near_times.append(state.time)
 
         if i % rec_every == 0 or i == n_steps:
             r_eff, delta_over_r, _ = shape_diagnostics(gamma, config.shape_mode)
@@ -257,6 +260,8 @@ def _run_loop(config, state, history, start_index, out):
         summary = dict(status=int(status), status_name=status.name,
                        message=message, final_time=state.time,
                        steps_done=i, wall_time=wall, peak_gmres=peak,
+                       proximity_steps=len(near_times),
+                       first_proximity_time=near_times[0] if near_times else None,
                        version=__version__)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return result
@@ -349,8 +354,13 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
 
     work = list(zip(members, out_dirs))
     if jobs > 1:
+        # submit the longest members (steps x N^2) first, so that no worker is
+        # left with two long ones; results come back in the given order
+        cost = [m.t_final / m.dt * m.n ** 2 for m in members]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_for_study, work))
+            futures = {k: pool.submit(_run_for_study, work[k])
+                       for k in sorted(range(len(work)), key=lambda k: -cost[k])}
+            results = [futures[k].result() for k in range(len(work))]
     else:
         results = [_run_for_study(w) for w in work]
 

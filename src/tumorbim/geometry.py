@@ -9,6 +9,7 @@ filtering and interpolation is spectral; node counts are powers of two.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -330,11 +331,16 @@ def min_self_gap(samples, exclude=None):
     dx = samples.x[:, None] - samples.x[None, :]
     dy = samples.y[:, None] - samples.y[None, :]
     d2 = dx * dx + dy * dy
+    d2[_near_pairs(n, exclude)] = np.inf
+    return float(np.sqrt(np.min(d2)))
+
+
+@lru_cache(maxsize=16)
+def _near_pairs(n, exclude):
+    """True where two of n nodes lie at most `exclude` positions apart."""
     idx = np.arange(n)
     sep = np.abs(idx[:, None] - idx[None, :])
-    sep = np.minimum(sep, n - sep)
-    d2[sep <= exclude] = np.inf
-    return float(np.sqrt(np.min(d2)))
+    return np.minimum(sep, n - sep) <= exclude
 
 
 # ---------------------------------------------------------------------------

@@ -72,51 +72,64 @@ def _alternating_mask(n):
     return ((i[:, None] - i[None, :]) % 2).astype(bool)
 
 
+@lru_cache(maxsize=16)
+def _upper_map(n):
+    """Flat indices of an n x n upper triangle (diagonal included), and the
+    position in that list of every entry or of its mirror image."""
+    rows, cols = np.triu_indices(n)
+    place = np.empty((n, n), dtype=np.intp)
+    place[rows, cols] = place[cols, rows] = np.arange(rows.size)
+    return rows * n + cols, place
+
+
+def _symmetric(fn, r):
+    """fn(r) for a bitwise symmetric r, evaluated on its upper triangle."""
+    upper, place = _upper_map(r.shape[0])
+    return fn(r.ravel()[upper])[place]
+
+
 class PairGeometry(NamedTuple):
     """Distances r and dipole factors h of sources `src` on targets `tgt`.
 
     r[i, j] runs from source node j to target node i, h = (x_t - x_s).n_s
-    m_s/(2 pi r); on a cross pair `h_rev` holds the factors of tgt on src,
-    whose distances are r.T bitwise (subtraction and hypot are symmetric).
+    m_s/(2 pi r), and `safe` is r with zero self distances set to 1.  A self
+    r equals r.T bitwise (subtraction and hypot are symmetric); on a cross
+    pair `h_rev` holds the factors of tgt on src, whose distances are r.T.
     """
 
     src: PlanarCurveSamples
     tgt: PlanarCurveSamples
     r: np.ndarray
+    safe: np.ndarray
     h: np.ndarray
     h_rev: np.ndarray | None = None
 
 
-def _safe(r):
-    """Distances with the zero self distances replaced by 1."""
-    return np.where(r == 0.0, 1.0, r)
+def _differences(src, tgt):
+    return tgt.x[:, None] - src.x[None, :], tgt.y[:, None] - src.y[None, :]
 
 
-def _dipole(dx, dy, src, r):
+def _dipole(dx, dy, src, safe):
     return (dx * src.normal_x[None, :] + dy * src.normal_y[None, :]) \
-        * src.s_alpha[None, :] / (TWO_PI * _safe(r))
-
-
-def _geometry(src, tgt):
-    dx = tgt.x[:, None] - src.x[None, :]
-    dy = tgt.y[:, None] - src.y[None, :]
-    r = np.hypot(dx, dy)
-    return dx, dy, r, _dipole(dx, dy, src, r)
+        * src.s_alpha[None, :] / (TWO_PI * safe)
 
 
 def self_geometry(bnd):
     """Geometry of one boundary acting on itself (zero diagonal distance)."""
-    _, _, r, h = _geometry(bnd, bnd)
-    return PairGeometry(bnd, bnd, r, h)
+    dx, dy = _differences(bnd, bnd)
+    r = np.hypot(dx, dy)
+    safe = np.where(r == 0.0, 1.0, r)
+    return PairGeometry(bnd, bnd, r, safe, _dipole(dx, dy, bnd, safe))
 
 
 def cross_geometry(src, tgt):
     """Geometry of two disjoint boundaries, serving both directions."""
-    dx, dy, r, h = _geometry(src, tgt)
+    dx, dy = _differences(src, tgt)
+    r = np.hypot(dx, dy)
     if np.min(r) == 0.0:
         raise ValueError("cross-boundary blocks require disjoint boundaries")
-    h_rev = np.ascontiguousarray(_dipole(-dx.T, -dy.T, tgt, r.T))
-    return PairGeometry(src, tgt, r, h, h_rev)
+    h_rev = _dipole(*_differences(tgt, src), tgt, np.ascontiguousarray(r.T))
+    return PairGeometry(src, tgt, r, r, _dipole(dx, dy, src, r), h_rev)
 
 
 def _kress_rule(g1, g2):
@@ -137,8 +150,8 @@ def helmholtz_self_split(geom):
     bnd, r, hker = geom.src, geom.r, geom.h
     ls = _log_sin_matrix(bnd.n)
     m = bnd.s_alpha
-    safe = _safe(r)
-    i0r, i1r, k0r, k1r = i0(r), i1(r), k0(safe), k1(safe)
+    i0r, i1r = _symmetric(i0, r), _symmetric(i1, r)
+    k0r, k1r = _symmetric(k0, geom.safe), _symmetric(k1, geom.safe)
     g1 = -i0r * m[None, :] / TWO_PI
     g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
     np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
@@ -171,7 +184,7 @@ def laplace_single_split(geom):
     m = geom.src.s_alpha
     g1 = -m[None, :] / TWO_PI
     with np.errstate(divide="ignore", invalid="ignore"):
-        g2 = -np.log(_safe(geom.r)) * m[None, :] / TWO_PI \
+        g2 = -np.log(geom.safe) * m[None, :] / TWO_PI \
             - g1 * _log_sin_matrix(geom.src.n)
     np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
     return g1, g2
@@ -182,7 +195,7 @@ def laplace_self_blocks(geom):
     a removable singularity: alternating-point rule with doubled weights."""
     n = geom.src.n
     double = np.where(_alternating_mask(n),
-                      2.0 * (TWO_PI / n) * geom.h / _safe(geom.r), 0.0)
+                      2.0 * (TWO_PI / n) * geom.h / geom.safe, 0.0)
     return _kress_rule(*laplace_single_split(geom)), double
 
 

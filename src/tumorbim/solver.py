@@ -79,6 +79,7 @@ class BoundaryFields:
     dpbar_dn: np.ndarray        # modified pressure flux on Gamma
     gmres_iters_nutrient: int
     gmres_iters_pressure: int
+    near_contact: bool = False  # the proximity warning fired for this solve
 
 
 def dimensionless_params(d_coeff, uptake, lam_m, lam_a, mu, gamma_tension,
@@ -123,13 +124,15 @@ def _solve_gmres(matrix, rhs, tol, maxiter, system):
 
 
 def proximity_warning(gamma0, gamma):
-    """Warn when boundary separation drops below five grid spacings."""
+    """Warn when boundary separation drops below five grid spacings, and
+    return whether it did (`warnings` shows it once per process)."""
     spacing = TWO_PI * float(np.mean(gamma.s_alpha)) / gamma.n
-    gap = min_gap_between(gamma0, gamma)
-    if gap < 5.0 * spacing:
+    near = min_gap_between(gamma0, gamma) < 5.0 * spacing
+    if near:
         warnings.warn("boundary separation is below five grid spacings; "
                       "expect conditioning degradation",
                       RuntimeWarning, stacklevel=3)
+    return near
 
 
 def pair_geometries(gamma0, gamma):
@@ -140,8 +143,9 @@ def pair_geometries(gamma0, gamma):
 # ---------------------------------------------------------------------------
 # nutrient system
 
-def nutrient_system(params, inner, pairs):
-    """Assemble the block matrix and right-hand side of the nutrient solve.
+def nutrient_system(params, inner, pairs, out):
+    """Assemble the nutrient solve's block matrix into `out`, every entry
+    overwritten; returns the right-hand side.
 
     Block order is (Gamma0 unknowns, Gamma unknowns); `inner` holds the static
     Gamma0 self blocks (S00, D00) and `pairs` the step's `pair_geometries`.
@@ -153,28 +157,28 @@ def nutrient_system(params, inner, pairs):
     s_gg, d_gg = ker.helmholtz_self_blocks(own)
     s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.helmholtz_cross_blocks(cross)
 
-    mat = np.empty((n0 + n, n0 + n))
-    mat[:n0, :n0] = s00
-    mat[:n0, n0:] = beta * s_g_to_0 + d_g_to_0
-    mat[n0:, :n0] = s_0_to_g
-    mat[n0:, n0:] = beta * s_gg + d_gg
-    mat[n0 + np.arange(n), n0 + np.arange(n)] += 0.5
+    out[:n0, :n0] = s00
+    np.multiply(beta, s_g_to_0, out=out[:n0, n0:])
+    out[:n0, n0:] += d_g_to_0
+    out[n0:, :n0] = s_0_to_g
+    np.multiply(beta, s_gg, out=out[n0:, n0:])
+    out[n0:, n0:] += d_gg
+    out[n0 + np.arange(n), n0 + np.arange(n)] += 0.5
 
     ones0 = np.ones(n0)
     ones_g = np.ones(n)
     rhs = np.empty(n0 + n)
     rhs[:n0] = params.sigma_n * (d00 @ ones0 - 0.5) + beta * (s_g_to_0 @ ones_g)
     rhs[n0:] = params.sigma_n * (d_0_to_g @ ones0) + beta * (s_gg @ ones_g)
-    return mat, rhs
+    return rhs
 
 
-def solve_nutrient(params, inner, pairs, tol=1e-10, maxiter=500):
-    """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma); returns them + iters."""
-    cross = pairs[1]
-    proximity_warning(cross.src, cross.tgt)
-    mat, rhs = nutrient_system(params, inner, pairs)
-    x, iters = _solve_gmres(mat, rhs, tol, maxiter, "nutrient")
-    n0 = cross.src.n
+def solve_nutrient(params, inner, pairs, out, tol=1e-10, maxiter=500):
+    """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma); returns them + iters.
+    `out` is the (N0 + N)^2 buffer the system is assembled in."""
+    rhs = nutrient_system(params, inner, pairs, out)
+    x, iters = _solve_gmres(out, rhs, tol, maxiter, "nutrient")
+    n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters
 
 
@@ -196,33 +200,32 @@ def pressure_rhs(gamma0, gamma, params, dsigma_dn0, sigma_gamma, kappa):
     return g_neumann, g_dirichlet
 
 
-def pressure_system(inner, pairs, g_neumann, g_dirichlet):
-    """Block matrix and right-hand side of the pressure solve (Laplace
-    `inner` blocks, otherwise as for `nutrient_system`)."""
+def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
+    """Block matrix (into `out`) and right-hand side of the pressure solve
+    (Laplace `inner` blocks, otherwise as for `nutrient_system`)."""
     own, cross = pairs
     n0, n = cross.src.n, cross.tgt.n
     s00, d00 = inner
     s_gg, d_gg = ker.laplace_self_blocks(own)
     s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.laplace_cross_blocks(cross)
 
-    mat = np.empty((n0 + n, n0 + n))
-    mat[:n0, :n0] = d00
-    mat[np.arange(n0), np.arange(n0)] -= 0.5
-    mat[:n0, n0:] = s_g_to_0
-    mat[n0:, :n0] = d_0_to_g
-    mat[n0:, n0:] = s_gg
+    out[:n0, :n0] = d00
+    out[np.arange(n0), np.arange(n0)] -= 0.5
+    out[:n0, n0:] = s_g_to_0
+    out[n0:, :n0] = d_0_to_g
+    out[n0:, n0:] = s_gg
 
     rhs = np.empty(n0 + n)
     rhs[:n0] = s00 @ g_neumann + d_g_to_0 @ g_dirichlet
     rhs[n0:] = s_0_to_g @ g_neumann + d_gg @ g_dirichlet + 0.5 * g_dirichlet
-    return mat, rhs
+    return rhs
 
 
-def solve_pressure(inner, pairs, g_neumann, g_dirichlet, tol=1e-10,
+def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out, tol=1e-10,
                    maxiter=500):
     """Solve for (pbar on Gamma0, d pbar/dn on Gamma); returns them + iters."""
-    mat, rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet)
-    x, iters = _solve_gmres(mat, rhs, tol, maxiter, "pressure")
+    rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet, out)
+    x, iters = _solve_gmres(out, rhs, tol, maxiter, "pressure")
     n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters
 
@@ -275,7 +278,8 @@ def interior_value_nutrient(gamma0, gamma, params, fields, points):
 
 
 class FieldSolver:
-    """Per-run solver that caches the static inner-boundary self blocks."""
+    """Per-run solver caching the static inner-boundary self blocks and one
+    system buffer, which each solve's two systems fill in turn."""
 
     def __init__(self, gamma0, params, tol=1e-10, maxiter=500):
         self.gamma0 = gamma0
@@ -285,16 +289,23 @@ class FieldSolver:
         inner = ker.self_geometry(gamma0)
         self._helm_blocks = ker.helmholtz_self_blocks(inner)
         self._lap_blocks = ker.laplace_self_blocks(inner)
+        self._system = np.empty((0, 0))
 
     def solve(self, gamma):
+        size = self.gamma0.n + gamma.n
+        if self._system.shape != (size, size):
+            self._system = np.empty((size, size))
+        near = proximity_warning(self.gamma0, gamma)
         pairs = pair_geometries(self.gamma0, gamma)
         dsig, sig, it_n = solve_nutrient(self.params, self._helm_blocks, pairs,
-                                         tol=self.tol, maxiter=self.maxiter)
+                                         self._system, tol=self.tol,
+                                         maxiter=self.maxiter)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
                                 gamma.curvature)
         pbar0, dpdn, it_p = solve_pressure(self._lap_blocks, pairs, g_n, g_d,
-                                           tol=self.tol, maxiter=self.maxiter)
+                                           self._system, tol=self.tol,
+                                           maxiter=self.maxiter)
         return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
                               pbar_gamma0=pbar0, dpbar_dn=dpdn,
                               gmres_iters_nutrient=it_n,
-                              gmres_iters_pressure=it_p)
+                              gmres_iters_pressure=it_p, near_contact=near)

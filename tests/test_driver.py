@@ -192,6 +192,19 @@ class TestConvergenceStudy:
         with pytest.raises(cfgmod.ConfigError):
             drv.convergence_study(tiny_config(), dts=[1e-3, 5e-4])
 
+    def test_parallel_members_match_serial(self):
+        # jobs > 1 dispatches the longest member first; the results still
+        # come back in the given order with the same records
+        cfg = tiny_config(record_interval=1e-2, t_final=0.02)
+        values = dict(dts=[2e-3, 1e-3, 5e-4])
+        serial, serial_runs = drv.convergence_study(cfg, **values)
+        pooled, pooled_runs = drv.convergence_study(cfg, jobs=2, **values)
+        assert pooled.labels == serial.labels
+        assert np.array_equal(pooled.errors, serial.errors)
+        for a, b in zip(pooled_runs, serial_runs):
+            assert a.steps_done == b.steps_done
+            assert a.record.rows == b.record.rows
+
     def test_n_refinement(self):
         cfg = tiny_config(record_interval=1e-2, t_final=0.02, dt=1e-3)
         study, _ = drv.convergence_study(cfg, ns=[32, 64, 128])

@@ -6,6 +6,7 @@ shows here.  Regenerate the files only for a change that is meant to alter
 the numbers, and say why in the change log.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,11 @@ from conftest import record_acceptance
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
+
+
+# (solves whose proximity warning fired, time of the first): fig11's core
+# sits within five node spacings of the interface from the start
+PROXIMITY = {"fig7": (0, None), "fig11": (51, 0.0)}
 
 
 @pytest.mark.parametrize("preset", ["fig7", "fig11"])
@@ -33,3 +39,6 @@ def test_golden_record(preset, tmp_path):
     record_acceptance(f"golden record {preset} (50 steps, N = 64): "
                       f"{'PASS' if same else 'FAIL'} byte-identical record.tsv")
     assert same, f"{preset} record.tsv differs from tests/data"
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert (summary["proximity_steps"],
+            summary["first_proximity_time"]) == PROXIMITY[preset]

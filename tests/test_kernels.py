@@ -242,6 +242,43 @@ class TestSelfMatrices:
         assert np.max(np.abs(extrap - coarse[:2])) < 1e-6
 
 
+def test_self_distances_symmetric_bitwise():
+    geom = ker.self_geometry(wavy(64, eps=0.3, k=3))
+    assert np.array_equal(geom.r, geom.r.T)
+    assert np.array_equal(geom.safe, geom.safe.T)
+
+
+def _full_matrix_helmholtz_split(geom):
+    # the split with I0, I1, K0, K1 evaluated on every entry of r
+    bnd, r = geom.src, geom.r
+    ls = ker._log_sin_matrix(bnd.n)
+    m = bnd.s_alpha
+    safe = np.where(r == 0.0, 1.0, r)
+    i0r, i1r, k0r, k1r = i0(r), i1(r), k0(safe), k1(safe)
+    g1 = -i0r * m[None, :] / TWO_PI
+    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
+    np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
+    g1d = geom.h * i1r
+    np.fill_diagonal(g1d, 0.0)
+    g2d = geom.h * (k1r - i1r * ls)
+    np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
+    return (g1, g2), (g1d, g2d)
+
+
+@pytest.mark.parametrize("bnd", [wavy(64, eps=0.3, k=3), circle(32, radius=0.5)])
+def test_upper_triangle_bessel_matches_full_matrix(bnd):
+    geom = ker.self_geometry(bnd)
+    want = _full_matrix_helmholtz_split(geom)
+    got = ker.helmholtz_self_split(geom)
+    for got_pair, want_pair in zip(got, want):
+        for g, w in zip(got_pair, want_pair):
+            assert np.array_equal(g, w)
+    blocks = ker.helmholtz_self_blocks(geom)
+    for block, split in zip(blocks, want):
+        assert np.array_equal(block, ker._kress_rule(*split))
+
+
 def test_cross_matrix_rejects_touching():
     bnd = wavy(64)
     with pytest.raises(ValueError):

@@ -17,15 +17,20 @@ def circles(n, r_in=0.1, r_out=2.5):
     return g0, g
 
 
+def system_buffer(g0, g):
+    return np.empty((g0.n + g.n, g0.n + g.n))
+
+
 def solve_nutrient(g0, g, params):
     inner = ker.helmholtz_self_blocks(ker.self_geometry(g0))
-    return sol.solve_nutrient(params, inner, sol.pair_geometries(g0, g))
+    return sol.solve_nutrient(params, inner, sol.pair_geometries(g0, g),
+                              system_buffer(g0, g))
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
     inner = ker.laplace_self_blocks(ker.self_geometry(g0))
     return sol.solve_pressure(inner, sol.pair_geometries(g0, g), g_neumann,
-                              g_dirichlet)
+                              g_dirichlet, system_buffer(g0, g))
 
 
 class TestParams:
@@ -147,7 +152,8 @@ class TestNutrientSolve:
             g = geo.initial_interface(2.5, 0.05, 3, 256).samples()
             with pytest.warns(RuntimeWarning) if label == "narrow" else \
                     _no_warning():
-                _, _, iters[label] = solve_nutrient(g0, g, params)
+                assert sol.proximity_warning(g0, g) == (label == "narrow")
+            _, _, iters[label] = solve_nutrient(g0, g, params)
         assert iters["narrow"] > iters["wide"]
 
 
@@ -283,3 +289,48 @@ def test_field_solver_caches_match_fresh_solve():
     dsig, sig, _ = solve_nutrient(g0, g, params)
     assert np.array_equal(fields.dsigma_dn0, dsig)
     assert np.array_equal(fields.sigma_gamma, sig)
+
+
+def test_reused_buffer_keeps_no_stale_entries():
+    # geometry A assembled first into a NaN-filled buffer, then geometry B:
+    # both systems must equal B assembled into a fresh buffer, bit for bit
+    n = 64
+    g0 = geo.FixedBoundary.from_radial(0.5, 0.1, 3, n // 2).samples
+    pairs_a = sol.pair_geometries(g0, geo.initial_interface(2.5, 0.1, 2, n).samples())
+    g_b = geo.initial_interface(2.2, 0.2, 3, n).samples()
+    pairs_b = sol.pair_geometries(g0, g_b)
+    params = sol.Params(**FIG7)
+    helm = ker.helmholtz_self_blocks(ker.self_geometry(g0))
+    lap = ker.laplace_self_blocks(ker.self_geometry(g0))
+    g_n, g_d = np.cos(g0.alpha), np.sin(2 * g_b.alpha)
+    assemblies = (lambda pairs, out: sol.nutrient_system(params, helm, pairs, out),
+                  lambda pairs, out: sol.pressure_system(lap, pairs, g_n, g_d, out))
+    for assemble in assemblies:
+        reused = np.full((g0.n + n, g0.n + n), np.nan)
+        assemble(pairs_a, reused)
+        rhs = assemble(pairs_b, reused)
+        fresh = system_buffer(g0, g_b)
+        assert np.array_equal(rhs, assemble(pairs_b, fresh))
+        assert np.array_equal(reused, fresh)
+
+
+def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
+    # the symmetric Gamma-Gamma pair needs I0, I1, K0, K1 on N(N+1)/2
+    # distances, the Gamma0-Gamma pair K0, K1 on its N0 N distances
+    n0, n = 32, 64
+    g0 = geo.FixedBoundary.from_radial(0.5, 0.1, 3, n0).samples
+    g = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    solver = sol.FieldSolver(g0, sol.Params(**FIG7))
+    counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
+
+    def counting(name, fn):
+        def wrapper(x):
+            counts[name] += np.size(x)
+            return fn(x)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
+    solver.solve(g)
+    half = n * (n + 1) // 2
+    assert counts == dict(i0=half, i1=half, k0=half + n0 * n, k1=half + n0 * n)
