@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .driver import RunStatus, convergence_study, reemit_traces, resume, run
+from .driver import convergence_study, reemit_traces, resume, run
 from .linear import (LinearConfig, integrate_linear_odes, stability_curve,
                      write_stability_curve)
 
@@ -96,8 +96,12 @@ def _cmd_run(args):
 
 def _cmd_linstab(args):
     config = load_config(args.config)
-    lin_cfg = LinearConfig(r0=config.r0, mode=args.mode, params=config.params(),
-                           r_init=config.r_init, delta_init=config.eps_init)
+    try:
+        lin_cfg = LinearConfig(r0=config.r0, mode=args.mode,
+                               params=config.params(), r_init=config.r_init,
+                               delta_init=config.eps_init)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.evolve:
         t_final = args.t_final if args.t_final is not None else config.t_final
         pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)

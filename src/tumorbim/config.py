@@ -56,6 +56,8 @@ class SimulationConfig:
             raise ConfigError("dt must be positive")
         if self.t_final <= 0:
             raise ConfigError("t_final must be positive")
+        if self.eps0 < 0 or self.k0 < 0:
+            raise ConfigError("inner boundary needs eps0 >= 0 and k0 >= 0")
         if self.r0 <= 0 or self.r0 - self.eps0 <= 0:
             raise ConfigError("inner boundary radial rule must stay positive")
         if self.r_init - self.eps_init <= self.r0 + self.eps0:

@@ -93,9 +93,16 @@ def _intervals_to_steps(interval, dt, label):
     return int(round(steps))
 
 
-def _emit_traces_files(out, tag, gamma0, gamma, fields, params, t):
-    tdir = out / "traces"
-    tdir.mkdir(exist_ok=True)
+def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag=None):
+    """Write the four solved boundary traces for one time level.
+
+    Inner-boundary file: nutrient flux and hydrostatic pressure; outer file:
+    nutrient trace and the (sign-flipped) modified-pressure flux.
+    """
+    if tag is None:
+        tag = f"t{t:.6f}"
+    tdir = Path(out_dir) / "traces"
+    tdir.mkdir(parents=True, exist_ok=True)
     p_hydro = hydrostatic_pressure(fields.pbar_gamma0, np.full(gamma0.n, params.sigma_n),
                                    gamma0.x, gamma0.y, params)
     with open(tdir / f"gamma0_{tag}.txt", "w") as fh:
@@ -106,19 +113,6 @@ def _emit_traces_files(out, tag, gamma0, gamma, fields, params, t):
         fh.write(f"# t = {t:.17g}\nalpha\tsigma\tminus_dpbar_dn\n")
         for a, f1, f2 in zip(gamma.alpha, fields.sigma_gamma, -fields.dpbar_dn):
             fh.write(f"{a:.17g}\t{f1:.17g}\t{f2:.17g}\n")
-
-
-def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag=None):
-    """Write the four solved boundary traces for one time level.
-
-    Inner-boundary file: nutrient flux and hydrostatic pressure; outer file:
-    nutrient trace and the (sign-flipped) modified-pressure flux.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if tag is None:
-        tag = f"t{t:.6f}"
-    _emit_traces_files(out, tag, gamma0, gamma, fields, params, t)
 
 
 def save_checkpoint(path, config, state, history, step_index):
@@ -309,7 +303,6 @@ class ConvergenceStudy:
     times: np.ndarray
     errors: np.ndarray      # shape (len(labels) - 1, n_times)
     rates: np.ndarray       # shape (len(labels) - 2, n_times)
-    quantity: str = "area"
 
     def write(self, path):
         with open(path, "w") as fh:

@@ -202,11 +202,6 @@ class FixedBoundary:
                    r0=r0, eps0=eps0, k0=int(k0))
 
 
-def curvature(state):
-    """kappa(alpha_j) = theta_alpha / s_alpha."""
-    return state.theta_alpha() / state.s_alpha
-
-
 def reconstruct(state):
     """Recover markers from (theta, s_alpha, ref_point).
 
@@ -374,27 +369,3 @@ def read_snapshot(path):
         raise ValueError(f"snapshot {path} is corrupted: expected {n} rows")
     return data[:, 0].copy(), data[:, 1].copy(), t, s
 
-
-def is_simple(samples):
-    """Segment-intersection scan; True when the polyline does not cross itself."""
-    n = samples.n
-    p = np.column_stack([samples.x, samples.y])
-    seg_a = p
-    seg_b = np.roll(p, -1, axis=0)
-    for i in range(n):
-        a0, a1 = seg_a[i], seg_b[i]
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if js.size == 0:
-            continue
-        b0, b1 = seg_a[js], seg_b[js]
-        d = a1 - a0
-        e = b1 - b0
-        denom = d[0] * e[:, 1] - d[1] * e[:, 0]
-        rel = b0 - a0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (rel[:, 0] * e[:, 1] - rel[:, 1] * e[:, 0]) / denom
-            u = (rel[:, 0] * d[1] - rel[:, 1] * d[0]) / denom
-        hit = (denom != 0) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-        if np.any(hit):
-            return False
-    return True

@@ -12,7 +12,7 @@ only as test oracles.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -140,16 +140,19 @@ def perturb_coeffs_limit_beta(radius, config):
     return b1, b2
 
 
-def pressure_coeffs(radius, config, a1, a2, b1, b2):
-    """Coefficients (C1, C2, D1, D2) of the modified-pressure solution.
+def coefficients(radius, config):
+    """Full coefficient set at one radius.
 
-    C's solve the radially symmetric problem (Neumann at R0 from the
-    nutrient flux and apoptosis, Dirichlet at R from curvature, nutrient
-    and the apoptosis potential); D's solve the mode-l problem.
+    (C1, C2) solve the radially symmetric modified-pressure problem (Neumann
+    at R0 from the nutrient flux and apoptosis, Dirichlet at R from
+    curvature, nutrient and the apoptosis potential); (D1, D2) solve the
+    mode-l problem.
     """
     p = config.params
     r0, ell, r = config.r0, config.mode, radius
     pa = p.p * p.a
+    a1, a2 = radial_coeffs(radius, config)
+    b1, b2 = perturb_coeffs(radius, config, a1, a2)
 
     flux0 = a1 * bessel_i(1, r0) - a2 * bessel_k(1, r0)
     sigma0 = a1 * bessel_i(0, r) + a2 * bessel_k(0, r)
@@ -169,23 +172,9 @@ def pressure_coeffs(radius, config, a1, a2, b1, b2):
     d1 = (w_r * r ** ell + r0 ** (ell + 1) * w_0 / ell) / denom
     d2 = (w_r * r ** ell * r0 ** (2 * ell)
           - r ** (2 * ell) * r0 ** (ell + 1) * w_0 / ell) / denom
-    return c1, c2, d1, d2
-
-
-def coefficients(radius, config):
-    """Full coefficient set at one radius."""
-    a1, a2 = radial_coeffs(radius, config)
-    b1, b2 = perturb_coeffs(radius, config, a1, a2)
-    c1, c2, d1, d2 = pressure_coeffs(radius, config, a1, a2, b1, b2)
-    ell, r0, r = config.mode, config.r0, radius
-    return CoefficientSet(
-        a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2, d1=d1, d2=d2,
-        sigma0_r=a1 * bessel_i(0, r) + a2 * bessel_k(0, r),
-        flux0_r0=a1 * bessel_i(1, r0) - a2 * bessel_k(1, r0),
-        mode_flux=a1 * bessel_i(1, r) - a2 * bessel_k(1, r)
-        + b1 * bessel_i(ell, r) + b2 * bessel_k(ell, r),
-        inner_mode_flux=b1 * bessel_i(ell - 1, r0)
-        - b2 * bessel_k(ell - 1, r0))
+    return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2, d1=d1,
+                          d2=d2, sigma0_r=sigma0, flux0_r0=flux0,
+                          mode_flux=mode_flux, inner_mode_flux=inner_mode)
 
 
 def dr_dt(radius, config, coeffs=None):
@@ -294,14 +283,15 @@ def linear_boundary_traces(radius, delta, theta_polar, config):
 def integrate_linear_odes(config, t_final, dt=1e-3):
     """Advance (R, delta/R) by classical fourth-order Runge-Kutta steps.
 
-    Coefficients are recomputed at every stage.  Integration halts early
-    if the radius reaches the inner radius.
+    One coefficient set per stage serves both rates.  Integration halts
+    early if the radius reaches the inner radius.
     """
     if dt <= 0 or t_final < 0:
         raise ValueError("need dt > 0 and t_final >= 0")
 
     def rates(r, s):
-        return dr_dt(r, config), s * dshape_dt(r, config)
+        coeffs = coefficients(r, config)
+        return dr_dt(r, config, coeffs), s * dshape_dt(r, config, coeffs)
 
     n_steps = int(round(t_final / dt))
     times = [0.0]

@@ -82,29 +82,6 @@ class BoundaryFields:
     near_contact: bool = False  # the proximity warning fired for this solve
 
 
-def dimensionless_params(d_coeff, uptake, lam_m, lam_a, mu, gamma_tension,
-                         chi, chi_bar, sigma_inf, sigma_necrotic, beta_dim):
-    """Map dimensional model inputs to the dimensionless parameter set.
-
-    Uses the diffusion length L = sqrt(D/lambda), the taxis rate
-    lambda_chi = chi_bar sigma_inf / L^2 and the pressure scale
-    p_s = lambda_chi L^2 / mu.  The rescaled taxis coefficient
-    chi/chi_bar is carried in Params.chi.
-    """
-    for name, v in [("diffusion", d_coeff), ("uptake", uptake), ("mobility", mu),
-                    ("far-field nutrient", sigma_inf), ("taxis scale", chi_bar)]:
-        if v <= 0:
-            raise ValueError(f"{name} must be positive")
-    length = np.sqrt(d_coeff / uptake)
-    lam_chi = chi_bar * sigma_inf / length ** 2
-    return Params(p=lam_m / lam_chi,
-                  a=lam_a / lam_m,
-                  chi=chi / chi_bar,
-                  beta=length * beta_dim,
-                  sigma_n=sigma_necrotic / sigma_inf,
-                  ginv=mu * gamma_tension / (lam_chi * length ** 3))
-
-
 def _solve_gmres(matrix, rhs, tol, maxiter, system):
     """Restart-free GMRES with an inner-iteration count."""
     if not np.any(rhs):

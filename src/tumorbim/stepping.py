@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (InterfaceState, TWO_PI, alpha_grid, fourier_filter_coeffs,
+from .geometry import (InterfaceState, alpha_grid, fourier_filter_coeffs,
                        krasny_filter, periodic_antiderivative, spectral_derivative)
 
 
@@ -27,51 +27,29 @@ class StepperHistory:
     s_alpha: float           # metric at the previous time
 
 
-def tangent_velocity(theta, v):
-    """Equal-arclength tangent velocity.
+def tangent_velocity(theta_a, v):
+    """Equal-arclength tangent velocity from theta_alpha and V.
 
     T(alpha) = (alpha/2pi) int_0^{2pi} theta_a' V' da' - int_0^alpha
     theta_a' V' da'; with the running integral split into mean and periodic
     parts this is minus the periodic antiderivative of theta_a V, so T is
     periodic with T(0) = 0.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = theta - alpha_grid(theta.size)
-    theta_a = 1.0 + spectral_derivative(phi)
     big_f, _ = periodic_antiderivative(theta_a * np.asarray(v, dtype=float))
     return -big_f
 
 
-def arclength_forcing(theta, v):
-    """M = (1/2pi) int V theta_a d alpha (rate of change of s_alpha)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = theta - alpha_grid(theta.size)
-    theta_a = 1.0 + spectral_derivative(phi)
-    return float(np.mean(np.asarray(v, dtype=float) * theta_a))
-
-
-def smallscale_term(theta, s_alpha):
-    """(1/s_a^3) H[theta_aaa]; Fourier symbol -|k|^3/s_a^3 on theta."""
-    theta = np.asarray(theta, dtype=float)
-    n = theta.size
-    phi = theta - alpha_grid(n)
-    fh = np.fft.rfft(phi)
+def smallscale_term(phi_hat, n, s_alpha):
+    """(1/s_a^3) H[theta_aaa] from phi_hat = rfft(theta - alpha) of n samples;
+    Fourier symbol -|k|^3/s_a^3."""
     k = np.arange(n // 2 + 1, dtype=float)
-    return np.fft.irfft(-(k ** 3) * fh, n) / s_alpha ** 3
+    return np.fft.irfft(-(k ** 3) * phi_hat, n) / s_alpha ** 3
 
 
-def nonlinear_term(theta, v, t_vel, s_alpha):
+def nonlinear_term(theta_a, phi_hat, v, t_vel, s_alpha):
     """Explicit remainder N = (theta_a T - V_a)/s_a - (1/s_a^3) H[theta_aaa]."""
-    theta = np.asarray(theta, dtype=float)
-    v = np.asarray(v, dtype=float)
-    phi = theta - alpha_grid(theta.size)
-    theta_a = 1.0 + spectral_derivative(phi)
     full = (theta_a * t_vel - spectral_derivative(v)) / s_alpha
-    return full - smallscale_term(theta, s_alpha)
-
-
-def _normal_at_zero(theta):
-    return np.array([np.sin(theta[0]), -np.cos(theta[0])])
+    return full - smallscale_term(phi_hat, theta_a.size, s_alpha)
 
 
 def _integrating_factor(k3, integral, enabled):
@@ -80,84 +58,61 @@ def _integrating_factor(k3, integral, enabled):
     return np.exp(-k3 * integral)
 
 
-def _finish(phi_hat, n, s_new, ref_new, time_new, krasny_floor):
-    phi_hat = fourier_filter_coeffs(phi_hat, n)
-    # floor scaled to raw rfft coefficients (mode amplitude = 2|c|/n)
-    phi_hat = krasny_filter(phi_hat, krasny_floor * n / 2.0)
-    theta_new = alpha_grid(n) + np.fft.irfft(phi_hat, n)
-    return InterfaceState(theta=theta_new, s_alpha=s_new, ref_point=ref_new,
-                          time=time_new)
-
-
 def first_step(state, v, dt, krasny_floor=1e-12, use_integrating_factor=True):
     """Starter step: explicit Euler for s_alpha, first-order propagator for theta."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    v = np.asarray(v, dtype=float)
-    n = state.n
-    t_vel = tangent_velocity(state.theta, v)
-    m = arclength_forcing(state.theta, v)
-    n_term = nonlinear_term(state.theta, v, t_vel, state.s_alpha)
-    n_hat = np.fft.rfft(n_term)
-
-    s_new = state.s_alpha + dt * m
-    if s_new <= 0:
-        raise SolverCollapse(state.time)
-    k3 = np.arange(n // 2 + 1, dtype=float) ** 3
-    ek = _integrating_factor(
-        k3, 0.5 * dt * (state.s_alpha ** -3 + s_new ** -3), use_integrating_factor)
-    phi_hat = np.fft.rfft(state.theta - alpha_grid(n))
-    phi_hat = ek * (phi_hat + dt * n_hat)
-
-    ref = np.asarray(state.ref_point, dtype=float)
-    normal0 = _normal_at_zero(state.theta)
-    ref_new = ref + dt * v[0] * normal0
-
-    history = StepperHistory(m=m, n_hat=n_hat, v0=float(v[0]),
-                             normal0=normal0, s_alpha=state.s_alpha)
-    return _finish(phi_hat, n, s_new, tuple(ref_new), state.time + dt,
-                   krasny_floor), history
+    return step(state, v, None, dt, krasny_floor, use_integrating_factor)
 
 
 def step(state, v, history, dt, krasny_floor=1e-12, use_integrating_factor=True):
     """Integrating-factor AB2 update of (theta, s_alpha) plus the anchor point.
 
-    s_alpha advances first so the integrating factors can use the
-    trapezoidal approximations of the integral of 1/s_alpha^3 over
-    (t_n, t_{n+1}) and (t_{n-1}, t_{n+1}).
+    With `history` None this is the starter: explicit Euler for s_alpha and
+    the first-order propagator for theta.  s_alpha advances first so the
+    integrating factors can use the trapezoidal approximations of the
+    integral of 1/s_alpha^3 over (t_n, t_{n+1}) and (t_{n-1}, t_{n+1}).
+    M = (1/2pi) int V theta_a d alpha is the rate of change of s_alpha.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     v = np.asarray(v, dtype=float)
     n = state.n
-    t_vel = tangent_velocity(state.theta, v)
-    m = arclength_forcing(state.theta, v)
-    n_term = nonlinear_term(state.theta, v, t_vel, state.s_alpha)
-    n_hat = np.fft.rfft(n_term)
+    theta_a = state.theta_alpha()
+    phi_hat = np.fft.rfft(state.theta - alpha_grid(n))
+    t_vel = tangent_velocity(theta_a, v)
+    m = float(np.mean(v * theta_a))
+    n_hat = np.fft.rfft(nonlinear_term(theta_a, phi_hat, v, t_vel, state.s_alpha))
+    ref = np.asarray(state.ref_point, dtype=float)
+    normal0 = np.array([np.sin(state.theta[0]), -np.cos(state.theta[0])])
 
-    s_new = state.s_alpha + 0.5 * dt * (3.0 * m - history.m)
+    if history is None:
+        s_new = state.s_alpha + dt * m
+    else:
+        s_new = state.s_alpha + 0.5 * dt * (3.0 * m - history.m)
     if s_new <= 0:
         raise SolverCollapse(state.time)
     k3 = np.arange(n // 2 + 1, dtype=float) ** 3
-    int_one = 0.5 * dt * (state.s_alpha ** -3 + s_new ** -3)
-    int_two = dt * (0.5 * history.s_alpha ** -3 + state.s_alpha ** -3
-                    + 0.5 * s_new ** -3)
-    ek1 = _integrating_factor(k3, int_one, use_integrating_factor)
-    ek2 = _integrating_factor(k3, int_two, use_integrating_factor)
+    ek1 = _integrating_factor(
+        k3, 0.5 * dt * (state.s_alpha ** -3 + s_new ** -3), use_integrating_factor)
+    if history is None:
+        phi_hat = ek1 * (phi_hat + dt * n_hat)
+        ref_new = ref + dt * v[0] * normal0
+    else:
+        int_two = dt * (0.5 * history.s_alpha ** -3 + state.s_alpha ** -3
+                        + 0.5 * s_new ** -3)
+        ek2 = _integrating_factor(k3, int_two, use_integrating_factor)
+        phi_hat = ek1 * phi_hat + 0.5 * dt * (3.0 * ek1 * n_hat
+                                              - ek2 * history.n_hat)
+        ref_new = ref + 0.5 * dt * (3.0 * v[0] * normal0
+                                    - history.v0 * history.normal0)
 
-    phi_hat = np.fft.rfft(state.theta - alpha_grid(n))
-    phi_hat = ek1 * phi_hat + 0.5 * dt * (3.0 * ek1 * n_hat
-                                          - ek2 * history.n_hat)
-
-    ref = np.asarray(state.ref_point, dtype=float)
-    normal0 = _normal_at_zero(state.theta)
-    ref_new = ref + 0.5 * dt * (3.0 * v[0] * normal0
-                                - history.v0 * history.normal0)
-
-    new_history = StepperHistory(m=m, n_hat=n_hat, v0=float(v[0]),
-                                 normal0=normal0, s_alpha=state.s_alpha)
-    return _finish(phi_hat, n, s_new, tuple(ref_new), state.time + dt,
-                   krasny_floor), new_history
+    phi_hat = fourier_filter_coeffs(phi_hat, n)
+    # floor scaled to raw rfft coefficients (mode amplitude = 2|c|/n)
+    phi_hat = krasny_filter(phi_hat, krasny_floor * n / 2.0)
+    new_state = InterfaceState(theta=alpha_grid(n) + np.fft.irfft(phi_hat, n),
+                               s_alpha=s_new, ref_point=tuple(ref_new),
+                               time=state.time + dt)
+    return new_state, StepperHistory(m=m, n_hat=n_hat, v0=float(v[0]),
+                                     normal0=normal0, s_alpha=state.s_alpha)
 
 
 class SolverCollapse(RuntimeError):

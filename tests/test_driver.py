@@ -8,6 +8,7 @@ import pytest
 from tumorbim import config as cfgmod
 from tumorbim import driver as drv
 from tumorbim import geometry as geo
+from tumorbim import stepping as stp
 from tumorbim.cli import main
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -111,6 +112,20 @@ class TestRun:
         snaps = sorted((tmp_path / "snapshots").iterdir())
         x, y, t, s = geo.read_snapshot(snaps[-1])
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+
+    def test_metric_collapse_maps_to_solver_failure(self, tmp_path,
+                                                    monkeypatch):
+        def collapse(state, *args, **kwargs):
+            raise stp.SolverCollapse(state.time)
+
+        monkeypatch.setattr(drv, "step", collapse)
+        res = drv.run(tiny_config(), out_dir=tmp_path)
+        assert res.status is drv.RunStatus.SOLVER_FAILURE
+        assert int(res.status) == 3
+        assert res.steps_done == 1
+        assert "arclength metric collapsed" in res.message
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["status_name"] == "SOLVER_FAILURE"
 
     def test_record_cadence(self):
         cfg = tiny_config(record_interval=5e-3, t_final=0.02)
@@ -252,6 +267,24 @@ class TestCli:
         missing = tmp_path / "nope.cfg"
         assert main(["run", "--config", str(missing)]) == 4
 
+    @pytest.mark.parametrize("line", ["eps0 = -0.01", "k0 = -2"])
+    def test_bad_inner_boundary_exit_code(self, tmp_path, line):
+        path = self.write_cfg(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["run", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("mode, overrides", [
+        ("1", {}), ("2", dict(r_init=0.45, eps_init=-0.1))])
+    def test_linstab_bad_linear_config_exit_code(self, tmp_path, mode,
+                                                 overrides):
+        # mode 1 is a translation; r_init = 0.45 lies inside r0 = 0.5
+        path = tmp_path / "lin.cfg"
+        cfgmod.write_config(path, tiny_config(**overrides))
+        code = main(["linstab", "--config", str(path), "--mode", mode,
+                     "--out", str(tmp_path / "curve.tsv")])
+        assert code == 4
+
     def test_proximity_exit_code(self, tmp_path):
         path = tmp_path / "halt.cfg"
         cfgmod.write_config(path, tiny_config(a=2.0, r_init=1.2, eps_init=0.0,
@@ -298,5 +331,13 @@ class TestCli:
         path = self.write_cfg(tmp_path)
         main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         code = main(["run", "--resume", str(tmp_path / "o" / "checkpoint.npz"),
-                     "--t-final", "0.04"])
+                     "--t-final", "0.04", "--out", str(tmp_path / "r")])
         assert code == 0
+        assert main(["run", "--config", str(path), "--t-final", "0.04",
+                     "--out", str(tmp_path / "s")]) == 0
+        half = (tmp_path / "o" / "record.tsv").read_text().splitlines()
+        cont = (tmp_path / "r" / "record.tsv").read_text().splitlines()
+        straight = (tmp_path / "s" / "record.tsv").read_text().splitlines()
+        # the resumed record opens with the checkpointed row again
+        assert cont[1] == half[-1]
+        assert half + cont[2:] == straight

@@ -44,34 +44,6 @@ class TestParams:
         # beta = 0 is a permitted degenerate case (no nutrient influx)
         sol.Params(p=1, a=0, chi=0, beta=0.0, sigma_n=0.5, ginv=0)
 
-    def test_dimensionless_map(self):
-        # D = lambda so L = 1: beta passes through unchanged
-        p = sol.dimensionless_params(d_coeff=2.0, uptake=2.0, lam_m=3.0,
-                                     lam_a=3.0, mu=1.0, gamma_tension=0.5,
-                                     chi=2.0, chi_bar=2.0, sigma_inf=1.0,
-                                     sigma_necrotic=0.25, beta_dim=0.5)
-        assert p.beta == pytest.approx(0.5)
-        assert p.a == pytest.approx(1.0)          # lam_m = lam_a
-        assert p.sigma_n == pytest.approx(0.25)
-        assert p.chi == pytest.approx(1.0)
-        # lam_chi = chi_bar sigma_inf / L^2 = 2, so P = lam_m / lam_chi
-        assert p.p == pytest.approx(1.5)
-        assert p.ginv == pytest.approx(0.5 / 2.0)
-
-    def test_dimensionless_map_proliferation_scaling(self):
-        # choose lam_chi = lam_m / 5 so P = 5
-        p = sol.dimensionless_params(d_coeff=1.0, uptake=1.0, lam_m=5.0,
-                                     lam_a=1.0, mu=2.0, gamma_tension=0.0,
-                                     chi=1.0, chi_bar=1.0, sigma_inf=1.0,
-                                     sigma_necrotic=0.0, beta_dim=1.0)
-        assert p.p == pytest.approx(5.0)
-
-    def test_dimensionless_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            sol.dimensionless_params(d_coeff=0.0, uptake=1, lam_m=1, lam_a=1,
-                                     mu=1, gamma_tension=1, chi=1, chi_bar=1,
-                                     sigma_inf=1, sigma_necrotic=0, beta_dim=1)
-
 
 class TestNutrientSolve:
     def test_concentric_annulus_oracle(self):

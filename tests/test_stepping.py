@@ -15,17 +15,25 @@ def circle_state(n=64, radius=1.0):
                               s_alpha=radius, ref_point=(radius, 0.0))
 
 
+def theta_alpha(theta):
+    return 1.0 + geo.spectral_derivative(theta - geo.alpha_grid(theta.size))
+
+
+def phi_hat(theta):
+    return np.fft.rfft(theta - geo.alpha_grid(theta.size))
+
+
 class TestTangentVelocity:
     def test_circle_constant_velocity(self):
         state = circle_state()
-        t_vel = stp.tangent_velocity(state.theta, np.full(state.n, 0.7))
+        t_vel = stp.tangent_velocity(state.theta_alpha(), np.full(state.n, 0.7))
         assert np.max(np.abs(t_vel)) < 1e-13
 
     def test_cosine_velocity_on_circle(self):
         n = 64
         a = geo.alpha_grid(n)
         state = circle_state(n)
-        t_vel = stp.tangent_velocity(state.theta, np.cos(a))
+        t_vel = stp.tangent_velocity(state.theta_alpha(), np.cos(a))
         # theta_a = 1: T = -int_0^a cos + (a/2pi) * 0 = -sin(a)
         assert np.max(np.abs(t_vel + np.sin(a))) < 1e-13
 
@@ -35,7 +43,7 @@ class TestTangentVelocity:
         a = geo.alpha_grid(n)
         theta = a + np.pi / 2 + 0.1 * np.cos(2 * a)
         v = 0.3 + np.sin(3 * a)
-        t_vel = stp.tangent_velocity(theta, v)
+        t_vel = stp.tangent_velocity(theta_alpha(theta), v)
         fine = 1 << 14
         af = TWO_PI * np.arange(fine) / fine
         theta_af = 1.0 - 0.2 * np.sin(2 * af)
@@ -52,7 +60,7 @@ class TestTangentVelocity:
         a = geo.alpha_grid(n)
         theta = a + 0.2 * np.sin(a)
         v = np.cos(2 * a) + 0.5
-        t_vel = stp.tangent_velocity(theta, v)
+        t_vel = stp.tangent_velocity(theta_alpha(theta), v)
         assert t_vel[0] == 0.0
 
 
@@ -64,7 +72,7 @@ class TestNonlinearTerm:
         s_alpha = 1.7
         for k in (1, 3, 9):
             theta = a + np.cos(k * a)
-            out = stp.smallscale_term(theta, s_alpha)
+            out = stp.smallscale_term(phi_hat(theta), n, s_alpha)
             expected = -(k ** 3) * np.cos(k * a) / s_alpha ** 3
             assert np.max(np.abs(out - expected)) < 1e-10
 
@@ -81,8 +89,10 @@ class TestNonlinearTerm:
     def test_circle_constant_velocity_gives_zero(self):
         state = circle_state()
         v = np.full(state.n, 0.4)
-        t_vel = stp.tangent_velocity(state.theta, v)
-        n_term = stp.nonlinear_term(state.theta, v, t_vel, state.s_alpha)
+        theta_a = state.theta_alpha()
+        t_vel = stp.tangent_velocity(theta_a, v)
+        n_term = stp.nonlinear_term(theta_a, phi_hat(state.theta), v, t_vel,
+                                    state.s_alpha)
         # round-off in theta - alpha is amplified by k^3 in the third derivative
         assert np.max(np.abs(n_term)) < 1e-10
 
@@ -93,11 +103,11 @@ class TestNonlinearTerm:
         theta = a + np.pi / 2 + 0.2 * np.cos(3 * a)
         v = np.sin(2 * a) - 0.3 * np.cos(5 * a)
         s_alpha = 2.2
-        t_vel = stp.tangent_velocity(theta, v)
-        n_term = stp.nonlinear_term(theta, v, t_vel, s_alpha)
-        theta_a = 1.0 + geo.spectral_derivative(theta - a)
+        theta_a = theta_alpha(theta)
+        t_vel = stp.tangent_velocity(theta_a, v)
+        n_term = stp.nonlinear_term(theta_a, phi_hat(theta), v, t_vel, s_alpha)
         rhs = (theta_a * t_vel - geo.spectral_derivative(v)) / s_alpha
-        total = stp.smallscale_term(theta, s_alpha) + n_term
+        total = stp.smallscale_term(phi_hat(theta), n, s_alpha) + n_term
         assert np.max(np.abs(total - rhs)) < 1e-12
 
 
@@ -135,7 +145,20 @@ class TestSteps:
         st2, _ = stp.step(st, v, hist, 1e-3)
         assert st2.s_alpha == pytest.approx(1.0 + 2 * c * 1e-3, abs=1e-15)
         # radius grows uniformly: curvature stays uniform
-        assert np.max(np.abs(geo.curvature(st2) - 1.0 / st2.s_alpha)) < 1e-10
+        kappa = st2.theta_alpha() / st2.s_alpha
+        assert np.max(np.abs(kappa - 1.0 / st2.s_alpha)) < 1e-10
+
+    def test_metric_collapse_raises_on_both_branches(self):
+        # on a circle M = V, so V = -2 s/dt takes s_alpha to -s (starter)
+        # and to s - 3 s = -2 s after a still first step (AB2)
+        state = circle_state()
+        dt = 1e-3
+        v = np.full(state.n, -2.0 * state.s_alpha / dt)
+        with pytest.raises(stp.SolverCollapse):
+            stp.step(state, v, None, dt)
+        st, hist = stp.first_step(state, np.zeros(state.n), dt)
+        with pytest.raises(stp.SolverCollapse):
+            stp.step(st, v, hist, dt)
 
     def test_reference_point_follows_normal(self):
         n = 64
@@ -149,7 +172,7 @@ class TestSteps:
 
 def _curvature_velocity(state):
     """Analytic velocity functional: smooth, geometry dependent."""
-    return 1.0 - 0.5 * geo.curvature(state) + 0.1 * np.cos(
+    return 1.0 - 0.5 * state.theta_alpha() / state.s_alpha + 0.1 * np.cos(
         2 * geo.alpha_grid(state.n))
 
 
