@@ -1,14 +1,20 @@
-"""Golden-record tripwire: 50-step N = 64 slices of two presets.
+"""Golden-record tripwires: 50-step N = 64 slices of two presets.
 
-Each slice's `record.tsv` must match the stored file byte for byte, so a
-refactor of the assembly, solver or stepper that changes any recorded digit
-shows here.  Regenerate the files only for a change that is meant to alter
-the numbers, and say why in the change log.
+Each slice's `record.tsv` must match `tests/data/golden_*` byte for byte,
+so a refactor of the assembly, solver or stepper that changes any recorded
+digit shows here.  Regenerate those files only for a change that is meant to
+alter the numbers, and say why in the change log.
+
+The `tests/data/frozen_*` files are never regenerated.  Every run is also
+compared with them under fixed tolerances, so that drift cannot build up
+over a series of regenerations; the measured drift of each column is echoed
+in the acceptance summary.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tumorbim import config as cfgmod
@@ -24,21 +30,63 @@ DATA = Path(__file__).resolve().parent / "data"
 # sits within five node spacings of the interface from the start
 PROXIMITY = {"fig7": (0, None), "fig11": (51, 0.0)}
 
+# column -> (kind, tolerance) against the frozen records; max_v follows the
+# 1e-10 GMRES tolerance, and a changed assembly may move a count by one
+FROZEN_TOLERANCE = {
+    "time": ("abs", 0.0),
+    "area": ("rel", 1e-12),
+    "r_eff": ("rel", 1e-12),
+    "delta_over_r": ("abs", 1e-12),
+    "gmres_nutrient": ("abs", 1.0),
+    "gmres_pressure": ("abs", 1.0),
+    "min_gap": ("rel", 1e-12),
+    "max_v": ("rel", 1e-7),
+}
 
-@pytest.mark.parametrize("preset", ["fig7", "fig11"])
-def test_golden_record(preset, tmp_path):
+
+@pytest.fixture(scope="module", params=["fig7", "fig11"])
+def golden_slice(request, tmp_path_factory):
+    """(preset, output directory) of one 50-step N = 64 run."""
+    preset = request.param
     cfg = cfgmod.load_config(ROOT / "configs" / f"{preset}.cfg")
     cfg = cfg.with_overrides(n=64, n0=64, t_final=50 * cfg.dt,
                              record_interval=0.0, snapshot_interval=0.0,
                              trace_interval=0.0)
-    result = drv.run(cfg, out_dir=tmp_path)
+    out = tmp_path_factory.mktemp(f"golden_{preset}")
+    result = drv.run(cfg, out_dir=out)
     assert result.status == drv.RunStatus.COMPLETE, result.message
-    got = (tmp_path / "record.tsv").read_bytes()
+    return preset, out
+
+
+def test_golden_record(golden_slice):
+    preset, out = golden_slice
+    got = (out / "record.tsv").read_bytes()
     want = (DATA / f"golden_{preset}_record.tsv").read_bytes()
     same = got == want
     record_acceptance(f"golden record {preset} (50 steps, N = 64): "
                       f"{'PASS' if same else 'FAIL'} byte-identical record.tsv")
     assert same, f"{preset} record.tsv differs from tests/data"
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((out / "summary.json").read_text())
     assert (summary["proximity_steps"],
             summary["first_proximity_time"]) == PROXIMITY[preset]
+
+
+def test_frozen_record(golden_slice):
+    preset, out = golden_slice
+    got = drv.RunRecord.read(out / "record.tsv")
+    want = drv.RunRecord.read(DATA / f"frozen_{preset}_record.tsv")
+    assert len(got.rows) == len(want.rows)
+    drift, bad = [], []
+    for name, (kind, tol) in FROZEN_TOLERANCE.items():
+        g, w = got.column(name), want.column(name)
+        err = np.abs(g - w)
+        if kind == "rel":
+            err = err / np.abs(w)
+        worst = float(np.max(err))
+        drift.append(f"{name} {worst:.1e} {kind}")
+        if worst > tol:
+            bad.append(f"{name}: {worst:.3e} > {tol:g} ({kind})")
+    record_acceptance(f"frozen record {preset} (50 steps, N = 64): "
+                      f"{'FAIL' if bad else 'PASS'} max drift "
+                      + ", ".join(drift))
+    assert not bad, f"{preset} drifted from the frozen record: {bad}"
