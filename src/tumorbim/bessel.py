@@ -11,10 +11,11 @@ double precision.  This module adds the integer-order domain contract
 import numpy as np
 from scipy import special
 
-__all__ = ["bessel_i", "bessel_k", "i0", "i1", "k0", "k1"]
+__all__ = ["bessel_i", "bessel_k", "i0", "i0e", "i1", "k0", "k1"]
 
 # Array fast paths used by the kernel assembly (no validation overhead).
 i0 = special.i0
+i0e = special.i0e
 i1 = special.i1
 k0 = special.k0
 k1 = special.k1

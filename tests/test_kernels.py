@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.special import i0, i1, k0, k1
+from scipy.special import i0, i1, k0, k1, kv
 
+from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 
@@ -286,12 +289,106 @@ def test_cross_matrix_rejects_touching():
 
 
 def test_cross_blocks_serve_both_directions():
-    # the reverse blocks of one cross geometry equal, bit for bit, the
+    # the reverse blocks of one dense cross geometry equal, bit for bit, the
     # forward blocks of the swapped pair, and are C-ordered like them
     outer, inner = wavy(64), circle(32, radius=0.5)
     for blocks in (ker.helmholtz_cross_blocks, ker.laplace_cross_blocks):
-        both = blocks(ker.cross_geometry(inner, outer))
-        swapped = blocks(ker.cross_geometry(outer, inner))
+        both = blocks(ker.dense_cross_geometry(inner, outer))
+        swapped = blocks(ker.dense_cross_geometry(outer, inner))
         for rev, fwd in zip(both[2:], swapped[:2]):
             assert rev.shape == (32, 64) and rev.flags.c_contiguous
             assert np.array_equal(rev, fwd)
+
+
+# ---------------------------------------------------------------------------
+# separable cross blocks against the dense ones
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+CROSS_BLOCKS = (ker.helmholtz_cross_blocks, ker.laplace_cross_blocks)
+
+
+def preset_pair(preset, n):
+    """(Gamma0, Gamma) of a preset at t = 0 with N = N0 = n."""
+    cfg = cfgmod.load_config(CONFIGS / f"{preset}.cfg")
+    g0 = geo.FixedBoundary.from_radial(cfg.r0, cfg.eps0, cfg.k0, n).samples
+    g = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init, n).samples()
+    return g0, g
+
+
+def max_rel_gap(got, want):
+    """Largest entry difference over the largest entry of `want`."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def assert_blocks_match(separable, dense, tol=1e-13):
+    for blocks in CROSS_BLOCKS:
+        for got, want in zip(blocks(separable), blocks(dense)):
+            assert got.shape == want.shape
+            assert max_rel_gap(got, want) <= tol
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+@pytest.mark.parametrize("n", [64, 512])
+def test_separable_blocks_match_dense(preset, n, monkeypatch):
+    # fig11 at N = 64 is past the rank rule, so admit every convergent pair
+    monkeypatch.setattr(ker, "SEPARABLE_RANK_SHARE", np.inf)
+    g0, g = preset_pair(preset, n)
+    separable = ker.cross_geometry(g0, g)
+    assert separable.expansion is not None and separable.r is None
+    assert_blocks_match(separable, ker.dense_cross_geometry(g0, g))
+
+
+def test_separable_small_core_at_admission_edge():
+    # R0 = 0.1 with the largest rho_max/R_min the rank rule admits at
+    # N = N0 = 512: K_M(R_min) itself overflows, the scaled factors do not
+    n = 512
+    top = int((ker.SEPARABLE_RANK_SHARE * n - 1) // 2)
+    ratio = np.finfo(float).eps ** (1.0 / top) * (1.0 - 1e-6)
+    g0 = circle(n, radius=0.1)
+    a = geo.alpha_grid(n)
+    shape = 1.0 + 0.05 * np.cos(3 * a)
+    scale = 0.1 / ratio / np.min(shape)
+    g = geo.PlanarCurveSamples.from_xy(scale * shape * np.cos(a),
+                                       scale * shape * np.sin(a))
+    separable = ker.cross_geometry(g0, g)
+    exp = separable.expansion
+    assert exp is not None and exp.order == top
+    assert kv(top, 0.1 / ratio) == np.inf
+    for sides in (ker._helmholtz_sides(exp), ker._laplace_sides(exp)):
+        for factor in (f for side in sides for f in side):
+            assert factor.shape == (2 * top + 1, n)
+            assert np.all(np.isfinite(factor))
+    assert_blocks_match(separable, ker.dense_cross_geometry(g0, g))
+
+
+def test_separable_path_choice():
+    for preset in ("fig7", "fig11"):
+        g0, g = preset_pair(preset, 512)
+        assert ker.cross_geometry(g0, g).expansion is not None
+        # swapped: the source encloses the target
+        swapped = ker.cross_geometry(g, g0)
+        assert swapped.expansion is None and swapped.r is not None
+    # small N: fig11 needs M = 59, far past the rank rule at N = 64
+    assert ker.cross_geometry(*preset_pair("fig11", 64)).expansion is None
+    # near contact: a core reaching past the interface's inner radius
+    outer = wavy(256)
+    near = ker.cross_geometry(circle(256, radius=2.45), outer)
+    assert near.expansion is None and np.min(near.r) > 0.0
+    # touching boundaries fall through to the dense path, which rejects them
+    with pytest.raises(ValueError):
+        ker.cross_geometry(circle(64, radius=2.0), circle(64, radius=2.0))
+
+
+def test_separable_blocks_serve_both_directions():
+    # the reverse blocks of one separable geometry match the forward blocks
+    # of the swapped pair, which takes the dense path
+    outer, inner = wavy(128), circle(64, radius=0.2)
+    separable = ker.cross_geometry(inner, outer)
+    assert separable.expansion is not None
+    swapped = ker.cross_geometry(outer, inner)
+    assert swapped.expansion is None
+    for blocks in CROSS_BLOCKS:
+        both, fwd = blocks(separable), blocks(swapped)
+        for got, want in zip(both[2:], fwd[:2]):
+            assert got.shape == (64, 128)
+            assert max_rel_gap(got, want) <= 1e-13

@@ -306,3 +306,26 @@ def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
     solver.solve(g)
     half = n * (n + 1) // 2
     assert counts == dict(i0=half, i1=half, k0=half + n0 * n, k1=half + n0 * n)
+
+
+def test_separable_solve_evaluates_k_on_target_radii(monkeypatch):
+    # a small core takes the separable Gamma0-Gamma path: K0, K1 see the
+    # N radii of Gamma instead of the N0 N distances, and I0, I1 are unchanged
+    n0 = n = 64
+    g0 = geo.FixedBoundary.from_radial(0.1, 0.0, 0, n0).samples
+    g = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    assert sol.pair_geometries(g0, g)[1].expansion is not None
+    solver = sol.FieldSolver(g0, sol.Params(**FIG7))
+    counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
+
+    def counting(name, fn):
+        def wrapper(x):
+            counts[name] += np.size(x)
+            return fn(x)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
+    solver.solve(g)
+    half = n * (n + 1) // 2
+    assert counts == dict(i0=half, i1=half, k0=half + n, k1=half + n)
