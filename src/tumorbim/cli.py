@@ -104,7 +104,10 @@ def _cmd_linstab(args):
         raise ConfigError(str(exc)) from exc
     if args.evolve:
         t_final = args.t_final if args.t_final is not None else config.t_final
-        pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
+        try:
+            pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         with open(args.out, "w") as fh:
             fh.write("time\tradius\tdelta_over_r\n")
             for t, r, s in zip(pred.times, pred.radius, pred.delta_over_r):

@@ -245,16 +245,19 @@ def apoptosis_bracket(radius, config):
     return (1.0 - ratio2) * lam * ell / 2.0 - ratio2
 
 
-def critical_apoptosis(radius, config):
+def critical_apoptosis(radius, config, terms=None):
     """Apoptosis level at which the shape factor is stationary.
 
-    Solves dshape_dt = 0 for A at fixed radius.  Raises ZeroDivisionError
-    when the apoptosis bracket vanishes (the curve has a pole there).
+    Solves dshape_dt = 0 for A at fixed radius; `terms` are the radius's
+    `shape_rate_terms`, computed here when not given.  Raises
+    ZeroDivisionError when the apoptosis bracket vanishes (the curve has a
+    pole there).
     """
     bracket = apoptosis_bracket(radius, config)
     if abs(bracket) < 1e-14:
         raise ZeroDivisionError("apoptosis bracket vanishes: pole in the curve")
-    terms = shape_rate_terms(radius, config)
+    if terms is None:
+        terms = shape_rate_terms(radius, config)
     rest = sum(v for k, v in terms.items() if k != "apoptosis")
     return -rest / (config.params.p * bracket)
 
@@ -330,7 +333,7 @@ def stability_curve(config, r_values):
     for r in np.asarray(r_values, dtype=float):
         terms = shape_rate_terms(r, config)
         try:
-            ac = critical_apoptosis(r, config)
+            ac = critical_apoptosis(r, config, terms)
         except ZeroDivisionError:
             ac = float("nan")
         rows.append((r, ac) + tuple(terms[k] for k in RATE_NAMES))

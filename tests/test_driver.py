@@ -285,6 +285,14 @@ class TestCli:
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4
 
+    @pytest.mark.parametrize("dt_ode", ["0", "-0.001"])
+    def test_linstab_evolve_bad_dt_exit_code(self, tmp_path, dt_ode):
+        path = self.write_cfg(tmp_path)
+        code = main(["linstab", "--config", str(path), "--evolve",
+                     "--t-final", "0.5", "--dt-ode", dt_ode,
+                     "--out", str(tmp_path / "evolve.tsv")])
+        assert code == 4
+
     def test_proximity_exit_code(self, tmp_path):
         path = tmp_path / "halt.cfg"
         cfgmod.write_config(path, tiny_config(a=2.0, r_init=1.2, eps_init=0.0,

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
+from tumorbim import config as cfgmod
+from tumorbim import driver as drv
 from tumorbim import geometry as geo
 from tumorbim import linear as lin
 from tumorbim import solver as sol
 from tumorbim.bessel import bessel_i as iv
 from tumorbim.bessel import bessel_k as kv
 
+from conftest import record_acceptance
 from oracles import (annulus_nutrient_coeffs, find_root,
                      perturbation_coeffs_direct, pressure_mode_coeffs_direct)
 
@@ -211,6 +216,28 @@ class TestCriticalApoptosis:
         # at A = params.a the five terms sum to the rate; a_crit re-零s it
         assert np.all(np.isfinite(table["a_crit"]))
 
+    def test_stability_curve_evaluates_coefficients_once_per_radius(
+            self, monkeypatch):
+        c = cfg(FIG3)
+        radii = np.linspace(0.5, 4.0, 10)
+        # the table as built from the per-radius calls, each of which
+        # evaluates the coefficients itself
+        want = [(r, lin.critical_apoptosis(r, c))
+                + tuple(lin.shape_rate_terms(r, c)[k] for k in lin.RATE_NAMES)
+                for r in radii]
+        calls = [0]
+        original = lin.coefficients
+
+        def counting(radius, config):
+            calls[0] += 1
+            return original(radius, config)
+
+        monkeypatch.setattr(lin, "coefficients", counting)
+        table = lin.stability_curve(c, radii)
+        assert calls[0] == radii.size
+        got = [tuple(row) for row in table]
+        assert np.array_equal(np.array(got), np.array(want))
+
 
 class TestLinearTraces:
     def test_unperturbed_traces_radial(self):
@@ -334,3 +361,32 @@ def test_linear_config_validation():
         lin.LinearConfig(r0=0.5, mode=2, params=FIG7, r_init=0.4)
     with pytest.warns(RuntimeWarning):
         lin.LinearConfig(r0=0.1, mode=2, params=FIG7, r_init=1.0, delta_init=0.5)
+
+
+def test_full_run_tracks_linear_trajectory(tmp_path):
+    # the paper's first verification claim: at small amplitude the full run
+    # follows the linear model's (R, delta/R) trajectory.  fig7 constants,
+    # eps_init = 0.01, N = 64, t = 0.2 (2 000 steps); the bounds are twice
+    # the measured gaps (1.19e-5 and 3.55e-8), which scale as eps_init^2
+    run_cfg = cfgmod.load_config(
+        Path(__file__).resolve().parent.parent / "configs" / "fig7.cfg",
+        n=64, n0=64, eps_init=0.01, t_final=0.2, record_interval=0.0,
+        snapshot_interval=0.0, trace_interval=0.0)
+    result = drv.run(run_cfg, out_dir=tmp_path)
+    assert result.status == drv.RunStatus.COMPLETE, result.message
+    pred = lin.integrate_linear_odes(
+        lin.LinearConfig(r0=run_cfg.r0, mode=run_cfg.k_init,
+                         params=run_cfg.params(), r_init=run_cfg.r_init,
+                         delta_init=run_cfg.eps_init), run_cfg.t_final, dt=1e-3)
+    times = result.record.column("time")
+    rows = np.searchsorted(times, pred.times - 1e-12)
+    assert np.allclose(times[rows], pred.times, rtol=0.0, atol=1e-12)
+    gap_r = np.max(np.abs(result.record.column("r_eff")[rows] - pred.radius))
+    gap_s = np.max(np.abs(result.record.column("delta_over_r")[rows]
+                          - pred.delta_over_r))
+    ok = gap_r <= 2.4e-5 and gap_s <= 7.1e-8
+    record_acceptance(f"linear vs nonlinear trajectory (fig7, eps 0.01, N = 64, "
+                      f"t = 0.2): {'PASS' if ok else 'FAIL'} |dR| {gap_r:.2e} "
+                      f"<= 2.4e-05, |d(delta/R)| {gap_s:.2e} <= 7.1e-08")
+    assert gap_r <= 2.4e-5
+    assert gap_s <= 7.1e-8
