@@ -1,11 +1,13 @@
 """Modified Bessel functions of integer order.
 
-The kernels only ever need I0, I1, K0, K1 evaluated on dense distance
-matrices; the stability formulas additionally need I_l, K_l for small
-integer l.  Evaluation is delegated to scipy.special, which implements
-the standard series / asymptotic / recurrence strategy in C at full
-double precision.  This module adds the integer-order domain contract
-(order validation, argument validation, I(-n) = I(n), K(-n) = K(n)).
+The kernels need I0, I1, K0, K1 evaluated on dense distance matrices,
+and K0, K1 on boundary radii plus the scaled I0 (i0e) to seed the
+recurrences of the separable cross blocks; the stability formulas
+additionally need I_l, K_l for small integer l.  Evaluation is delegated
+to scipy.special, which implements the standard series / asymptotic /
+recurrence strategy in C at full double precision.  This module adds the
+integer-order domain contract (order validation, argument validation,
+I(-n) = I(n), K(-n) = K(n)).
 """
 
 import numpy as np

@@ -149,11 +149,16 @@ def self_geometry(bnd):
     return PairGeometry(bnd, bnd, r, safe, _dipole(dx, dy, bnd, safe))
 
 
-# the separable path needs rank 2M + 1 at most this share of min(N, N0)
+# largest rank 2M + 1 of the separable path, as a share of min(N, N0).
+# Measured crossover against the dense path (both cross calls plus the
+# geometry, 2-core host): between 0.42 and 0.73 at N = 64, 0.63-0.84 at
+# N = 128, about 0.8 at N = 256 and above 0.63 at N = 512.
 SEPARABLE_RANK_SHARE = 0.5
+EPS = np.finfo(float).eps
 
 
 def _polar(bnd, radius, order):
+    """Polar data of `bnd` up to order M from its node radii."""
     unit = (bnd.x + 1j * bnd.y) / radius
     phase = np.ones((order + 1, bnd.n), dtype=complex)
     np.cumprod(np.broadcast_to(unit, (order, bnd.n)), axis=0, out=phase[1:])
@@ -169,7 +174,7 @@ def _expansion(src, tgt):
     ratio = np.max(rho) / np.min(rad)
     if not (np.min(rho) > 0.0 and ratio < 1.0):
         return None
-    order = max(1, math.floor(math.log(np.finfo(float).eps) / math.log(ratio)) + 1)
+    order = max(1, math.floor(math.log(EPS) / math.log(ratio)) + 1)
     if 2 * order + 1 > SEPARABLE_RANK_SHARE * min(src.n, tgt.n):
         return None
     return Expansion(order, _polar(src, rho, order), _polar(tgt, rad, order))
@@ -246,7 +251,7 @@ def _helmholtz_sides(exp):
     # p[m] = I_m(rho)/I_{m-1}(rho) = rho/(2m + rho p[m+1]) for m = 1..M+1,
     # started from zero where the bound p <= rho/2m has damped it below eps
     top, damp = order + 1, 1.0
-    while damp > np.finfo(float).eps:
+    while damp > EPS:
         top += 1
         damp *= min(1.0, rho_max / (2 * top)) ** 2
     p = np.empty((order + 2, rho.size))
@@ -267,13 +272,13 @@ def _helmholtz_sides(exp):
     k_hi = t[1:] * qc
     i_lo = np.concatenate([v[1:2] / q[0], v[:order] * qc[:-1]])
     i_hi = v[1:] / qc
-    eps_m = np.full((order + 1, 1), 2.0)
-    eps_m[0] = 1.0
+    neumann = np.full((order + 1, 1), 2.0)
+    neumann[0] = 1.0
     # Z_m' = (Z_{m-1} + Z_{m+1})/2 and m Z_m/r = (Z_{m-1} - Z_{m+1})/2 for I;
     # both change sign for K
     return (_side(tgt, t[:-1], -0.5 * (k_lo + k_hi), 0.5 * (k_hi - k_lo)),
-            _side(src, eps_m * v[:-1], eps_m * 0.5 * (i_lo + i_hi),
-                  eps_m * 0.5 * (i_lo - i_hi)))
+            _side(src, neumann * v[:-1], neumann * 0.5 * (i_lo + i_hi),
+                  neumann * 0.5 * (i_lo - i_hi)))
 
 
 def _laplace_sides(exp):
@@ -283,18 +288,20 @@ def _laplace_sides(exp):
     rad, rho = tgt.radius, src.radius
     r_min, rho_max = np.min(rad), np.max(rho)
     m = np.arange(order + 1)[:, None]
-    inv = np.cumprod(np.broadcast_to(r_min / rad, (order + 1, rad.size)), axis=0)
-    fwd = np.cumprod(np.broadcast_to(rho / rho_max, (order, rho.size)), axis=0)
-    # target: F_0 = -ln R, F_m = (R_min/R)^m, m F_m/R = m (R_min/R)^{m+1}/R_min
-    value = np.vstack([-np.log(rad), inv[:-1]])
-    angular = np.vstack([np.zeros(rad.size), m[1:] * inv[1:] / r_min])
+    # rows k of the powers: (R_min/R)^(k+1) and (rho/rho_max)^(k+1)
+    tgt_pow = np.cumprod(np.broadcast_to(r_min / rad, (order + 1, rad.size)), axis=0)
+    src_pow = np.cumprod(np.broadcast_to(rho / rho_max, (order, rho.size)), axis=0)
+    # target: F_0 = -ln R, F_m = (R_min/R)^m, F_m' = -m F_m/R with
+    # m F_m/R = m (R_min/R)^{m+1}/R_min
+    value = np.vstack([-np.log(rad), tgt_pow[:-1]])
+    angular = np.vstack([np.zeros(rad.size), m[1:] * tgt_pow[1:] / r_min])
     radial = np.vstack([-1.0 / rad, -angular[1:]])
     # source: G_0 = 1, G_m = c_m (rho/rho_max)^m/m with c_m = (rho_max/R_min)^m,
     # G_m' = m G_m/rho = c_m (rho/rho_max)^{m-1}/rho_max
     c = (rho_max / r_min) ** m[1:]
     ones = np.ones((1, rho.size))
-    s_val = np.vstack([ones, c / m[1:] * fwd])
-    s_ang = np.vstack([0.0 * ones, c / rho_max * np.vstack([ones, fwd[:-1]])])
+    s_val = np.vstack([ones, c / m[1:] * src_pow])
+    s_ang = np.vstack([0.0 * ones, c / rho_max * np.vstack([ones, src_pow[:-1]])])
     return _side(tgt, value, radial, angular), _side(src, s_val, s_ang, s_ang)
 
 
