@@ -1,15 +1,18 @@
 """Nystrom discretization of Laplace and modified-Helmholtz layer potentials.
 
-Self-interaction blocks split the kernel into a log part handled by the
-Kress rule and a smooth remainder handled by the trapezoidal rule (with the
-analytic diagonal limit), except for the Laplace double layer whose kernel
-has only a removable singularity and is integrated by the alternating-point
-trapezoidal rule.  Cross-boundary blocks are smooth and use the plain
-trapezoidal rule.  When the source boundary lies well inside the disc
-|x| < min |target|, they are built as low-rank products from the kernels'
-expansions about the origin (Graf's addition theorem for K0, DLMF
-10.44(ii); the multipole series of the log kernel), and otherwise from the
-dense distances.
+Self-interaction blocks with a log singularity use Kress's rule for the
+log part and the trapezoidal rule for the smooth remainder (R. Kress,
+Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
+one weight W = h ln(2|sin((a - a')/2)|) - Q, cached per node count, so a
+block is the kernel's smooth factors combined with h and W in one pass
+over the upper triangle of the symmetric distances; the diagonals carry
+the analytic limits.  The Laplace double layer has only a removable
+singularity and is integrated by the alternating-point trapezoidal rule.
+Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
+the source boundary lies well inside the disc |x| < min |target|, they are
+built as low-rank products from the kernels' expansions about the origin
+(Graf's addition theorem for K0, DLMF 10.44(ii); the multipole series of
+the log kernel), and otherwise from the dense distances.
 
 Fundamental solutions: Phi = (1/2pi) ln(1/r) for Laplace and
 G = (1/2pi) K0(r) for the modified Helmholtz operator (Laplacian - 1).
@@ -21,15 +24,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import resample
 
 from .bessel import i0, i0e, i1, k0, k1
-from .geometry import TWO_PI, PlanarCurveSamples, alpha_grid
-
-LAPLACE = "laplace"
-HELMHOLTZ = "modified_helmholtz"
-SINGLE = "single"
-DOUBLE = "double"
+from .geometry import TWO_PI, PlanarCurveSamples
 
 
 @lru_cache(maxsize=16)
@@ -52,25 +49,6 @@ def kress_weights(m):
 
 
 @lru_cache(maxsize=16)
-def _kress_matrix(n):
-    """Q[i, j] = q_{|i-j|} for a grid of n = 2m nodes."""
-    q = kress_weights(n // 2)
-    i = np.arange(n)
-    return q[np.abs(i[:, None] - i[None, :])]
-
-
-@lru_cache(maxsize=16)
-def _log_sin_matrix(n):
-    """ln(2 |sin((a_i - a_j)/2)|) with zeros on the diagonal."""
-    a = alpha_grid(n)
-    d = 0.5 * (a[:, None] - a[None, :])
-    with np.errstate(divide="ignore"):
-        ls = np.log(2.0 * np.abs(np.sin(d)))
-    np.fill_diagonal(ls, 0.0)
-    return ls
-
-
-@lru_cache(maxsize=16)
 def _alternating_mask(n):
     """True where the source offset from the target index is odd."""
     i = np.arange(n)
@@ -87,10 +65,19 @@ def _upper_map(n):
     return rows * n + cols, place
 
 
-def _symmetric(fn, r):
-    """fn(r) for a bitwise symmetric r, evaluated on its upper triangle."""
-    upper, place = _upper_map(r.shape[0])
-    return fn(r.ravel()[upper])[place]
+@lru_cache(maxsize=16)
+def _kress_trapezoid_weight(n):
+    """Upper triangle, in `_upper_map` order, of W = h L - Q for n = 2m nodes:
+    h = 2pi/n, L[i, j] = ln(2 |sin((a_i - a_j)/2)|) with a zero diagonal and
+    Q[i, j] = q_{|i-j|}.  Both depend on k = |i - j| only, and the sine is
+    taken of pi min(k, n - k)/n, which is exact to rounding near k = n."""
+    offset = np.arange(n)
+    with np.errstate(divide="ignore"):
+        log_sin = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
+    log_sin[0] = 0.0
+    w = (TWO_PI / n) * log_sin - kress_weights(n // 2)
+    rows, cols = np.divmod(_upper_map(n)[0], n)
+    return w[cols - rows]
 
 
 class Polar(NamedTuple):
@@ -305,40 +292,34 @@ def _laplace_sides(exp):
     return _side(tgt, value, radial, angular), _side(src, s_val, s_ang, s_ang)
 
 
-def _kress_rule(g1, g2):
-    """Nystrom matrix of kernel*metric = G1 ln(2|sin|) + G2 on n nodes."""
-    n = g2.shape[0]
-    return _kress_matrix(n) * g1 + (TWO_PI / n) * g2
-
-
-def helmholtz_self_split(geom):
-    """Smooth factors ((G1, G2) single, (G1, G2) double) of the log split.
-
-    kernel*metric = G1 ln(2|sin|) + G2.  Diagonals carry the analytic
-    limits: for the single layer they come from r -> s_alpha |a - a'| and
-    the small-argument expansion K0(z) = -(ln(z/2) + C) I0(z) + ...; the
-    double layer has G1 = 0 on the diagonal and G2(a, a) equal to the limit
-    of h K1(r), which is -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
-    """
-    bnd, r, hker = geom.src, geom.r, geom.h
-    ls = _log_sin_matrix(bnd.n)
-    m = bnd.s_alpha
-    i0r, i1r = _symmetric(i0, r), _symmetric(i1, r)
-    k0r, k1r = _symmetric(k0, geom.safe), _symmetric(k1, geom.safe)
-    g1 = -i0r * m[None, :] / TWO_PI
-    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
-    np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
-    g1d = hker * i1r
-    np.fill_diagonal(g1d, 0.0)
-    g2d = hker * (k1r - i1r * ls)
-    np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
-                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
-    return (g1, g2), (g1d, g2d)
-
-
 def helmholtz_self_blocks(geom):
-    """(single, double) modified-Helmholtz self blocks by the Kress rule."""
-    return tuple(_kress_rule(*split) for split in helmholtz_self_split(geom))
+    """(single, double) modified-Helmholtz self blocks.
+
+    With m the source metric, h_ker the dipole factors and W the Kress-
+    trapezoid weight: S = (m/2pi) [h K0 + I0 W] and D = h_ker [h K1 - I1 W],
+    each bracket formed on the upper triangle of the symmetric distances.
+    The diagonals are q_0 G1 + h G2 of the log split kernel*metric =
+    G1 ln(2|sin|) + G2: for the single layer G1 = -m/2pi, and G2 follows from
+    r -> m |a - a'| and K0(z) = -(ln(z/2) + C) I0(z) + ...; the double layer
+    has G1 = 0 and G2 the limit of h_ker K1(r),
+    -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
+    """
+    bnd = geom.src
+    upper, place = _upper_map(bnd.n)
+    r, safe = geom.r.ravel()[upper], geom.safe.ravel()[upper]
+    w = _kress_trapezoid_weight(bnd.n)
+    h = TWO_PI / bnd.n
+    scale = bnd.s_alpha / TWO_PI
+    single = (h * k0(safe) + i0(r) * w)[place]
+    single *= scale
+    double = (h * k1(safe) - i1(r) * w)[place]
+    double *= geom.h
+    # w[0] = -q_0, as L vanishes on the diagonal
+    np.fill_diagonal(single, (w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0)))
+                     * scale)
+    np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
+    return single, double
 
 
 def helmholtz_cross_blocks(geom):
@@ -354,24 +335,22 @@ def helmholtz_cross_blocks(geom):
             np.ascontiguousarray(h_tgt * geom.h_rev * k1r.T))
 
 
-def laplace_single_split(geom):
-    """Smooth factors (G1, G2) of the Laplace single layer's log split."""
-    m = geom.src.s_alpha
-    g1 = -m[None, :] / TWO_PI
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g2 = -np.log(geom.safe) * m[None, :] / TWO_PI \
-            - g1 * _log_sin_matrix(geom.src.n)
-    np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
-    return g1, g2
-
-
 def laplace_self_blocks(geom):
-    """(single, double) Laplace self blocks; the double layer's kernel has only
-    a removable singularity: alternating-point rule with doubled weights."""
-    n = geom.src.n
-    double = np.where(_alternating_mask(n),
-                      2.0 * (TWO_PI / n) * geom.h / geom.safe, 0.0)
-    return _kress_rule(*laplace_single_split(geom)), double
+    """(single, double) Laplace self blocks.  The single layer is
+    (m/2pi) [W - h ln r], formed on the upper triangle, with diagonal
+    q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's kernel has only a
+    removable singularity: alternating-point rule with doubled weights."""
+    bnd = geom.src
+    n = bnd.n
+    upper, place = _upper_map(n)
+    w = _kress_trapezoid_weight(n)
+    h = TWO_PI / n
+    scale = bnd.s_alpha / TWO_PI
+    single = (w - h * np.log(geom.safe.ravel()[upper]))[place]
+    single *= scale
+    np.fill_diagonal(single, (w[0] - h * np.log(bnd.s_alpha)) * scale)
+    double = np.where(_alternating_mask(n), 2.0 * h * geom.h / geom.safe, 0.0)
+    return single, double
 
 
 def laplace_cross_blocks(geom):
@@ -385,36 +364,3 @@ def laplace_cross_blocks(geom):
             h_src * geom.h / r,
             np.ascontiguousarray(-h_tgt * log_r.T * tgt.s_alpha[None, :] / TWO_PI),
             np.ascontiguousarray(h_tgt * geom.h_rev / r.T))
-
-
-def eval_at_points(field, layer, source, points, density, upsample=1):
-    """Evaluate a layer potential at off-boundary points by plain quadrature.
-
-    For points close to the source curve, `upsample` refines the source
-    discretization by Fourier resampling so the nearly singular integrand
-    is resolved (trapezoid error decays like exp(-N d) at distance d).
-    """
-    density = np.asarray(density, dtype=float)
-    if upsample > 1:
-        nf = source.n * int(upsample)
-        xf = resample(source.x, nf)
-        yf = resample(source.y, nf)
-        df = resample(density, nf)
-        source = PlanarCurveSamples.from_xy(xf, yf)
-        density = df
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, 0][:, None] - source.x[None, :]
-    dy = pts[:, 1][:, None] - source.y[None, :]
-    r = np.hypot(dx, dy)
-    h_grid = TWO_PI / source.n
-    m = source.s_alpha[None, :]
-    if layer == SINGLE:
-        if field == LAPLACE:
-            ker = -np.log(r) * m / TWO_PI
-        else:
-            ker = k0(r) * m / TWO_PI
-    else:
-        hker = (dx * source.normal_x[None, :] + dy * source.normal_y[None, :]) \
-            * m / (TWO_PI * r)
-        ker = hker / r if field == LAPLACE else hker * k1(r)
-    return h_grid * ker @ density

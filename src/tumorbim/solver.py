@@ -235,25 +235,6 @@ def sigma_bounds_violation(fields, params):
                float(-np.min(fields.sigma_gamma)), 0.0)
 
 
-def interior_value_nutrient(gamma0, gamma, params, fields, points):
-    """Evaluate sigma at interior probe points from the Green representation.
-
-    sigma(x) = D[sigma] - S[d sigma/dn_*] over both boundaries with the
-    exterior normal of the annulus (test/diagnostic use only).
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    robin_flux = params.beta * (1.0 - fields.sigma_gamma)
-    val = ker.eval_at_points(ker.HELMHOLTZ, ker.DOUBLE, gamma, pts,
-                             fields.sigma_gamma)
-    val -= ker.eval_at_points(ker.HELMHOLTZ, ker.SINGLE, gamma, pts, robin_flux)
-    # on Gamma0 the exterior normal of the annulus is -n0
-    val += ker.eval_at_points(ker.HELMHOLTZ, ker.DOUBLE, gamma0, pts,
-                              np.full(gamma0.n, -params.sigma_n))
-    val += ker.eval_at_points(ker.HELMHOLTZ, ker.SINGLE, gamma0, pts,
-                              fields.dsigma_dn0)
-    return -val
-
-
 class FieldSolver:
     """Per-run solver caching the static inner-boundary self blocks and one
     system buffer, which each solve's two systems fill in turn."""

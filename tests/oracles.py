@@ -1,8 +1,9 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the code paths under test: plain power
-series, adaptive quadrature, direct dense solves, and brute-force
-principal-value sums.
+series, adaptive quadrature, direct dense solves, brute-force
+principal-value sums, layer potentials off the boundary by plain
+quadrature, and the paper's closed-form benchmark limits.
 """
 
 import math
@@ -10,6 +11,17 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.signal import resample
+from scipy.special import iv, k0, k1, kv
+
+from tumorbim.geometry import PlanarCurveSamples
+
+TWO_PI = 2.0 * np.pi
+
+LAPLACE = "laplace"
+HELMHOLTZ = "modified_helmholtz"
+SINGLE = "single"
+DOUBLE = "double"
 
 
 def bessel_i_series(n, x, terms=40):
@@ -87,7 +99,6 @@ def hilbert_transform_pv(values):
 
 def annulus_nutrient_coeffs(r0, r, beta, sigma_n):
     """Direct 2x2 solve for the radial nutrient coefficients."""
-    from scipy.special import iv, kv
     mat = np.array([[iv(0, r0), kv(0, r0)],
                     [iv(1, r) + beta * iv(0, r), beta * kv(0, r) - kv(1, r)]])
     return np.linalg.solve(mat, [sigma_n, beta])
@@ -95,7 +106,6 @@ def annulus_nutrient_coeffs(r0, r, beta, sigma_n):
 
 def perturbation_coeffs_direct(r0, r, ell, beta, a1, a2):
     """Direct 2x2 solve for the mode-l nutrient perturbation coefficients."""
-    from scipy.special import iv, kv
     mat = np.array([
         [iv(ell, r0), kv(ell, r0)],
         [iv(ell - 1, r) - (ell / r) * iv(ell, r) + beta * iv(ell, r),
@@ -104,6 +114,26 @@ def perturbation_coeffs_direct(r0, r, ell, beta, a1, a2):
                     -(a1 * (iv(0, r) - iv(1, r) / r) + a2 * (kv(0, r) + kv(1, r) / r))
                     - beta * (a1 * iv(1, r) - a2 * kv(1, r))])
     return np.linalg.solve(mat, rhs)
+
+
+def radial_coeffs_limit_r0(radius, config):
+    """Stated limits of (A1, A2) as the inner radius shrinks to zero."""
+    p = config.params
+    return 1.0 / (iv(0, radius) + iv(1, radius) / p.beta), 0.0
+
+
+def perturb_coeffs_limit_beta(radius, config):
+    """Stated limits of (B1, B2) as the supply rate beta grows unboundedly."""
+    p = config.params
+    r0, ell, r = config.r0, config.mode, radius
+    i1r, k1r = iv(1, r), kv(1, r)
+    i00, k00 = iv(0, r0), kv(0, r0)
+    common = r * (i00 * kv(0, r) - iv(0, r) * k00) \
+        * (iv(ell, r0) * kv(ell, r) - iv(ell, r) * kv(ell, r0))
+    core = r * (i1r * k00 + i00 * k1r) - p.sigma_n
+    b1 = -kv(ell, r0) * core / common
+    b2 = iv(ell, r0) * core / common
+    return b1, b2
 
 
 def pressure_mode_coeffs_direct(r0, r, ell, w_r, w_0):
@@ -120,3 +150,53 @@ def richardson_limit(f_coarse, f_fine, ratio=10.0):
 
 def find_root(fn, lo, hi):
     return brentq(fn, lo, hi, xtol=1e-13)
+
+
+def eval_at_points(field, layer, source, points, density, upsample=1):
+    """Evaluate a layer potential at off-boundary points by plain quadrature.
+
+    For points close to the source curve, `upsample` refines the source
+    discretization by Fourier resampling so the nearly singular integrand
+    is resolved (trapezoid error decays like exp(-N d) at distance d).
+    """
+    density = np.asarray(density, dtype=float)
+    if upsample > 1:
+        nf = source.n * int(upsample)
+        xf = resample(source.x, nf)
+        yf = resample(source.y, nf)
+        df = resample(density, nf)
+        source = PlanarCurveSamples.from_xy(xf, yf)
+        density = df
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dx = pts[:, 0][:, None] - source.x[None, :]
+    dy = pts[:, 1][:, None] - source.y[None, :]
+    r = np.hypot(dx, dy)
+    h_grid = TWO_PI / source.n
+    m = source.s_alpha[None, :]
+    if layer == SINGLE:
+        if field == LAPLACE:
+            ker = -np.log(r) * m / TWO_PI
+        else:
+            ker = k0(r) * m / TWO_PI
+    else:
+        hker = (dx * source.normal_x[None, :] + dy * source.normal_y[None, :]) \
+            * m / (TWO_PI * r)
+        ker = hker / r if field == LAPLACE else hker * k1(r)
+    return h_grid * ker @ density
+
+
+def interior_value_nutrient(gamma0, gamma, params, fields, points):
+    """Evaluate sigma at interior probe points from the Green representation.
+
+    sigma(x) = D[sigma] - S[d sigma/dn_*] over both boundaries with the
+    exterior normal of the annulus.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    robin_flux = params.beta * (1.0 - fields.sigma_gamma)
+    val = eval_at_points(HELMHOLTZ, DOUBLE, gamma, pts, fields.sigma_gamma)
+    val -= eval_at_points(HELMHOLTZ, SINGLE, gamma, pts, robin_flux)
+    # on Gamma0 the exterior normal of the annulus is -n0
+    val += eval_at_points(HELMHOLTZ, DOUBLE, gamma0, pts,
+                          np.full(gamma0.n, -params.sigma_n))
+    val += eval_at_points(HELMHOLTZ, SINGLE, gamma0, pts, fields.dsigma_dn0)
+    return -val

@@ -8,7 +8,7 @@ from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 
-from oracles import richardson_limit
+from oracles import DOUBLE, HELMHOLTZ, LAPLACE, SINGLE, eval_at_points, richardson_limit
 
 TWO_PI = 2 * np.pi
 
@@ -24,6 +24,67 @@ def wavy(n, r0=2.5, eps=0.1, k=2):
     return geo.PlanarCurveSamples.from_xy(r * np.cos(a), r * np.sin(a))
 
 
+# ---------------------------------------------------------------------------
+# test-side log split: kernel*metric = G1 ln(2|sin((a - a')/2)|) + G2, with
+# Kress's rule Q on the log part and the trapezoid rule h on the rest
+
+
+def kress_matrix(n):
+    """Q[i, j] = q_{|i-j|} from the Kress weights of n = 2m nodes."""
+    i = np.arange(n)
+    return ker.kress_weights(n // 2)[np.abs(i[:, None] - i[None, :])]
+
+
+def log_sin_matrix(n):
+    """ln(2 |sin((a_i - a_j)/2)|) on the node grid, zero on the diagonal."""
+    a = geo.alpha_grid(n)
+    with np.errstate(divide="ignore"):
+        ls = np.log(2.0 * np.abs(np.sin(0.5 * (a[:, None] - a[None, :]))))
+    np.fill_diagonal(ls, 0.0)
+    return ls
+
+
+def kress_reference(g1, g2):
+    """The Nystrom matrix Q G1 + h G2 of a split kernel."""
+    n = g2.shape[0]
+    return kress_matrix(n) * g1 + (TWO_PI / n) * g2
+
+
+def helmholtz_split(geom):
+    """((G1, G2) single, (G1, G2) double) of the modified-Helmholtz layers,
+    with scipy on every entry of r and the analytic diagonal limits."""
+    bnd, r = geom.src, geom.r
+    ls = log_sin_matrix(bnd.n)
+    m = bnd.s_alpha
+    safe = np.where(r == 0.0, 1.0, r)
+    i0r, i1r, k0r, k1r = i0(r), i1(r), k0(safe), k1(safe)
+    g1 = -i0r * m[None, :] / TWO_PI
+    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
+    np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
+    g1d = geom.h * i1r
+    np.fill_diagonal(g1d, 0.0)
+    g2d = geom.h * (k1r - i1r * ls)
+    np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
+    return (g1, g2), (g1d, g2d)
+
+
+def laplace_single_split(geom):
+    """(G1, G2) of the Laplace single layer."""
+    m = geom.src.s_alpha
+    g1 = np.broadcast_to(-m[None, :] / TWO_PI, geom.r.shape)
+    safe = np.where(geom.r == 0.0, 1.0, geom.r)
+    g2 = -np.log(safe) * m[None, :] / TWO_PI - g1 * log_sin_matrix(geom.src.n)
+    np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
+    return g1, g2
+
+
+def smooth_part(block, g1):
+    """G2 recovered from a block Q G1 + h G2 and its G1."""
+    n = block.shape[0]
+    return (block - kress_matrix(n) * g1) / (TWO_PI / n)
+
+
 class TestKressWeights:
     def test_m_one_closed_form(self):
         q = ker.kress_weights(1)
@@ -37,7 +98,7 @@ class TestKressWeights:
         # the log kernel acts as -(pi/|k|) on mode k
         n = 256
         a = geo.alpha_grid(n)
-        q_mat = ker._kress_matrix(n)
+        q_mat = kress_matrix(n)
         for k in (1, 2, 7, 33, 64):
             for f in (np.cos(k * a), np.sin(k * a)):
                 err = np.max(np.abs(q_mat @ f + (np.pi / k) * f))
@@ -45,68 +106,76 @@ class TestKressWeights:
 
     def test_constant_annihilated(self):
         n = 128
-        q_mat = ker._kress_matrix(n)
+        q_mat = kress_matrix(n)
         assert np.max(np.abs(q_mat @ np.ones(n))) < 1e-13
 
 
 class TestLogSplit:
+    # each self block is checked against Q G1 + h G2 of the test-side split
+
     def test_split_recombines_offdiagonal(self):
         bnd = wavy(64)
-        ls = ker._log_sin_matrix(64)
+        ls = log_sin_matrix(64)
         geom = ker.self_geometry(bnd)
         safe = np.where(geom.r == 0.0, 1.0, geom.r)
         off = ~np.eye(64, dtype=bool)
-        helm_single, helm_double = ker.helmholtz_self_split(geom)
+        helm_single, helm_double = helmholtz_split(geom)
         cases = [
-            (ker.laplace_single_split(geom),
+            (ker.laplace_self_blocks(geom)[0], laplace_single_split(geom),
              -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (helm_single, k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (helm_double, geom.h * k1(safe)),
+            (ker.helmholtz_self_blocks(geom)[0], helm_single,
+             k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
+            (ker.helmholtz_self_blocks(geom)[1], helm_double, geom.h * k1(safe)),
         ]
-        for (g1, g2), direct in cases:
-            recombined = g1 * ls + g2
-            assert np.max(np.abs((recombined - direct)[off])) < 1e-13
+        for block, (g1, g2), direct in cases:
+            # the reference split recombines to the kernel off the diagonal,
+            # and the block is its Kress-trapezoid matrix
+            assert np.max(np.abs((g1 * ls + g2 - direct)[off])) < 1e-13
+            assert np.max(np.abs(smooth_part(block, g1) - g2)) < 1e-13
 
     def test_laplace_single_antipode(self):
         bnd = circle(64)
-        g1, g2 = ker.laplace_single_split(ker.self_geometry(bnd))
-        ls = ker._log_sin_matrix(64)
-        # antipodal pair on the unit circle: kernel = -(1/2pi) ln 2
-        val = g1[0, 32] * ls[0, 32] + g2[0, 32]
+        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
+        # antipodal pair on the unit circle: kernel = -(1/2pi) ln 2, G1 = -1/2pi
+        g1 = -1.0 / TWO_PI
+        val = g1 * np.log(2.0) + smooth_part(s_mat, g1)[0, 32]
         assert val == pytest.approx(-np.log(2.0) / TWO_PI, abs=1e-14)
 
     def test_laplace_single_diagonal(self):
         bnd = wavy(64)
-        _, g2 = ker.laplace_single_split(ker.self_geometry(bnd))
+        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
+        g1 = -bnd.s_alpha / TWO_PI
         expected = -np.log(bnd.s_alpha) * bnd.s_alpha / TWO_PI
-        assert np.max(np.abs(np.diag(g2) - expected)) < 1e-14
+        assert np.max(np.abs(np.diag(smooth_part(s_mat, g1)) - expected)) < 1e-14
 
     def test_helmholtz_single_diagonal_limit(self):
-        # g2(a, a) is the r -> 0 limit of (K0 + I0 ln 2|sin|) m/2pi:
+        # G2(a, a) is the r -> 0 limit of (K0 + I0 ln 2|sin|) m/2pi:
         # -(C + ln(s_alpha/2)) m / 2pi from the K0 expansion
         bnd = wavy(128)
-        (_, g2), _ = ker.helmholtz_self_split(ker.self_geometry(bnd))
+        geom = ker.self_geometry(bnd)
+        s_mat, _ = ker.helmholtz_self_blocks(geom)
+        g2 = smooth_part(s_mat, -i0(geom.r) * bnd.s_alpha[None, :] / TWO_PI)
         expected = -(np.euler_gamma + np.log(bnd.s_alpha / 2)) * bnd.s_alpha / TWO_PI
         assert np.max(np.abs(np.diag(g2) - expected)) < 1e-13
         # numeric limit along the off-diagonal confirms the closed form
-        i, j = 0, 1
-        ls = ker._log_sin_matrix(128)
-        near = g2[i, j]
-        assert near == pytest.approx(expected[0], rel=2e-3)
+        assert g2[0, 1] == pytest.approx(expected[0], rel=2e-3)
 
     def test_helmholtz_double_diagonal_is_minus_kss_over_4pi(self):
         # limit of h K1(r): -(1/4pi)(x_a y_aa - x_aa y_a)/s_alpha^2, which is
         # -1/(4pi) on the unit circle (counterclockwise, outward normal)
         bnd = circle(64)
         geom = ker.self_geometry(bnd)
-        _, (g1, g2) = ker.helmholtz_self_split(geom)
+        _, d_mat = ker.helmholtz_self_blocks(geom)
+        g1 = geom.h * i1(geom.r)
+        g2 = smooth_part(d_mat, g1)
         assert np.diag(g2) == pytest.approx(np.full(64, -1.0 / (2 * TWO_PI)), abs=1e-14)
         # confirm against the numeric limit of the full kernel along row 0
-        ls = ker._log_sin_matrix(64)
+        ls = log_sin_matrix(64)
         vals = []
         for j in (1, 2):
             full = geom.h[0, j] * k1(geom.r[0, j])
             vals.append(full - g1[0, j] * ls[0, j])
+            assert g2[0, j] == pytest.approx(vals[-1], abs=1e-13)
         # second-order Richardson in the node offset
         extrap = (4 * vals[0] - vals[1]) / 3.0
         assert extrap == pytest.approx(-1.0 / (2 * TWO_PI), rel=1e-3)
@@ -141,9 +210,9 @@ class TestGaussAndJumpIdentities:
         nrm = np.column_stack([bnd.normal_x[idx], bnd.normal_y[idx]])
         jumps = {}
         for h, up in ((1e-4, 1024), (1e-5, 8192)):
-            din = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd,
+            din = eval_at_points(LAPLACE, DOUBLE, bnd,
                                      pts_on - h * nrm, density, upsample=up)
-            dout = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd,
+            dout = eval_at_points(LAPLACE, DOUBLE, bnd,
                                       pts_on + h * nrm, density, upsample=up)
             jumps[h] = din - dout
         extrap = richardson_limit(jumps[1e-4], jumps[1e-5])
@@ -158,9 +227,9 @@ class TestGaussAndJumpIdentities:
         nrm = np.array([[bnd.normal_x[0], bnd.normal_y[0]]])
         avg = {}
         for h, up in ((1e-4, 1024), (1e-5, 8192)):
-            din = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd, pts - h * nrm,
+            din = eval_at_points(LAPLACE, DOUBLE, bnd, pts - h * nrm,
                                      density, upsample=up)
-            dout = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd, pts + h * nrm,
+            dout = eval_at_points(LAPLACE, DOUBLE, bnd, pts + h * nrm,
                                       density, upsample=up)
             avg[h] = 0.5 * (din + dout)
         extrap = richardson_limit(avg[1e-4], avg[1e-5])
@@ -176,8 +245,8 @@ class TestGreenRepresentation:
         trace = u(bnd.x, bnd.y)
         flux = du(bnd.x, bnd.y, bnd.normal_x, bnd.normal_y)
         pts = np.array([[0.3, -0.2], [1.0, 0.5]])
-        val = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd, pts, trace) \
-            - ker.eval_at_points(ker.LAPLACE, ker.SINGLE, bnd, pts, flux)
+        val = eval_at_points(LAPLACE, DOUBLE, bnd, pts, trace) \
+            - eval_at_points(LAPLACE, SINGLE, bnd, pts, flux)
         assert np.max(np.abs(val + u(pts[:, 0], pts[:, 1]))) < 1e-12
 
     def test_helmholtz_interior_representation(self):
@@ -187,8 +256,8 @@ class TestGreenRepresentation:
         trace = i0(r_b)
         flux = i1(r_b) * (bnd.x * bnd.normal_x + bnd.y * bnd.normal_y) / r_b
         pts = np.array([[0.5, 0.1], [-0.7, 0.9]])
-        val = ker.eval_at_points(ker.HELMHOLTZ, ker.DOUBLE, bnd, pts, trace) \
-            - ker.eval_at_points(ker.HELMHOLTZ, ker.SINGLE, bnd, pts, flux)
+        val = eval_at_points(HELMHOLTZ, DOUBLE, bnd, pts, trace) \
+            - eval_at_points(HELMHOLTZ, SINGLE, bnd, pts, flux)
         r_p = np.hypot(pts[:, 0], pts[:, 1])
         assert np.max(np.abs(val + i0(r_p))) < 1e-12
 
@@ -196,13 +265,13 @@ class TestGreenRepresentation:
         # constant density on a circle: S[1](0) = R K0(R) I0(0)
         for radius in (0.8, 2.5):
             bnd = circle(256, radius=radius)
-            val = ker.eval_at_points(ker.HELMHOLTZ, ker.SINGLE, bnd,
+            val = eval_at_points(HELMHOLTZ, SINGLE, bnd,
                                      np.array([[0.0, 0.0]]), np.ones(256))
             assert val[0] == pytest.approx(radius * k0(radius), rel=1e-13)
 
     def test_laplace_single_layer_center_of_unit_circle(self):
         bnd = circle(128, radius=1.0)
-        val = ker.eval_at_points(ker.LAPLACE, ker.SINGLE, bnd,
+        val = eval_at_points(LAPLACE, SINGLE, bnd,
                                  np.array([[0.0, 0.0]]), np.ones(128))
         assert abs(val[0]) < 1e-14
 
@@ -236,9 +305,9 @@ class TestSelfMatrices:
         nrm = np.column_stack([bnd.normal_x[:2], bnd.normal_y[:2]])
         vals = {}
         for h, up in ((1e-4, 2048), (1e-5, 16384)):
-            din = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd, pts - h * nrm,
+            din = eval_at_points(LAPLACE, DOUBLE, bnd, pts - h * nrm,
                                      density, upsample=up)
-            dout = ker.eval_at_points(ker.LAPLACE, ker.DOUBLE, bnd, pts + h * nrm,
+            dout = eval_at_points(LAPLACE, DOUBLE, bnd, pts + h * nrm,
                                       density, upsample=up)
             vals[h] = 0.5 * (din + dout)
         extrap = richardson_limit(vals[1e-4], vals[1e-5])
@@ -251,35 +320,61 @@ def test_self_distances_symmetric_bitwise():
     assert np.array_equal(geom.safe, geom.safe.T)
 
 
-def _full_matrix_helmholtz_split(geom):
-    # the split with I0, I1, K0, K1 evaluated on every entry of r
+def full_matrix_self_blocks(geom):
+    """The Helmholtz self blocks' brackets with I0, I1, K0, K1 evaluated on
+    every entry of r, in the builders' operation order: W = h L - Q with L
+    from the node offsets, (h K0 + I0 W) m/2pi and (h K1 - I1 W) h_ker, and
+    the diagonals q_0 G1 + h G2."""
     bnd, r = geom.src, geom.r
-    ls = ker._log_sin_matrix(bnd.n)
-    m = bnd.s_alpha
+    n = bnd.n
+    h = TWO_PI / n
+    offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    with np.errstate(divide="ignore"):
+        ls = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
+    np.fill_diagonal(ls, 0.0)
+    w = h * ls - kress_matrix(n)
     safe = np.where(r == 0.0, 1.0, r)
-    i0r, i1r, k0r, k1r = i0(r), i1(r), k0(safe), k1(safe)
-    g1 = -i0r * m[None, :] / TWO_PI
-    g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
-    np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
-    g1d = geom.h * i1r
-    np.fill_diagonal(g1d, 0.0)
-    g2d = geom.h * (k1r - i1r * ls)
-    np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+    scale = bnd.s_alpha / TWO_PI
+    single = (h * k0(safe) + i0(r) * w) * scale
+    double = (h * k1(safe) - i1(r) * w) * geom.h
+    np.fill_diagonal(single, (w[0, 0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0)))
+                     * scale)
+    np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
                      / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
-    return (g1, g2), (g1d, g2d)
+    return single, double
 
 
 @pytest.mark.parametrize("bnd", [wavy(64, eps=0.3, k=3), circle(32, radius=0.5)])
 def test_upper_triangle_bessel_matches_full_matrix(bnd):
     geom = ker.self_geometry(bnd)
-    want = _full_matrix_helmholtz_split(geom)
-    got = ker.helmholtz_self_split(geom)
-    for got_pair, want_pair in zip(got, want):
-        for g, w in zip(got_pair, want_pair):
-            assert np.array_equal(g, w)
-    blocks = ker.helmholtz_self_blocks(geom)
-    for block, split in zip(blocks, want):
-        assert np.array_equal(block, ker._kress_rule(*split))
+    for block, want in zip(ker.helmholtz_self_blocks(geom),
+                           full_matrix_self_blocks(geom)):
+        assert np.array_equal(block, want)
+
+
+# the static Gamma0 of fig11 (three-fold core) and the fig7 interface
+def preset_boundary(preset, n):
+    g0, g = preset_pair(preset, n)
+    return g0 if preset == "fig11" else g
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+@pytest.mark.parametrize("n", [64, 512])
+def test_self_blocks_match_kress_reference(preset, n):
+    # the one-pass blocks against Q G1 + h G2 of the test-side split, as a
+    # relative error scaled by the reference's largest entry
+    geom = ker.self_geometry(preset_boundary(preset, n))
+    helm_single, helm_double = ker.helmholtz_self_blocks(geom)
+    lap_single, lap_double = ker.laplace_self_blocks(geom)
+    split_single, split_double = helmholtz_split(geom)
+    for block, split in ((helm_single, split_single),
+                         (helm_double, split_double),
+                         (lap_single, laplace_single_split(geom))):
+        assert max_rel_gap(block, kress_reference(*split)) <= 1e-13
+    # the double layer keeps the alternating-point rule
+    odd = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) % 2 == 1
+    assert np.array_equal(lap_double,
+                          np.where(odd, 2.0 * (TWO_PI / n) * geom.h / geom.safe, 0.0))
 
 
 def test_cross_matrix_rejects_touching():

