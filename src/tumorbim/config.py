@@ -103,7 +103,6 @@ _KEY_TO_FIELD = {
     "min_gap_factor": "min_gap_factor", "krasny_floor": "krasny_floor",
     "out_dir": "out_dir",
 }
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
 _INT_FIELDS = {"k0", "k_init", "n", "n0", "shape_mode"}
 
 
@@ -145,10 +144,3 @@ def load_config(path, **overrides):
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
-
-def write_config(path, config):
-    with open(path, "w") as fh:
-        fh.write("[simulation]\n")
-        for f in fields(config):
-            value = getattr(config, f.name)
-            fh.write(f"{_FIELD_TO_KEY[f.name]} = {value}\n")

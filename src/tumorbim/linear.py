@@ -4,8 +4,8 @@ For an interface r = R + delta cos(l theta) around a fixed circular inner
 boundary of radius R0, the nutrient field separates into modified Bessel
 modes and the pressure into harmonic modes.  This module evaluates the
 resulting coefficient sets, the radius / shape-factor rate equations with
-their named term breakdown, the critical apoptosis curve, and the
-linearized boundary traces used to validate the nonlinear solver.
+their named term breakdown, the critical apoptosis curve and the linear
+trajectory (R(t), delta/R(t)).
 
 All coefficients come from closed forms; the 2x2 defining systems are kept
 only as test oracles.
@@ -96,12 +96,6 @@ def radial_coeffs(radius, config):
     return a1, a2
 
 
-def radial_coeffs_limit_r0(radius, config):
-    """Stated limits of (A1, A2) as the inner radius shrinks to zero."""
-    p = config.params
-    return 1.0 / (bessel_i(0, radius) + bessel_i(1, radius) / p.beta), 0.0
-
-
 def perturb_coeffs(radius, config, a1=None, a2=None):
     """Coefficients (B1, B2) of the mode-l nutrient perturbation.
 
@@ -123,20 +117,6 @@ def perturb_coeffs(radius, config, a1=None, a2=None):
         raise FloatingPointError("perturbation coefficient denominator degenerate")
     b1 = -bessel_k(ell, r0) * q_num / den
     b2 = bessel_i(ell, r0) * q_num / den
-    return b1, b2
-
-
-def perturb_coeffs_limit_beta(radius, config):
-    """Stated limits of (B1, B2) as the supply rate beta grows unboundedly."""
-    p = config.params
-    r0, ell, r = config.r0, config.mode, radius
-    i1r, k1r = bessel_i(1, r), bessel_k(1, r)
-    i00, k00 = bessel_i(0, r0), bessel_k(0, r0)
-    common = r * (i00 * bessel_k(0, r) - bessel_i(0, r) * k00) \
-        * (bessel_i(ell, r0) * bessel_k(ell, r) - bessel_i(ell, r) * bessel_k(ell, r0))
-    core = r * (i1r * k00 + i00 * k1r) - p.sigma_n
-    b1 = -bessel_k(ell, r0) * core / common
-    b2 = bessel_i(ell, r0) * core / common
     return b1, b2
 
 
@@ -260,27 +240,6 @@ def critical_apoptosis(radius, config, terms=None):
         terms = shape_rate_terms(radius, config)
     rest = sum(v for k, v in terms.items() if k != "apoptosis")
     return -rest / (config.params.p * bracket)
-
-
-def linear_boundary_traces(radius, delta, theta_polar, config):
-    """O(delta)-accurate traces of the four solved boundary quantities.
-
-    Returns a dict with dsigma_dn0 and pbar_gamma0 on the inner boundary
-    and sigma_gamma and dpbar_dn on the outer boundary, evaluated on the
-    polar-angle grid theta_polar for the interface R + delta cos(l theta).
-    """
-    r0, ell, r = config.r0, config.mode, radius
-    c = coefficients(radius, config)
-    wave = delta * np.cos(ell * np.asarray(theta_polar, dtype=float))
-    dsigma_dn0 = c.flux0_r0 + wave * c.inner_mode_flux
-    sigma_gamma = c.sigma0_r + wave * c.mode_flux
-    pbar_gamma0 = c.c1 + c.c2 * np.log(r0) \
-        + wave * (c.d1 * r0 ** ell + c.d2 * r0 ** -ell)
-    dpbar_dn = c.c2 / r + wave * (-c.c2 / r ** 2
-                                  + ell * (c.d1 * r ** (ell - 1)
-                                           - c.d2 * r ** -(ell + 1)))
-    return {"dsigma_dn0": dsigma_dn0, "sigma_gamma": sigma_gamma,
-            "pbar_gamma0": pbar_gamma0, "dpbar_dn": dpbar_dn}
 
 
 def integrate_linear_odes(config, t_final, dt=1e-3):

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +25,20 @@ def tiny_config(**overrides):
     return cfgmod.SimulationConfig(**values)
 
 
+def write_config(path, config):
+    """Write `config` as a key = value file that `load_config` reads back."""
+    keys = {f: k for k, f in cfgmod._KEY_TO_FIELD.items()}
+    with open(path, "w") as fh:
+        fh.write("[simulation]\n")
+        for f in fields(config):
+            fh.write(f"{keys[f.name]} = {getattr(config, f.name)}\n")
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = tiny_config()
         path = tmp_path / "run.cfg"
-        cfgmod.write_config(path, cfg)
+        write_config(path, cfg)
         loaded = cfgmod.load_config(path)
         assert loaded == cfg
 
@@ -248,7 +258,7 @@ class TestTraceEmission:
 class TestCli:
     def write_cfg(self, tmp_path):
         path = tmp_path / "tiny.cfg"
-        cfgmod.write_config(path, tiny_config())
+        write_config(path, tiny_config())
         return path
 
     def test_run_verb(self, tmp_path, capsys):
@@ -280,7 +290,7 @@ class TestCli:
                                                  overrides):
         # mode 1 is a translation; r_init = 0.45 lies inside r0 = 0.5
         path = tmp_path / "lin.cfg"
-        cfgmod.write_config(path, tiny_config(**overrides))
+        write_config(path, tiny_config(**overrides))
         code = main(["linstab", "--config", str(path), "--mode", mode,
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4
@@ -295,7 +305,7 @@ class TestCli:
 
     def test_proximity_exit_code(self, tmp_path):
         path = tmp_path / "halt.cfg"
-        cfgmod.write_config(path, tiny_config(a=2.0, r_init=1.2, eps_init=0.0,
+        write_config(path, tiny_config(a=2.0, r_init=1.2, eps_init=0.0,
                                               k_init=0, t_final=2.0))
         assert main(["run", "--config", str(path)]) == 2
 

@@ -13,7 +13,8 @@ from tumorbim.bessel import bessel_k as kv
 
 from conftest import record_acceptance
 from oracles import (annulus_nutrient_coeffs, find_root,
-                     perturbation_coeffs_direct, pressure_mode_coeffs_direct)
+                     perturb_coeffs_limit_beta, perturbation_coeffs_direct,
+                     pressure_mode_coeffs_direct, radial_coeffs_limit_r0)
 
 FIG7 = sol.Params(p=5, a=0.25, chi=5, beta=0.5, sigma_n=0.2, ginv=1e-3)
 FIG2 = sol.Params(p=1, a=0.3, chi=0, beta=0.5, sigma_n=0.0, ginv=1e-3)
@@ -23,6 +24,27 @@ FIG3 = sol.Params(p=5, a=0.25, chi=5, beta=0.5, sigma_n=0.2, ginv=1e-3)
 def cfg(params=FIG7, r0=0.1, mode=2, r_init=2.5, delta_init=0.1):
     return lin.LinearConfig(r0=r0, mode=mode, params=params,
                             r_init=r_init, delta_init=delta_init)
+
+
+def linear_boundary_traces(radius, delta, theta_polar, config):
+    """O(delta)-accurate traces of the four solved boundary quantities.
+
+    Returns a dict with dsigma_dn0 and pbar_gamma0 on the inner boundary
+    and sigma_gamma and dpbar_dn on the outer boundary, evaluated on the
+    polar-angle grid theta_polar for the interface R + delta cos(l theta).
+    """
+    r0, ell, r = config.r0, config.mode, radius
+    c = lin.coefficients(radius, config)
+    wave = delta * np.cos(ell * np.asarray(theta_polar, dtype=float))
+    dsigma_dn0 = c.flux0_r0 + wave * c.inner_mode_flux
+    sigma_gamma = c.sigma0_r + wave * c.mode_flux
+    pbar_gamma0 = c.c1 + c.c2 * np.log(r0) \
+        + wave * (c.d1 * r0 ** ell + c.d2 * r0 ** -ell)
+    dpbar_dn = c.c2 / r + wave * (-c.c2 / r ** 2
+                                  + ell * (c.d1 * r ** (ell - 1)
+                                           - c.d2 * r ** -(ell + 1)))
+    return {"dsigma_dn0": dsigma_dn0, "sigma_gamma": sigma_gamma,
+            "pbar_gamma0": pbar_gamma0, "dpbar_dn": dpbar_dn}
 
 
 class TestRadialCoeffs:
@@ -57,7 +79,7 @@ class TestRadialCoeffs:
         for r0 in (1e-6, 1e-10, 1e-14):
             c = cfg(params, r0=r0)
             a1, a2 = lin.radial_coeffs(2.5, c)
-            a1_lim, a2_lim = lin.radial_coeffs_limit_r0(2.5, c)
+            a1_lim, a2_lim = radial_coeffs_limit_r0(2.5, c)
             devs.append(abs(a1 - a1_lim) + abs(a2 - a2_lim))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] / devs[0] == pytest.approx(np.log(1e-6) / np.log(1e-14),
@@ -84,7 +106,7 @@ class TestPerturbCoeffs:
         params = sol.Params(p=1, a=0.3, chi=0, beta=1e6, sigma_n=0.2, ginv=1e-3)
         c = cfg(params)
         b1, b2 = lin.perturb_coeffs(2.5, c)
-        b1_lim, b2_lim = lin.perturb_coeffs_limit_beta(2.5, c)
+        b1_lim, b2_lim = perturb_coeffs_limit_beta(2.5, c)
         assert b1 == pytest.approx(b1_lim, rel=1e-4)
         assert b2 == pytest.approx(b2_lim, rel=1e-4)
 
@@ -243,7 +265,7 @@ class TestLinearTraces:
     def test_unperturbed_traces_radial(self):
         c = cfg(FIG7)
         grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        tr = lin.linear_boundary_traces(2.5, 0.0, grid, c)
+        tr = linear_boundary_traces(2.5, 0.0, grid, c)
         a1, a2 = lin.radial_coeffs(2.5, c)
         assert np.max(np.abs(tr["sigma_gamma"] - (a1 * iv(0, 2.5) + a2 * kv(0, 2.5)))) < 1e-13
         for key in tr:
@@ -256,7 +278,7 @@ class TestLinearTraces:
         for ginv in (1e-3, 2e-3):
             params = sol.Params(p=5, a=0.25, chi=5, beta=0.5, sigma_n=0.2,
                                 ginv=ginv)
-            tr = lin.linear_boundary_traces(2.5, 0.0, grid, cfg(params))
+            tr = linear_boundary_traces(2.5, 0.0, grid, cfg(params))
             vals[ginv] = tr["pbar_gamma0"][0]
         assert vals[2e-3] - vals[1e-3] == pytest.approx(1e-3 / 2.5, rel=1e-10)
 
@@ -269,8 +291,8 @@ class TestLinearTraces:
         fields = sol.FieldSolver(g0, c.params).solve(gamma)
         polar_inner = np.arctan2(g0.y, g0.x)
         polar_outer = np.arctan2(gamma.y, gamma.x)
-        tr_in = lin.linear_boundary_traces(2.5, delta, polar_inner, c)
-        tr_out = lin.linear_boundary_traces(2.5, delta, polar_outer, c)
+        tr_in = linear_boundary_traces(2.5, delta, polar_inner, c)
+        tr_out = linear_boundary_traces(2.5, delta, polar_outer, c)
         tol = (delta / 2.5) ** 2 * 10  # O(delta^2) truncation with margin
         assert np.max(np.abs(fields.dsigma_dn0 - tr_in["dsigma_dn0"])) \
             < tol * max(1, np.max(np.abs(fields.dsigma_dn0)))
@@ -294,7 +316,7 @@ class TestLinearTraces:
             p_bim = sol.hydrostatic_pressure(fields.pbar_gamma0,
                                              np.full(n, params.sigma_n),
                                              g0.x, g0.y, params)
-            tr = lin.linear_boundary_traces(2.5, delta,
+            tr = linear_boundary_traces(2.5, delta,
                                             np.arctan2(g0.y, g0.x), c)
             p_lin = tr["pbar_gamma0"] - (params.p - params.chi) * params.sigma_n \
                 + params.p * params.a * 1.0 / 4
