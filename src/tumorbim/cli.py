@@ -3,7 +3,7 @@
 Verbs: run (simulate), linstab (stability curves / linear trajectories),
 converge (dt or N refinement study), traces (re-emit boundary traces from
 a checkpoint).  Exit codes: 0 complete, 2 topology-proximity halt,
-3 solver failure, 4 configuration error.
+3 solver failure, 4 configuration or command-line error.
 """
 
 import argparse
@@ -37,6 +37,14 @@ def _overrides_from(args):
     return out
 
 
+def _comma_list(kind):
+    """argparse type of a comma list of `kind` values."""
+    def parse(text):
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tumorbim",
@@ -66,8 +74,10 @@ def build_parser():
     p_conv = sub.add_parser("converge", help="dt or N refinement study")
     p_conv.add_argument("--config", required=True)
     group = p_conv.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dts", help="comma list of dt values, reference last")
-    group.add_argument("--ns", help="comma list of N values, reference last")
+    group.add_argument("--dts", type=_comma_list(float),
+                       help="comma list of dt values, reference last")
+    group.add_argument("--ns", type=_comma_list(int),
+                       help="comma list of N values, reference last")
     p_conv.add_argument("--record-interval", type=float, default=None)
     p_conv.add_argument("--jobs", type=int, default=1)
     p_conv.add_argument("--out", required=True, help="study table file")
@@ -128,10 +138,8 @@ def _cmd_converge(args):
     if args.record_interval is not None:
         overrides["record_interval"] = args.record_interval
     config = load_config(args.config, **overrides)
-    dts = [float(v) for v in args.dts.split(",")] if args.dts else None
-    ns = [int(v) for v in args.ns.split(",")] if args.ns else None
-    study, results = convergence_study(config, dts=dts, ns=ns, jobs=args.jobs,
-                                       out_root=args.out_root)
+    study, results = convergence_study(config, dts=args.dts, ns=args.ns,
+                                       jobs=args.jobs, out_root=args.out_root)
     study.write(args.out)
     worst = max(int(r.status) for r in results)
     print(f"wrote study table to {args.out}")
@@ -145,8 +153,12 @@ def _cmd_traces(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2, the proximity-halt code, after
+        # printing a usage error
+        return EXIT_CONFIG_ERROR if exc.code else 0
     handlers = {"run": _cmd_run, "linstab": _cmd_linstab,
                 "converge": _cmd_converge, "traces": _cmd_traces}
     try:

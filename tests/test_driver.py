@@ -303,6 +303,26 @@ class TestCli:
                      "--out", str(tmp_path / "evolve.tsv")])
         assert code == 4
 
+    @pytest.mark.parametrize("argv, message", [
+        # argparse reads a negative value in scientific notation as an option
+        (["linstab", "--evolve", "--dt-ode", "-1e-3", "--out", "x.tsv"],
+         "argument --dt-ode: expected one argument"),
+        (["run", "--n", "abc"], "argument --n: invalid int value"),
+        (["converge", "--dts", "1e-3,abc", "--out", "y.tsv"],
+         "argument --dts: invalid float list value"),
+    ])
+    def test_usage_error_exit_code(self, tmp_path, capsys, argv, message):
+        # usage errors are configuration errors, not argparse's 2, which
+        # tumorbim reserves for the proximity halt
+        path = self.write_cfg(tmp_path)
+        argv = [argv[0], "--config", str(path)] + argv[1:]
+        assert main(argv) == 4
+        assert message in capsys.readouterr().err
+
+    def test_help_exit_code(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: tumorbim" in capsys.readouterr().out
+
     def test_proximity_exit_code(self, tmp_path):
         path = tmp_path / "halt.cfg"
         write_config(path, tiny_config(a=2.0, r_init=1.2, eps_init=0.0,
