@@ -315,8 +315,8 @@ def helmholtz_self_blocks(geom):
     double = (h * k1(safe) - i1(r) * w)[place]
     double *= geom.h
     # w[0] = -q_0, as L vanishes on the diagonal
-    np.fill_diagonal(single, (w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0)))
-                     * scale)
+    diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
+    np.fill_diagonal(single, diag * scale)
     np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
                      / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
     return single, double

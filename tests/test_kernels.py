@@ -337,8 +337,8 @@ def full_matrix_self_blocks(geom):
     scale = bnd.s_alpha / TWO_PI
     single = (h * k0(safe) + i0(r) * w) * scale
     double = (h * k1(safe) - i1(r) * w) * geom.h
-    np.fill_diagonal(single, (w[0, 0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0)))
-                     * scale)
+    diag = w[0, 0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
+    np.fill_diagonal(single, diag * scale)
     np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
                      / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
     return single, double
