@@ -8,7 +8,8 @@ from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 
-from oracles import DOUBLE, HELMHOLTZ, LAPLACE, SINGLE, eval_at_points, richardson_limit
+from oracles import (DOUBLE, HELMHOLTZ, LAPLACE, SINGLE, eval_at_points,
+                     richardson_limit)
 
 TWO_PI = 2 * np.pi
 
@@ -72,7 +73,7 @@ def helmholtz_split(geom):
 def laplace_single_split(geom):
     """(G1, G2) of the Laplace single layer."""
     m = geom.src.s_alpha
-    g1 = np.broadcast_to(-m[None, :] / TWO_PI, geom.r.shape)
+    g1 = -m[None, :] / TWO_PI
     safe = np.where(geom.r == 0.0, 1.0, geom.r)
     g2 = -np.log(safe) * m[None, :] / TWO_PI - g1 * log_sin_matrix(geom.src.n)
     np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
