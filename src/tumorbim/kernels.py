@@ -6,13 +6,16 @@ Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
 one weight W = h ln(2|sin((a - a')/2)|) - Q, cached per node count, so a
 block is the kernel's smooth factors combined with h and W in one pass
 over the upper triangle of the symmetric distances; the diagonals carry
-the analytic limits.  The Laplace double layer has only a removable
+the analytic limits.  The Helmholtz self blocks take I0 and I1 from the
+power series in `bessel`, K0 from scipy and K1 from the Wronskian
+I0 K1 + I1 K0 = 1/r.  The Laplace double layer has only a removable
 singularity and is integrated by the alternating-point trapezoidal rule.
 Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
 the source boundary lies well inside the disc |x| < min |target|, they are
 built as low-rank products from the kernels' expansions about the origin
-(Graf's addition theorem for K0, DLMF 10.44(ii); the multipole series of
-the log kernel), and otherwise from the dense distances.
+(Graf's addition theorem for K0, DLMF 10.44(ii), from scipy's K0, K1 on the
+target radii and i0e on the source radii; the multipole series of the log
+kernel), and otherwise from scipy's K0, K1 on the dense distances.
 
 Fundamental solutions: Phi = (1/2pi) ln(1/r) for Laplace and
 G = (1/2pi) K0(r) for the modified Helmholtz operator (Laplacian - 1).
@@ -297,7 +300,8 @@ def helmholtz_self_blocks(geom):
 
     With m the source metric, h_ker the dipole factors and W the Kress-
     trapezoid weight: S = (m/2pi) [h K0 + I0 W] and D = h_ker [h K1 - I1 W],
-    each bracket formed on the upper triangle of the symmetric distances.
+    each bracket formed on the upper triangle of the symmetric distances,
+    with K1 = (1/r - I1 K0)/I0 from the Wronskian (DLMF 10.28.2).
     The diagonals are q_0 G1 + h G2 of the log split kernel*metric =
     G1 ln(2|sin|) + G2: for the single layer G1 = -m/2pi, and G2 follows from
     r -> m |a - a'| and K0(z) = -(ln(z/2) + C) I0(z) + ...; the double layer
@@ -306,13 +310,18 @@ def helmholtz_self_blocks(geom):
     """
     bnd = geom.src
     upper, place = _upper_map(bnd.n)
-    r, safe = geom.r.ravel()[upper], geom.safe.ravel()[upper]
+    safe = geom.safe.ravel()[upper]
     w = _kress_trapezoid_weight(bnd.n)
     h = TWO_PI / bnd.n
     scale = bnd.s_alpha / TWO_PI
-    single = (h * k0(safe) + i0(r) * w)[place]
+    i0r, i1r, k0r = i0(safe), i1(safe), k0(safe)
+    # I1 K0 < 1/r = I0 K1 + I1 K0: the subtraction loses at most one bit
+    k1r = 1.0 / safe
+    k1r -= i1r * k0r
+    k1r /= i0r
+    single = (h * k0r + i0r * w)[place]
     single *= scale
-    double = (h * k1(safe) - i1(r) * w)[place]
+    double = (h * k1r - i1r * w)[place]
     double *= geom.h
     # w[0] = -q_0, as L vanishes on the diagonal
     diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
+from tumorbim import bessel
 from tumorbim.bessel import bessel_i, bessel_k
 
 from oracles import bessel_i_series, bessel_k_recurrence
@@ -106,3 +108,49 @@ def test_array_arguments():
     out = bessel_i(0, x)
     assert out.shape == x.shape
     assert out[1] == pytest.approx(1.2660658777520084, rel=1e-13)
+
+
+# the kernels' I0, I1 fast paths: the positive power series
+
+SERIES = [(bessel.i0, special.i0), (bessel.i1, special.i1)]
+
+
+@pytest.mark.parametrize("series, reference", SERIES)
+@pytest.mark.parametrize("top", [5.2, 60.0])
+def test_series_matches_scipy(series, reference, top):
+    # one call per grid, as the largest argument sets the term count; 5.2
+    # spans the fig7 interface distances
+    x = np.linspace(0.0, top, 6001)[1:]
+    want = reference(x)
+    assert np.max(np.abs(series(x) - want) / want) <= 4e-15
+
+
+def test_series_at_origin_and_parity():
+    assert bessel.i0(0.0) == 1.0 and bessel.i1(0.0) == 0.0
+    x = np.linspace(0.0, 12.0, 97)
+    assert np.array_equal(bessel.i0(-x), bessel.i0(x))
+    assert np.array_equal(bessel.i1(-x), -bessel.i1(x))
+
+
+@pytest.mark.parametrize("series, reference", SERIES)
+def test_series_shapes(series, reference):
+    assert np.ndim(series(np.float64(2.0))) == 0
+    assert series(np.float64(2.0)) == pytest.approx(reference(2.0), rel=4e-15)
+    assert series(np.empty((0, 3))).shape == (0, 3)
+    zeros = series(np.zeros((2, 3)))
+    assert zeros.shape == (2, 3)
+    assert np.all(zeros == reference(0.0))
+
+
+def test_series_propagates_nan_and_inf():
+    x = np.array([1.5, np.nan, np.inf, -np.inf])
+    got0, got1 = bessel.i0(x), bessel.i1(x)
+    assert got0[0] == pytest.approx(special.i0(1.5), rel=4e-15)
+    assert got1[0] == pytest.approx(special.i1(1.5), rel=4e-15)
+    assert np.isnan(got0[1]) and np.isnan(got1[1])
+    assert list(got0[2:]) == [np.inf, np.inf]
+    assert list(got1[2:]) == [np.inf, -np.inf]
+    # no finite entry at all
+    for series in (bessel.i0, bessel.i1):
+        assert np.isnan(series(np.array([np.nan, np.nan]))).all()
+        assert np.isnan(series(np.nan)) and np.isinf(series(np.inf))

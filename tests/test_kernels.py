@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import i0, i1, k0, k1, kv
 
+from tumorbim import bessel
 from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
@@ -322,11 +323,12 @@ def test_self_distances_symmetric_bitwise():
 
 
 def full_matrix_self_blocks(geom):
-    """The Helmholtz self blocks' brackets with I0, I1, K0, K1 evaluated on
-    every entry of r, in the builders' operation order: W = h L - Q with L
-    from the node offsets, (h K0 + I0 W) m/2pi and (h K1 - I1 W) h_ker, and
-    the diagonals q_0 G1 + h G2."""
-    bnd, r = geom.src, geom.r
+    """The Helmholtz self blocks' brackets with the I0, I1 series, scipy's K0
+    and the Wronskian K1 = (1/r - I1 K0)/I0 evaluated on every entry of
+    `safe`, in the builders' operation order: W = h L - Q with L from the
+    node offsets, (h K0 + I0 W) m/2pi and (h K1 - I1 W) h_ker, and the
+    diagonals q_0 G1 + h G2."""
+    bnd, safe = geom.src, geom.safe
     n = bnd.n
     h = TWO_PI / n
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
@@ -334,10 +336,11 @@ def full_matrix_self_blocks(geom):
         ls = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
     np.fill_diagonal(ls, 0.0)
     w = h * ls - kress_matrix(n)
-    safe = np.where(r == 0.0, 1.0, r)
     scale = bnd.s_alpha / TWO_PI
-    single = (h * k0(safe) + i0(r) * w) * scale
-    double = (h * k1(safe) - i1(r) * w) * geom.h
+    i0s, i1s, k0s = bessel.i0(safe), bessel.i1(safe), k0(safe)
+    k1s = (1.0 / safe - i1s * k0s) / i0s
+    single = (h * k0s + i0s * w) * scale
+    double = (h * k1s - i1s * w) * geom.h
     diag = w[0, 0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
     np.fill_diagonal(single, diag * scale)
     np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)

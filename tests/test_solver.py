@@ -286,9 +286,22 @@ def test_reused_buffer_keeps_no_stale_entries():
         assert np.array_equal(reused, fresh)
 
 
+def test_nan_interface_fails_the_solve():
+    # NaN distances run through the I0, I1 series and reach the GMRES check
+    n0, n = 32, 64
+    g0 = geo.FixedBoundary.from_radial(0.5, 0.1, 3, n0).samples
+    g = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    x = g.x.copy()
+    x[5] = np.nan
+    with pytest.raises(sol.SolverFailure):
+        sol.FieldSolver(g0, sol.Params(**FIG7)).solve(
+            geo.PlanarCurveSamples.from_xy(x, g.y))
+
+
 def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
-    # the symmetric Gamma-Gamma pair needs I0, I1, K0, K1 on N(N+1)/2
-    # distances, the Gamma0-Gamma pair K0, K1 on its N0 N distances
+    # the symmetric Gamma-Gamma pair needs I0, I1, K0 on N(N+1)/2 distances
+    # (K1 follows from the Wronskian), the Gamma0-Gamma pair K0, K1 on its
+    # N0 N distances
     n0, n = 32, 64
     g0 = geo.FixedBoundary.from_radial(0.5, 0.1, 3, n0).samples
     g = geo.initial_interface(2.5, 0.1, 2, n).samples()
@@ -305,12 +318,13 @@ def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
         monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
     solver.solve(g)
     half = n * (n + 1) // 2
-    assert counts == dict(i0=half, i1=half, k0=half + n0 * n, k1=half + n0 * n)
+    assert counts == dict(i0=half, i1=half, k0=half + n0 * n, k1=n0 * n)
 
 
 def test_separable_solve_evaluates_k_on_target_radii(monkeypatch):
     # a small core takes the separable Gamma0-Gamma path: K0, K1 see the
-    # N radii of Gamma instead of the N0 N distances, and I0, I1 are unchanged
+    # N radii of Gamma instead of the N0 N distances, and I0, I1 and the
+    # self K0 are unchanged
     n0 = n = 64
     g0 = geo.FixedBoundary.from_radial(0.1, 0.0, 0, n0).samples
     g = geo.initial_interface(2.5, 0.1, 2, n).samples()
@@ -328,4 +342,4 @@ def test_separable_solve_evaluates_k_on_target_radii(monkeypatch):
         monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
     solver.solve(g)
     half = n * (n + 1) // 2
-    assert counts == dict(i0=half, i1=half, k0=half + n, k1=half + n)
+    assert counts == dict(i0=half, i1=half, k0=half + n, k1=n)
