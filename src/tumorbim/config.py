@@ -1,5 +1,6 @@
 """Run configuration: flat key = value files and validation."""
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .solver import Params
@@ -47,6 +48,10 @@ class SimulationConfig:
         self.validate()
 
     def validate(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type is float and not math.isfinite(value):
+                raise ConfigError(f"{field.name} must be finite, got {value}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ConfigError(f"N must be a power of 2 >= 8, got {self.n}")
         n0 = self.n0 or self.n

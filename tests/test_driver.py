@@ -284,6 +284,17 @@ class TestCli:
             fh.write(line + "\n")
         assert main(["run", "--config", str(path)]) == 4
 
+    @pytest.mark.parametrize("line, args", [
+        ("dt = nan", []), ("", ["--dt", "nan"]), ("R_init = inf", [])])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, line, args):
+        path = self.write_cfg(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")] + args)
+        assert code == 4
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode, overrides", [
         ("1", {}), ("2", dict(r_init=0.45, eps_init=-0.1))])
     def test_linstab_bad_linear_config_exit_code(self, tmp_path, mode,
