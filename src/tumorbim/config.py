@@ -35,13 +35,11 @@ class SimulationConfig:
     n0: int = 0                  # 0 means: use n
     dt: float = 1e-4
     t_final: float = 1.0
-    tol: float = 1e-10
     shape_mode: int = 2
     record_interval: float = 0.0     # 0: record every step
     snapshot_interval: float = 0.0   # 0: only initial and final snapshots
     trace_interval: float = 0.0      # 0: only final traces
     min_gap_factor: float = 2.0
-    krasny_floor: float = 1e-12
     out_dir: str = ""
 
     def __post_init__(self):
@@ -70,9 +68,8 @@ class SimulationConfig:
                               "the inner boundary")
         if self.shape_mode < 1:
             raise ConfigError("shape_mode must be >= 1")
-        for name in ("tol", "min_gap_factor", "krasny_floor"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.min_gap_factor <= 0:
+            raise ConfigError("min_gap_factor must be positive")
         for name in ("record_interval", "snapshot_interval", "trace_interval"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -102,11 +99,10 @@ _KEY_TO_FIELD = {
     "P": "p", "A": "a", "chi": "chi", "beta": "beta", "sigma_n": "sigma_n",
     "Ginv": "ginv", "R0": "r0", "eps0": "eps0", "k0": "k0",
     "R_init": "r_init", "eps_init": "eps_init", "k_init": "k_init",
-    "N": "n", "N0": "n0", "dt": "dt", "t_final": "t_final", "tol": "tol",
+    "N": "n", "N0": "n0", "dt": "dt", "t_final": "t_final",
     "shape_mode": "shape_mode", "record_interval": "record_interval",
     "snapshot_interval": "snapshot_interval", "trace_interval": "trace_interval",
-    "min_gap_factor": "min_gap_factor", "krasny_floor": "krasny_floor",
-    "out_dir": "out_dir",
+    "min_gap_factor": "min_gap_factor", "out_dir": "out_dir",
 }
 _INT_FIELDS = {"k0", "k_init", "n", "n0", "shape_mode"}
 

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SimulationConfig
-from .geometry import (FixedBoundary, InterfaceState, area, initial_interface,
-                       min_gap_between, min_self_gap, shape_diagnostics,
+from .geometry import (InterfaceState, area, initial_interface, min_gap_between,
+                       min_self_gap, radial_boundary, shape_diagnostics,
                        write_snapshot)
 from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
                      normal_velocity)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 RECORD_COLUMNS = ("time", "area", "r_eff", "delta_over_r",
                   "gmres_nutrient", "gmres_pressure", "min_gap", "max_v")
@@ -93,14 +93,13 @@ def _intervals_to_steps(interval, dt, label):
     return int(round(steps))
 
 
-def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag=None):
-    """Write the four solved boundary traces for one time level.
+def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
+    """Write the four solved boundary traces for time level t to files
+    named by `tag`.
 
     Inner-boundary file: nutrient flux and hydrostatic pressure; outer file:
     nutrient trace and the (sign-flipped) modified-pressure flux.
     """
-    if tag is None:
-        tag = f"t{t:.6f}"
     tdir = Path(out_dir) / "traces"
     tdir.mkdir(parents=True, exist_ok=True)
     p_hydro = hydrostatic_pressure(fields.pbar_gamma0, np.full(gamma0.n, params.sigma_n),
@@ -148,7 +147,11 @@ def load_checkpoint(path):
     if int(data["version"][0]) != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {int(data['version'][0])} is "
                           f"not supported (expected {CHECKPOINT_VERSION})")
-    config = SimulationConfig(**json.loads(str(data["config_json"])))
+    try:
+        config = SimulationConfig(**json.loads(str(data["config_json"])))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} is corrupted: bad config: "
+                          f"{exc}") from exc
     if data["theta"].size != config.n:
         raise ConfigError("checkpoint is corrupted: node count mismatch")
     state = InterfaceState(theta=data["theta"],
@@ -168,9 +171,8 @@ def load_checkpoint(path):
 def _run_loop(config, state, history, start_index, out):
     """Shared body of run() and resume()."""
     params = config.params()
-    gamma0 = FixedBoundary.from_radial(config.r0, config.eps0, config.k0,
-                                       config.n_inner)
-    solver = FieldSolver(gamma0.samples, params, tol=config.tol)
+    gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
+    solver = FieldSolver(gamma0, params)
     n_steps = int(round(config.t_final / config.dt))
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
         raise ConfigError("t_final must be an integer multiple of dt")
@@ -185,17 +187,17 @@ def _run_loop(config, state, history, start_index, out):
     status = RunStatus.COMPLETE
     message = "reached t_final"
     peak = 0
-    near_times = []     # times of the solves whose proximity warning fired
+    near_times = []     # times of the near-contact solves
     t_start = _time.perf_counter()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "snapshots").mkdir(exist_ok=True)
-        write_snapshot(out / "gamma0.txt", gamma0.samples)
+        write_snapshot(out / "gamma0.txt", gamma0)
 
     i = start_index
     while True:
         gamma = state.samples()
-        gap0 = min_gap_between(gamma0.samples, gamma)
+        gap0 = min_gap_between(gamma0, gamma)
         self_gap = min_self_gap(gamma)
         spacing = 2.0 * np.pi * state.s_alpha / state.n
         if min(gap0, self_gap) < config.min_gap_factor * spacing:
@@ -227,17 +229,15 @@ def _run_loop(config, state, history, start_index, out):
             if i == 0 or i == n_steps or (snap_every and i % snap_every == 0):
                 write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", state)
             if i == n_steps or (trace_every and i % trace_every == 0):
-                emit_traces(out, gamma0.samples, gamma, fields, params,
-                            state.time, tag=f"{i:08d}")
+                emit_traces(out, gamma0, gamma, fields, params, state.time,
+                            tag=f"{i:08d}")
         if i >= n_steps:
             break
         try:
             if history is None:
-                state, history = first_step(state, v, config.dt,
-                                            krasny_floor=config.krasny_floor)
+                state, history = first_step(state, v, config.dt)
             else:
-                state, history = step(state, v, history, config.dt,
-                                      krasny_floor=config.krasny_floor)
+                state, history = step(state, v, history, config.dt)
         except SolverCollapse as exc:
             status = RunStatus.SOLVER_FAILURE
             message = f"step {i}: {exc}"
@@ -283,11 +283,10 @@ def reemit_traces(checkpoint_path, out_dir):
     """Re-solve the fields at a checkpointed state and write its trace files."""
     config, state, _, step_index = load_checkpoint(checkpoint_path)
     params = config.params()
-    gamma0 = FixedBoundary.from_radial(config.r0, config.eps0, config.k0,
-                                       config.n_inner)
+    gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
     gamma = state.samples()
-    fields = FieldSolver(gamma0.samples, params, tol=config.tol).solve(gamma)
-    emit_traces(out_dir, gamma0.samples, gamma, fields, params, state.time,
+    fields = FieldSolver(gamma0, params).solve(gamma)
+    emit_traces(out_dir, gamma0, gamma, fields, params, state.time,
                 tag=f"{step_index:08d}")
     return fields
 

@@ -75,7 +75,7 @@ def fourier_filter_coeffs(fh, n):
     return fh * np.exp(-10.0 * (2.0 * k / n) ** 25)
 
 
-def krasny_filter(f_hat, floor=1e-12):
+def krasny_filter(f_hat, floor):
     """Zero Fourier coefficients whose magnitude is below the floor."""
     if floor <= 0:
         raise ValueError("krasny floor must be positive")
@@ -179,27 +179,17 @@ class InterfaceState:
             alpha=alpha_grid(n))
 
 
-@dataclass
-class FixedBoundary:
+def radial_boundary(r0, eps0, k0, n):
     """Static inner boundary sampled from the radial rule r = R0 + eps0 cos(k0 a)."""
-
-    samples: PlanarCurveSamples
-    r0: float
-    eps0: float
-    k0: int
-
-    @classmethod
-    def from_radial(cls, r0, eps0=0.0, k0=0, n=256):
-        if r0 <= 0:
-            raise ValueError("inner radius must be positive")
-        if eps0 < 0 or k0 < 0 or int(k0) != k0:
-            raise ValueError("radial rule needs eps0 >= 0 and integer k0 >= 0")
-        a = alpha_grid(n)
-        r = r0 + eps0 * np.cos(k0 * a)
-        if np.min(r) <= 0:
-            raise ValueError("radial rule produces a self-intersecting boundary")
-        return cls(samples=PlanarCurveSamples.from_xy(r * np.cos(a), r * np.sin(a)),
-                   r0=r0, eps0=eps0, k0=int(k0))
+    if r0 <= 0:
+        raise ValueError("inner radius must be positive")
+    if eps0 < 0 or k0 < 0 or int(k0) != k0:
+        raise ValueError("radial rule needs eps0 >= 0 and integer k0 >= 0")
+    a = alpha_grid(n)
+    r = r0 + eps0 * np.cos(k0 * a)
+    if np.min(r) <= 0:
+        raise ValueError("radial rule produces a self-intersecting boundary")
+    return PlanarCurveSamples.from_xy(r * np.cos(a), r * np.sin(a))
 
 
 def reconstruct(state):
@@ -215,7 +205,7 @@ def reconstruct(state):
     return x0 + state.s_alpha * fx, y0 + state.s_alpha * fy
 
 
-def equal_arclength_reparam(x, y, time=0.0, tol=1e-12, max_iter=50):
+def equal_arclength_reparam(x, y, tol=1e-12, max_iter=50):
     """Resample a closed analytic curve at equal-arclength nodes.
 
     Solves int_0^{u_j} s_v dv = (j/N) L for the source parameters u_j by
@@ -246,18 +236,17 @@ def equal_arclength_reparam(x, y, time=0.0, tol=1e-12, max_iter=50):
     x_a = spectral_derivative(xr)
     y_a = spectral_derivative(yr)
     theta = np.unwrap(np.arctan2(y_a, x_a))
-    state = InterfaceState(theta=theta, s_alpha=length / TWO_PI,
-                           ref_point=(xr[0], yr[0]), time=time)
-    return state
+    return InterfaceState(theta=theta, s_alpha=length / TWO_PI,
+                          ref_point=(xr[0], yr[0]))
 
 
-def initial_interface(r_init, eps_init=0.0, k_init=0, n=256, time=0.0):
+def initial_interface(r_init, eps_init=0.0, k_init=0, n=256):
     """Equal-arclength state for the radial rule r = R + eps cos(k alpha)."""
     a = alpha_grid(n)
     r = r_init + eps_init * np.cos(k_init * a)
     if np.min(r) <= 0:
         raise ValueError("initial radial rule is not a simple curve")
-    return equal_arclength_reparam(r * np.cos(a), r * np.sin(a), time=time)
+    return equal_arclength_reparam(r * np.cos(a), r * np.sin(a))
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +330,18 @@ def _near_pairs(n, exclude):
 # ---------------------------------------------------------------------------
 # snapshot files
 
-def write_snapshot(path, samples_or_state, time=None):
-    """Plain-text snapshot: header (N, time, s_alpha) then N rows of x y."""
+def write_snapshot(path, samples_or_state):
+    """Plain-text snapshot: header (N, time, s_alpha) then N rows of x y;
+    curve samples, which carry no time, are written at time 0."""
     if isinstance(samples_or_state, InterfaceState):
         state = samples_or_state
         x, y = reconstruct(state)
-        t = state.time if time is None else time
+        t = state.time
         s = state.s_alpha
     else:
         smp = samples_or_state
         x, y = smp.x, smp.y
-        t = 0.0 if time is None else time
+        t = 0.0
         s = float(np.mean(smp.s_alpha))
     with open(path, "w") as fh:
         fh.write(f"{x.size} {t:.17g} {s:.17g}\n")

@@ -248,7 +248,7 @@ def integrate_linear_odes(config, t_final, dt=1e-3):
     One coefficient set per stage serves both rates.  Integration halts
     early if the radius reaches the inner radius.
     """
-    if dt <= 0 or t_final < 0:
+    if not (dt > 0 and t_final >= 0):
         raise ValueError("need dt > 0 and t_final >= 0")
 
     def rates(r, s):

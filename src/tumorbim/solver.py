@@ -16,7 +16,6 @@ Systems are solved by restart-free GMRES; iteration counts are recorded
 as a conditioning diagnostic.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,8 @@ from . import kernels as ker
 from .geometry import TWO_PI, min_gap_between
 
 D_DIM = 2  # all operations are two-dimensional
+GMRES_TOL = 1e-10      # relative residual every solve must reach
+GMRES_MAXITER = 500    # Krylov dimension of the single restart-free cycle
 
 
 class SolverFailure(RuntimeError):
@@ -79,10 +80,10 @@ class BoundaryFields:
     dpbar_dn: np.ndarray        # modified pressure flux on Gamma
     gmres_iters_nutrient: int
     gmres_iters_pressure: int
-    near_contact: bool = False  # the proximity warning fired for this solve
+    near_contact: bool = False  # boundaries within five grid spacings
 
 
-def _solve_gmres(matrix, rhs, tol, maxiter, system):
+def _solve_gmres(matrix, rhs, system):
     """Restart-free GMRES with an inner-iteration count."""
     if not np.any(rhs):
         return np.zeros_like(rhs), 0
@@ -92,24 +93,19 @@ def _solve_gmres(matrix, rhs, tol, maxiter, system):
         count[0] += 1
 
     op = LinearOperator(matrix.shape, matvec=lambda v: matrix @ v, dtype=float)
-    x, info = gmres(op, rhs, rtol=tol, atol=0.0, restart=maxiter, maxiter=1,
-                    callback=tick, callback_type="pr_norm")
+    x, info = gmres(op, rhs, rtol=GMRES_TOL, atol=0.0, restart=GMRES_MAXITER,
+                    maxiter=1, callback=tick, callback_type="pr_norm")
     residual = np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs)
-    if info != 0 or residual > 10.0 * tol:
+    if info != 0 or residual > 10.0 * GMRES_TOL:
         raise SolverFailure(system, residual, count[0])
     return x, count[0]
 
 
 def proximity_warning(gamma0, gamma):
-    """Warn when boundary separation drops below five grid spacings, and
-    return whether it did (`warnings` shows it once per process)."""
+    """Whether the boundaries are closer than five grid spacings of Gamma,
+    where the systems' conditioning degrades."""
     spacing = TWO_PI * float(np.mean(gamma.s_alpha)) / gamma.n
-    near = min_gap_between(gamma0, gamma) < 5.0 * spacing
-    if near:
-        warnings.warn("boundary separation is below five grid spacings; "
-                      "expect conditioning degradation",
-                      RuntimeWarning, stacklevel=3)
-    return near
+    return min_gap_between(gamma0, gamma) < 5.0 * spacing
 
 
 def pair_geometries(gamma0, gamma):
@@ -150,11 +146,11 @@ def nutrient_system(params, inner, pairs, out):
     return rhs
 
 
-def solve_nutrient(params, inner, pairs, out, tol=1e-10, maxiter=500):
+def solve_nutrient(params, inner, pairs, out):
     """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma); returns them + iters.
     `out` is the (N0 + N)^2 buffer the system is assembled in."""
     rhs = nutrient_system(params, inner, pairs, out)
-    x, iters = _solve_gmres(out, rhs, tol, maxiter, "nutrient")
+    x, iters = _solve_gmres(out, rhs, "nutrient")
     n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters
 
@@ -198,11 +194,10 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     return rhs
 
 
-def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out, tol=1e-10,
-                   maxiter=500):
+def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out):
     """Solve for (pbar on Gamma0, d pbar/dn on Gamma); returns them + iters."""
     rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet, out)
-    x, iters = _solve_gmres(out, rhs, tol, maxiter, "pressure")
+    x, iters = _solve_gmres(out, rhs, "pressure")
     n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters
 
@@ -239,11 +234,9 @@ class FieldSolver:
     """Per-run solver caching the static inner-boundary self blocks and one
     system buffer, which each solve's two systems fill in turn."""
 
-    def __init__(self, gamma0, params, tol=1e-10, maxiter=500):
+    def __init__(self, gamma0, params):
         self.gamma0 = gamma0
         self.params = params
-        self.tol = tol
-        self.maxiter = maxiter
         inner = ker.self_geometry(gamma0)
         self._helm_blocks = ker.helmholtz_self_blocks(inner)
         self._lap_blocks = ker.laplace_self_blocks(inner)
@@ -256,13 +249,11 @@ class FieldSolver:
         near = proximity_warning(self.gamma0, gamma)
         pairs = pair_geometries(self.gamma0, gamma)
         dsig, sig, it_n = solve_nutrient(self.params, self._helm_blocks, pairs,
-                                         self._system, tol=self.tol,
-                                         maxiter=self.maxiter)
+                                         self._system)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
                                 gamma.curvature)
         pbar0, dpdn, it_p = solve_pressure(self._lap_blocks, pairs, g_n, g_d,
-                                           self._system, tol=self.tol,
-                                           maxiter=self.maxiter)
+                                           self._system)
         return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
                               pbar_gamma0=pbar0, dpbar_dn=dpdn,
                               gmres_iters_nutrient=it_n,

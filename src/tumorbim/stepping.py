@@ -15,6 +15,8 @@ import numpy as np
 from .geometry import (InterfaceState, alpha_grid, fourier_filter_coeffs,
                        krasny_filter, periodic_antiderivative, spectral_derivative)
 
+KRASNY_FLOOR = 1e-12   # smallest Fourier mode amplitude kept after each step
+
 
 @dataclass
 class StepperHistory:
@@ -58,12 +60,12 @@ def _integrating_factor(k3, integral, enabled):
     return np.exp(-k3 * integral)
 
 
-def first_step(state, v, dt, krasny_floor=1e-12, use_integrating_factor=True):
+def first_step(state, v, dt, use_integrating_factor=True):
     """Starter step: explicit Euler for s_alpha, first-order propagator for theta."""
-    return step(state, v, None, dt, krasny_floor, use_integrating_factor)
+    return step(state, v, None, dt, use_integrating_factor)
 
 
-def step(state, v, history, dt, krasny_floor=1e-12, use_integrating_factor=True):
+def step(state, v, history, dt, use_integrating_factor=True):
     """Integrating-factor AB2 update of (theta, s_alpha) plus the anchor point.
 
     With `history` None this is the starter: explicit Euler for s_alpha and
@@ -107,7 +109,7 @@ def step(state, v, history, dt, krasny_floor=1e-12, use_integrating_factor=True)
 
     phi_hat = fourier_filter_coeffs(phi_hat, n)
     # floor scaled to raw rfft coefficients (mode amplitude = 2|c|/n)
-    phi_hat = krasny_filter(phi_hat, krasny_floor * n / 2.0)
+    phi_hat = krasny_filter(phi_hat, KRASNY_FLOOR * n / 2.0)
     new_state = InterfaceState(theta=alpha_grid(n) + np.fft.irfft(phi_hat, n),
                                s_alpha=s_new, ref_point=tuple(ref_new),
                                time=state.time + dt)

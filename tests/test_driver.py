@@ -191,6 +191,28 @@ class TestCheckpointResume:
         with pytest.raises(cfgmod.ConfigError):
             drv.load_checkpoint(tmp_path / "badn.npz")
 
+    @pytest.mark.parametrize("changes, message", [
+        # version 1 checkpoints carry the retired tol and krasny_floor keys
+        (dict(version=np.array([1])), "checkpoint version 1 is not supported"),
+        (dict(config_json=np.array(json.dumps(dict(TINY, bogus=1)))),
+         "unexpected keyword argument 'bogus'"),
+        (dict(config_json=np.array("not json")), "bad config"),
+    ], ids=["version-1", "extra-key", "not-json"])
+    def test_tampered_checkpoint_exit_code(self, tmp_path, capsys, changes,
+                                           message):
+        drv.run(tiny_config(), out_dir=tmp_path / "run")
+        data = dict(np.load(tmp_path / "run" / "checkpoint.npz",
+                            allow_pickle=False))
+        data.update(changes)
+        path = str(tmp_path / "tampered.npz")
+        np.savez(path, **data)
+        capsys.readouterr()
+        assert main(["run", "--resume", path]) == 4
+        assert message in capsys.readouterr().err
+        assert main(["traces", "--checkpoint", path,
+                     "--out", str(tmp_path / "tr")]) == 4
+        assert message in capsys.readouterr().err
+
 
 class TestConvergenceStudy:
     def test_identical_members_zero_error(self):
@@ -306,13 +328,24 @@ class TestCli:
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4
 
-    @pytest.mark.parametrize("dt_ode", ["0", "-0.001"])
-    def test_linstab_evolve_bad_dt_exit_code(self, tmp_path, dt_ode):
+    @pytest.mark.parametrize("dt_ode", ["0", "-0.001", "nan"])
+    def test_linstab_evolve_bad_dt_exit_code(self, tmp_path, capsys, dt_ode):
         path = self.write_cfg(tmp_path)
         code = main(["linstab", "--config", str(path), "--evolve",
                      "--t-final", "0.5", "--dt-ode", dt_ode,
                      "--out", str(tmp_path / "evolve.tsv")])
         assert code == 4
+        assert "need dt > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["tol = 1e-10", "krasny_floor = 1e-12"])
+    def test_retired_key_exit_code(self, tmp_path, capsys, line):
+        # the GMRES tolerance and the Krasny floor are constants of the
+        # solver and the stepper, not configuration keys
+        path = self.write_cfg(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        assert main(["run", "--config", str(path)]) == 4
+        assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
         # argparse reads a negative value in scientific notation as an option

@@ -253,19 +253,23 @@ class TestSnapshotIO:
 
 
 def test_fixed_boundary_radial_rule():
-    fb = geo.FixedBoundary.from_radial(1.0, 0.3, 3, 128)
+    fb = geo.radial_boundary(1.0, 0.3, 3, 128)
     a = geo.alpha_grid(128)
     r = 1.0 + 0.3 * np.cos(3 * a)
-    assert np.max(np.abs(np.hypot(fb.samples.x, fb.samples.y) - r)) < 1e-13
-    norms = np.hypot(fb.samples.normal_x, fb.samples.normal_y)
+    assert np.max(np.abs(np.hypot(fb.x, fb.y) - r)) < 1e-13
+    norms = np.hypot(fb.normal_x, fb.normal_y)
     assert np.max(np.abs(norms - 1)) < 1e-12
     # circular rule: normals equal points / r0
-    fb0 = geo.FixedBoundary.from_radial(0.5, 0.0, 0, 64)
-    assert np.max(np.abs(fb0.samples.normal_x - fb0.samples.x / 0.5)) < 1e-12
+    fb0 = geo.radial_boundary(0.5, 0.0, 0, 64)
+    assert np.max(np.abs(fb0.normal_x - fb0.x / 0.5)) < 1e-12
 
 
 def test_fixed_boundary_validation():
     with pytest.raises(ValueError):
-        geo.FixedBoundary.from_radial(-1.0, 0, 0, 64)
+        geo.radial_boundary(-1.0, 0, 0, 64)
     with pytest.raises(ValueError):
-        geo.FixedBoundary.from_radial(1.0, 1.5, 2, 64)
+        geo.radial_boundary(1.0, 1.5, 2, 64)
+    with pytest.raises(ValueError):
+        geo.radial_boundary(1.0, -0.1, 2, 64)
+    with pytest.raises(ValueError):
+        geo.radial_boundary(1.0, 0.1, 1.5, 64)

@@ -409,7 +409,7 @@ CROSS_BLOCKS = (ker.helmholtz_cross_blocks, ker.laplace_cross_blocks)
 def preset_pair(preset, n):
     """(Gamma0, Gamma) of a preset at t = 0 with N = N0 = n."""
     cfg = cfgmod.load_config(CONFIGS / f"{preset}.cfg")
-    g0 = geo.FixedBoundary.from_radial(cfg.r0, cfg.eps0, cfg.k0, n).samples
+    g0 = geo.radial_boundary(cfg.r0, cfg.eps0, cfg.k0, n)
     g = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init, n).samples()
     return g0, g
 

@@ -286,7 +286,7 @@ class TestLinearTraces:
         n = 256
         delta = 0.1
         c = cfg(FIG7)
-        g0 = geo.FixedBoundary.from_radial(0.1, 0, 0, n).samples
+        g0 = geo.radial_boundary(0.1, 0, 0, n)
         gamma = geo.initial_interface(2.5, delta, 2, n).samples()
         fields = sol.FieldSolver(g0, c.params).solve(gamma)
         polar_inner = np.arctan2(g0.y, g0.x)
@@ -308,7 +308,7 @@ class TestLinearTraces:
         n = 256
         params = sol.Params(p=1, a=0.35, chi=10, beta=0.5, sigma_n=0.2, ginv=1e-3)
         c = cfg(params, r0=1.0)
-        g0 = geo.FixedBoundary.from_radial(1.0, 0, 0, n).samples
+        g0 = geo.radial_boundary(1.0, 0, 0, n)
 
         def gap(delta):
             gamma = geo.initial_interface(2.5, delta, 2, n).samples()
@@ -361,7 +361,7 @@ class TestShapeRateAgainstBim:
         n = 256
         delta = 5e-4
         c = cfg(FIG7, delta_init=delta)
-        g0 = geo.FixedBoundary.from_radial(0.1, 0, 0, n).samples
+        g0 = geo.radial_boundary(0.1, 0, 0, n)
         gamma = geo.initial_interface(2.5, delta, 2, n).samples()
         fields = sol.FieldSolver(g0, c.params).solve(gamma)
         v = sol.normal_velocity(fields, gamma, c.params)

@@ -257,7 +257,7 @@ class TestStiffnessRemoval:
         dt = 1e-4
         params = sol.Params(p=5, a=0.25, chi=10, beta=0.5, sigma_n=0.2,
                             ginv=0.05)
-        g0 = geo.FixedBoundary.from_radial(0.1, 0, 0, n).samples
+        g0 = geo.radial_boundary(0.1, 0, 0, n)
         solver = sol.FieldSolver(g0, params)
 
         def spectrum_growth(use_if):
