@@ -21,11 +21,13 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, SimulationConfig
-from .geometry import (InterfaceState, area, initial_interface, min_gap_between,
-                       min_self_gap, radial_boundary, shape_diagnostics,
-                       write_snapshot)
+# min_self_gap stays importable for perfbench/tracing.py, which wraps it
+# here; the self gap comes from FieldSolver.interface_geometry
+from .geometry import (InterfaceState, area, initial_interface,  # noqa: F401
+                       min_gap_between, min_self_gap, radial_boundary,
+                       shape_diagnostics, write_snapshot)
 from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
-                     normal_velocity)
+                     normal_velocity, proximity_warning)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
 
 CHECKPOINT_VERSION = 2
@@ -198,11 +200,11 @@ def _run_loop(config, state, history, start_index, out):
     while True:
         gamma = state.samples()
         gap0 = min_gap_between(gamma0, gamma)
-        self_gap = min_self_gap(gamma)
+        gap = min(gap0, solver.interface_geometry(gamma).gap)
         spacing = 2.0 * np.pi * state.s_alpha / state.n
-        if min(gap0, self_gap) < config.min_gap_factor * spacing:
+        if gap < config.min_gap_factor * spacing:
             status = RunStatus.PROXIMITY_HALT
-            message = (f"boundary gap {min(gap0, self_gap):.4e} fell below "
+            message = (f"boundary gap {gap:.4e} fell below "
                        f"{config.min_gap_factor} node spacings at t = {state.time:.6g}")
             if out is not None:
                 write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", state)
@@ -215,7 +217,7 @@ def _run_loop(config, state, history, start_index, out):
             break
         v = normal_velocity(fields, gamma, params)
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
-        if fields.near_contact:
+        if proximity_warning(gap0, gamma):
             near_times.append(state.time)
 
         if i % rec_every == 0 or i == n_steps:
@@ -224,7 +226,7 @@ def _run_loop(config, state, history, start_index, out):
                           delta_over_r=delta_over_r,
                           gmres_nutrient=fields.gmres_iters_nutrient,
                           gmres_pressure=fields.gmres_iters_pressure,
-                          min_gap=min(gap0, self_gap), max_v=float(np.max(np.abs(v))))
+                          min_gap=gap, max_v=float(np.max(np.abs(v))))
         if out is not None:
             if i == 0 or i == n_steps or (snap_every and i % snap_every == 0):
                 write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", state)

@@ -298,33 +298,31 @@ def shape_diagnostics(samples, mode):
 
 def min_gap_between(a, b):
     """Minimum point-to-point distance between two boundaries."""
-    dx = a.x[:, None] - b.x[None, :]
-    dy = a.y[:, None] - b.y[None, :]
-    return float(np.sqrt(np.min(dx * dx + dy * dy)))
+    dx = np.subtract.outer(a.x, b.x)
+    dy = np.subtract.outer(a.y, b.y)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return float(np.sqrt(np.min(dx)))
 
 
-def min_self_gap(samples, exclude=None):
-    """Minimum distance between non-adjacent nodes of one boundary.
-
-    Pairs closer than `exclude` positions along the curve are skipped, so
-    that regular grid spacing does not register as a near-touch.
-    """
-    n = samples.n
-    if exclude is None:
-        exclude = max(4, n // 16)
+def min_self_gap(samples):
+    """Minimum distance between the nodes of one boundary that lie more than
+    max(4, N/16) positions apart, so that regular grid spacing does not
+    register as a near-touch."""
     dx = samples.x[:, None] - samples.x[None, :]
     dy = samples.y[:, None] - samples.y[None, :]
     d2 = dx * dx + dy * dy
-    d2[_near_pairs(n, exclude)] = np.inf
+    d2[near_pairs(samples.n)] = np.inf
     return float(np.sqrt(np.min(d2)))
 
 
 @lru_cache(maxsize=16)
-def _near_pairs(n, exclude):
-    """True where two of n nodes lie at most `exclude` positions apart."""
+def near_pairs(n):
+    """True where two of n nodes lie at most max(4, n/16) positions apart."""
     idx = np.arange(n)
     sep = np.abs(idx[:, None] - idx[None, :])
-    return np.minimum(sep, n - sep) <= exclude
+    return np.minimum(sep, n - sep) <= max(4, n // 16)
 
 
 # ---------------------------------------------------------------------------

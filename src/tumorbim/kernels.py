@@ -3,19 +3,22 @@
 Self-interaction blocks with a log singularity use Kress's rule for the
 log part and the trapezoidal rule for the smooth remainder (R. Kress,
 Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
-one weight W = h ln(2|sin((a - a')/2)|) - Q, cached per node count, so a
-block is the kernel's smooth factors combined with h and W in one pass
-over the upper triangle of the symmetric distances; the diagonals carry
-the analytic limits.  The Helmholtz self blocks take I0 and I1 from the
-power series in `bessel`, K0 from scipy and K1 from the Wronskian
+one weight W = h ln(2|sin((a - a')/2)|) - Q, cached per node count.  One
+pass over the node pairs i <= j gives the distances and the self gap; a
+block is one symmetric bracket of the kernel's smooth factors with h and W
+(carrying the double layers' 1/r or 1/r^2), expanded once and scaled by
+the source metric or the double-layer numerators; the diagonals carry the
+analytic limits.  The Helmholtz self blocks take I0 and I1 from the power
+series in `bessel`, K0 from scipy and K1 from the Wronskian
 I0 K1 + I1 K0 = 1/r.  The Laplace double layer has only a removable
 singularity and is integrated by the alternating-point trapezoidal rule.
 Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
 the source boundary lies well inside the disc |x| < min |target|, they are
-built as low-rank products from the kernels' expansions about the origin
-(Graf's addition theorem for K0, DLMF 10.44(ii), from scipy's K0, K1 on the
-target radii and i0e on the source radii; the multipole series of the log
-kernel), and otherwise from scipy's K0, K1 on the dense distances.
+low-rank factors from the kernels' expansions about the origin (Graf's
+addition theorem for K0, DLMF 10.44(ii), from scipy's K0, K1 on the target
+radii and i0e on the source radii; the multipole series of the log
+kernel), and a system block is one GEMM of them written into its slice;
+otherwise they are dense matrices from scipy's K0, K1 on the distances.
 
 Fundamental solutions: Phi = (1/2pi) ln(1/r) for Laplace and
 G = (1/2pi) K0(r) for the modified Helmholtz operator (Laplacian - 1).
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bessel import i0, i0e, i1, k0, k1
-from .geometry import TWO_PI, PlanarCurveSamples
+from .geometry import TWO_PI, PlanarCurveSamples, near_pairs
 
 
 @lru_cache(maxsize=16)
@@ -51,26 +54,31 @@ def kress_weights(m):
     return q
 
 
-@lru_cache(maxsize=16)
-def _alternating_mask(n):
-    """True where the source offset from the target index is odd."""
-    i = np.arange(n)
-    return ((i[:, None] - i[None, :]) % 2).astype(bool)
+class _Triangle(NamedTuple):
+    """The node pairs i <= j of n nodes, row by row: `flat` their indices
+    i n + j, `place` the n x n position in the list of each entry or its
+    mirror, `far` the positions of the pairs `min_self_gap` compares, and
+    `odd` true where j - i is odd."""
+
+    flat: np.ndarray
+    place: np.ndarray
+    far: np.ndarray
+    odd: np.ndarray
 
 
 @lru_cache(maxsize=16)
-def _upper_map(n):
-    """Flat indices of an n x n upper triangle (diagonal included), and the
-    position in that list of every entry or of its mirror image."""
+def _triangle(n):
     rows, cols = np.triu_indices(n)
     place = np.empty((n, n), dtype=np.intp)
     place[rows, cols] = place[cols, rows] = np.arange(rows.size)
-    return rows * n + cols, place
+    flat = rows * n + cols
+    return _Triangle(flat, place, np.flatnonzero(~near_pairs(n).ravel()[flat]),
+                     (cols - rows) % 2 == 1)
 
 
 @lru_cache(maxsize=16)
 def _kress_trapezoid_weight(n):
-    """Upper triangle, in `_upper_map` order, of W = h L - Q for n = 2m nodes:
+    """W = h L - Q on the pairs of `_triangle(n)`, for n = 2m nodes:
     h = 2pi/n, L[i, j] = ln(2 |sin((a_i - a_j)/2)|) with a zero diagonal and
     Q[i, j] = q_{|i-j|}.  Both depend on k = |i - j| only, and the sine is
     taken of pi min(k, n - k)/n, which is exact to rounding near k = n."""
@@ -79,8 +87,50 @@ def _kress_trapezoid_weight(n):
         log_sin = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
     log_sin[0] = 0.0
     w = (TWO_PI / n) * log_sin - kress_weights(n // 2)
-    rows, cols = np.divmod(_upper_map(n)[0], n)
+    rows, cols = np.divmod(_triangle(n).flat, n)
     return w[cols - rows]
+
+
+class SelfGeometry(NamedTuple):
+    """One boundary acting on itself: `r` the distances of the pairs of
+    `_triangle(n)` with the self distances set to 1, `dipole` the n x n
+    double-layer numerators (x_t - x_s).n_s m_s/2pi, and `gap` the value of
+    `min_self_gap`, bit for bit (the same squares and sums)."""
+
+    bnd: PlanarCurveSamples
+    r: np.ndarray
+    dipole: np.ndarray
+    gap: float
+
+
+def _dipole(dx, dy, src):
+    """(x_t - x_s).n_s m_s/2pi from the differences x_t - x_s, in place."""
+    metric = src.s_alpha / TWO_PI
+    dx *= src.normal_x * metric
+    dy *= src.normal_y * metric
+    dx += dy
+    return dx
+
+
+def self_geometry(bnd):
+    """Geometry of one boundary acting on itself."""
+    tri = _triangle(bnd.n)
+    dx = np.subtract.outer(bnd.x, bnd.x)
+    dy = np.subtract.outer(bnd.y, bnd.y)
+    ux, uy = np.take(dx, tri.flat), np.take(dy, tri.flat)
+    r2 = ux * ux
+    r2 += uy * uy
+    gap = float(np.sqrt(np.min(r2[tri.far], initial=np.inf)))
+    r2[tri.place.diagonal()] = 1.0
+    return SelfGeometry(bnd, np.sqrt(r2), _dipole(dx, dy, bnd), gap)
+
+
+# largest rank 2M + 1 of the separable path, as a share of min(N, N0).
+# Measured crossover against the dense path (both cross calls plus the
+# geometry, 2-core host): between 0.42 and 0.73 at N = 64, 0.63-0.84 at
+# N = 128, about 0.8 at N = 256 and above 0.63 at N = 512.
+SEPARABLE_RANK_SHARE = 0.5
+EPS = np.finfo(float).eps
 
 
 class Polar(NamedTuple):
@@ -103,48 +153,18 @@ class Expansion(NamedTuple):
 
 
 class PairGeometry(NamedTuple):
-    """Distances r and dipole factors h of sources `src` on targets `tgt`.
-
-    r[i, j] runs from source node j to target node i, h = (x_t - x_s).n_s
-    m_s/(2 pi r), and `safe` is r with zero self distances set to 1.  A self
-    r equals r.T bitwise (subtraction and hypot are symmetric); on a cross
-    pair `h_rev` holds the factors of tgt on src, whose distances are r.T.
-    A separable cross pair carries its `expansion` instead of r, safe, h and
-    h_rev, which are then None.
+    """Sources `src` on targets `tgt` of two disjoint boundaries, serving
+    both directions: the distances r[i, j] from source node j to target
+    node i, the double-layer numerators `dipole` and `dipole_rev` (tgt on
+    src, distances r.T), or instead, on a separable pair, its `expansion`.
     """
 
     src: PlanarCurveSamples
     tgt: PlanarCurveSamples
     r: np.ndarray | None
-    safe: np.ndarray | None
-    h: np.ndarray | None
-    h_rev: np.ndarray | None = None
+    dipole: np.ndarray | None
+    dipole_rev: np.ndarray | None = None
     expansion: Expansion | None = None
-
-
-def _differences(src, tgt):
-    return tgt.x[:, None] - src.x[None, :], tgt.y[:, None] - src.y[None, :]
-
-
-def _dipole(dx, dy, src, safe):
-    return (dx * src.normal_x[None, :] + dy * src.normal_y[None, :]) \
-        * src.s_alpha[None, :] / (TWO_PI * safe)
-
-
-def self_geometry(bnd):
-    """Geometry of one boundary acting on itself (zero diagonal distance)."""
-    dx, dy = _differences(bnd, bnd)
-    r = np.hypot(dx, dy)
-    safe = np.where(r == 0.0, 1.0, r)
-    return PairGeometry(bnd, bnd, r, safe, _dipole(dx, dy, bnd, safe))
-
-
-# largest rank 2M + 1 of the separable path, as a share of min(N, N0).
-# Measured crossover against the dense path (both cross calls plus the
-# geometry, 2-core host): between 0.42 and 0.73 at N = 64, 0.63-0.84 at
-# N = 128, about 0.8 at N = 256 and above 0.63 at N = 512.
-SEPARABLE_RANK_SHARE = 0.5
-EPS = np.finfo(float).eps
 
 
 def _polar(bnd, radius, order):
@@ -171,13 +191,13 @@ def _expansion(src, tgt):
 
 
 def dense_cross_geometry(src, tgt):
-    """Distances and dipole factors of two disjoint boundaries."""
-    dx, dy = _differences(src, tgt)
-    r = np.hypot(dx, dy)
+    """Distances and double-layer numerators of two disjoint boundaries."""
+    dx, dy = np.subtract.outer(tgt.x, src.x), np.subtract.outer(tgt.y, src.y)
+    r = np.sqrt(dx * dx + dy * dy)
     if np.min(r) == 0.0:
         raise ValueError("cross-boundary blocks require disjoint boundaries")
-    h_rev = _dipole(*_differences(tgt, src), tgt, np.ascontiguousarray(r.T))
-    return PairGeometry(src, tgt, r, r, _dipole(dx, dy, src, r), h_rev)
+    rev = _dipole(-dx.T, -dy.T, tgt)
+    return PairGeometry(src, tgt, r, _dipole(dx, dy, src), rev)
 
 
 def cross_geometry(src, tgt):
@@ -186,7 +206,51 @@ def cross_geometry(src, tgt):
     expansion = _expansion(src, tgt)
     if expansion is None:
         return dense_cross_geometry(src, tgt)
-    return PairGeometry(src, tgt, None, None, None, None, expansion)
+    return PairGeometry(src, tgt, None, None, None, expansion)
+
+
+class DenseBlocks(NamedTuple):
+    """Single and double layer of src on tgt, then of tgt on src."""
+
+    single: np.ndarray
+    double: np.ndarray
+    single_rev: np.ndarray
+    double_rev: np.ndarray
+
+    def into(self, out, reverse, single, double):
+        """Write single S + double D of one direction into `out`."""
+        s, d = self[2:] if reverse else self[:2]
+        np.multiply(single, s, out=out)
+        out += double * d
+
+    def dot(self, v, reverse, single, double):
+        """(single S + double D) v for one direction."""
+        s, d = self[2:] if reverse else self[:2]
+        return single * (s @ v) + double * (d @ v)
+
+
+class SeparableBlocks(NamedTuple):
+    """Real factors of G = sum_m Re(T_m(x) conj(U_m(y))), a row per term: a
+    block of src on tgt is tgt.T @ `single` or `double` (the source values
+    or normal derivatives times the quadrature weights), of tgt on src
+    src.T @ `single_rev` or `double_rev`."""
+
+    tgt: np.ndarray
+    single: np.ndarray
+    double: np.ndarray
+    src: np.ndarray
+    single_rev: np.ndarray
+    double_rev: np.ndarray
+
+    def into(self, out, reverse, single, double):
+        """Write single S + double D of one direction into `out`: a GEMM."""
+        left, s, d = self[3:] if reverse else self[:3]
+        np.matmul(left.T, single * s + double * d, out=out)
+
+    def dot(self, v, reverse, single, double):
+        """(single S + double D) v for one direction, through the factors."""
+        left, s, d = self[3:] if reverse else self[:3]
+        return left.T @ ((single * s + double * d) @ v)
 
 
 def _real(c):
@@ -203,16 +267,23 @@ def _side(pol, value, radial, angular):
 
 
 def _separable_blocks(geom, tgt_side, src_side):
-    """Blocks of the kernel G = sum_m Re(T_m(x) conj(U_m(y))) from the
-    (value, normal derivative) factors of both sides: single w G and
-    double w dG/dn_source, src on tgt and then tgt on src, with w the source
-    metric times 2pi/n over 2pi.  One GEMM per direction."""
+    """Blocks from the (value, normal derivative) factors of both sides,
+    with the source metric times 2pi/n over 2pi as the quadrature weight."""
     src, tgt = geom.src, geom.tgt
     (t, dt), (u, du) = tgt_side, src_side
     w_src, w_tgt = src.s_alpha / src.n, tgt.s_alpha / tgt.n
-    fwd = t.T @ np.concatenate([u * w_src, du * w_src], axis=1)
-    rev = u.T @ np.concatenate([t * w_tgt, dt * w_tgt], axis=1)
-    return fwd[:, :src.n], fwd[:, src.n:], rev[:, :tgt.n], rev[:, tgt.n:]
+    return SeparableBlocks(t, u * w_src, du * w_src, u, t * w_tgt, dt * w_tgt)
+
+
+def _dense_blocks(geom, value, radial):
+    """Blocks of a kernel with values `value` and double-layer kernel
+    `radial` times the numerators, both on the distances r."""
+    src, tgt = geom.src, geom.tgt
+    return DenseBlocks(value * (src.s_alpha / src.n),
+                       (TWO_PI / src.n) * geom.dipole * radial,
+                       np.ascontiguousarray(value.T * (tgt.s_alpha / tgt.n)),
+                       np.ascontiguousarray((TWO_PI / tgt.n) * geom.dipole_rev
+                                            * radial.T))
 
 
 def _helmholtz_sides(exp):
@@ -298,31 +369,33 @@ def _laplace_sides(exp):
 def helmholtz_self_blocks(geom):
     """(single, double) modified-Helmholtz self blocks.
 
-    With m the source metric, h_ker the dipole factors and W the Kress-
-    trapezoid weight: S = (m/2pi) [h K0 + I0 W] and D = h_ker [h K1 - I1 W],
-    each bracket formed on the upper triangle of the symmetric distances,
-    with K1 = (1/r - I1 K0)/I0 from the Wronskian (DLMF 10.28.2).
+    With m the source metric, P the double-layer numerators and W the
+    Kress-trapezoid weight: S = (m/2pi) [h K0 + I0 W] and
+    D = P [(h K1 - I1 W)/r], each bracket formed on the pairs i <= j, with
+    K1 = (1/r - I1 K0)/I0 from the Wronskian (DLMF 10.28.2).
     The diagonals are q_0 G1 + h G2 of the log split kernel*metric =
     G1 ln(2|sin|) + G2: for the single layer G1 = -m/2pi, and G2 follows from
     r -> m |a - a'| and K0(z) = -(ln(z/2) + C) I0(z) + ...; the double layer
-    has G1 = 0 and G2 the limit of h_ker K1(r),
+    has G1 = 0 and G2 the limit of P K1(r)/r,
     -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
     """
-    bnd = geom.src
-    upper, place = _upper_map(bnd.n)
-    safe = geom.safe.ravel()[upper]
+    bnd, r = geom.bnd, geom.r
+    place = _triangle(bnd.n).place
     w = _kress_trapezoid_weight(bnd.n)
     h = TWO_PI / bnd.n
     scale = bnd.s_alpha / TWO_PI
-    i0r, i1r, k0r = i0(safe), i1(safe), k0(safe)
+    i0r, i1r, k0r = i0(r), i1(r), k0(r)
     # I1 K0 < 1/r = I0 K1 + I1 K0: the subtraction loses at most one bit
-    k1r = 1.0 / safe
-    k1r -= i1r * k0r
+    inv_r = 1.0 / r
+    k1r = inv_r - i1r * k0r
     k1r /= i0r
     single = (h * k0r + i0r * w)[place]
     single *= scale
-    double = (h * k1r - i1r * w)[place]
-    double *= geom.h
+    k1r *= h
+    k1r -= i1r * w
+    k1r *= inv_r
+    double = k1r[place]
+    double *= geom.dipole
     # w[0] = -q_0, as L vanishes on the diagonal
     diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
     np.fill_diagonal(single, diag * scale)
@@ -332,44 +405,36 @@ def helmholtz_self_blocks(geom):
 
 
 def helmholtz_cross_blocks(geom):
-    """(single, double) of src on tgt, then (single, double) of tgt on src."""
+    """`SeparableBlocks` or `DenseBlocks` of the pair, both directions."""
     if geom.expansion is not None:
         return _separable_blocks(geom, *_helmholtz_sides(geom.expansion))
-    src, tgt, r = geom.src, geom.tgt, geom.r
-    k0r, k1r = k0(r), k1(r)
-    h_src, h_tgt = TWO_PI / src.n, TWO_PI / tgt.n
-    return (h_src * k0r * src.s_alpha[None, :] / TWO_PI,
-            h_src * geom.h * k1r,
-            np.ascontiguousarray(h_tgt * k0r.T * tgt.s_alpha[None, :] / TWO_PI),
-            np.ascontiguousarray(h_tgt * geom.h_rev * k1r.T))
+    k1r = k1(geom.r)
+    k1r /= geom.r
+    return _dense_blocks(geom, k0(geom.r), k1r)
 
 
 def laplace_self_blocks(geom):
     """(single, double) Laplace self blocks.  The single layer is
-    (m/2pi) [W - h ln r], formed on the upper triangle, with diagonal
-    q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's kernel has only a
-    removable singularity: alternating-point rule with doubled weights."""
-    bnd = geom.src
+    (m/2pi) [W - h ln r], formed on the pairs i <= j, with diagonal
+    q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's kernel P/r^2
+    has only a removable singularity: alternating-point rule with doubled
+    weights, P [2h/r^2 on odd offsets]."""
+    bnd, r = geom.bnd, geom.r
     n = bnd.n
-    upper, place = _upper_map(n)
+    tri = _triangle(n)
     w = _kress_trapezoid_weight(n)
     h = TWO_PI / n
     scale = bnd.s_alpha / TWO_PI
-    single = (w - h * np.log(geom.safe.ravel()[upper]))[place]
+    single = (w - h * np.log(r))[tri.place]
     single *= scale
     np.fill_diagonal(single, (w[0] - h * np.log(bnd.s_alpha)) * scale)
-    double = np.where(_alternating_mask(n), 2.0 * h * geom.h / geom.safe, 0.0)
+    double = np.where(tri.odd, (2.0 * h) / (r * r), 0.0)[tri.place]
+    double *= geom.dipole
     return single, double
 
 
 def laplace_cross_blocks(geom):
-    """(single, double) of src on tgt, then (single, double) of tgt on src."""
+    """`SeparableBlocks` or `DenseBlocks` of the pair, both directions."""
     if geom.expansion is not None:
         return _separable_blocks(geom, *_laplace_sides(geom.expansion))
-    src, tgt, r = geom.src, geom.tgt, geom.r
-    log_r = np.log(r)
-    h_src, h_tgt = TWO_PI / src.n, TWO_PI / tgt.n
-    return (-h_src * log_r * src.s_alpha[None, :] / TWO_PI,
-            h_src * geom.h / r,
-            np.ascontiguousarray(-h_tgt * log_r.T * tgt.s_alpha[None, :] / TWO_PI),
-            np.ascontiguousarray(h_tgt * geom.h_rev / r.T))
+    return _dense_blocks(geom, -np.log(geom.r), 1.0 / (geom.r * geom.r))

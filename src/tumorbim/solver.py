@@ -22,7 +22,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from . import kernels as ker
-from .geometry import TWO_PI, min_gap_between
+# min_gap_between stays importable for perfbench/tracing.py, which wraps it
+from .geometry import TWO_PI, min_gap_between  # noqa: F401
 
 D_DIM = 2  # all operations are two-dimensional
 GMRES_TOL = 1e-10      # relative residual every solve must reach
@@ -80,7 +81,6 @@ class BoundaryFields:
     dpbar_dn: np.ndarray        # modified pressure flux on Gamma
     gmres_iters_nutrient: int
     gmres_iters_pressure: int
-    near_contact: bool = False  # boundaries within five grid spacings
 
 
 def _solve_gmres(matrix, rhs, system):
@@ -101,16 +101,10 @@ def _solve_gmres(matrix, rhs, system):
     return x, count[0]
 
 
-def proximity_warning(gamma0, gamma):
-    """Whether the boundaries are closer than five grid spacings of Gamma,
+def proximity_warning(gap, gamma):
+    """Whether a Gamma0-Gamma `gap` is below five grid spacings of Gamma,
     where the systems' conditioning degrades."""
-    spacing = TWO_PI * float(np.mean(gamma.s_alpha)) / gamma.n
-    return min_gap_between(gamma0, gamma) < 5.0 * spacing
-
-
-def pair_geometries(gamma0, gamma):
-    """The (Gamma-Gamma, Gamma0-Gamma) geometries both fields share in a step."""
-    return ker.self_geometry(gamma), ker.cross_geometry(gamma0, gamma)
+    return gap < 5.0 * TWO_PI * float(np.mean(gamma.s_alpha)) / gamma.n
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +115,31 @@ def nutrient_system(params, inner, pairs, out):
     overwritten; returns the right-hand side.
 
     Block order is (Gamma0 unknowns, Gamma unknowns); `inner` holds the static
-    Gamma0 self blocks (S00, D00) and `pairs` the step's `pair_geometries`.
+    Gamma0 self blocks (S00, D00) and `pairs` the step's (Gamma-Gamma
+    `SelfGeometry`, Gamma0-Gamma `PairGeometry`).
     """
-    beta = params.beta
+    beta, sigma_n = params.beta, params.sigma_n
     own, cross = pairs
-    n0, n = cross.src.n, cross.tgt.n
+    n0 = cross.src.n
     s00, d00 = inner
     s_gg, d_gg = ker.helmholtz_self_blocks(own)
-    s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.helmholtz_cross_blocks(cross)
+    blocks = ker.helmholtz_cross_blocks(cross)
 
     out[:n0, :n0] = s00
-    np.multiply(beta, s_g_to_0, out=out[:n0, n0:])
-    out[:n0, n0:] += d_g_to_0
-    out[n0:, :n0] = s_0_to_g
-    np.multiply(beta, s_gg, out=out[n0:, n0:])
-    out[n0:, n0:] += d_gg
-    out[n0 + np.arange(n), n0 + np.arange(n)] += 0.5
+    blocks.into(out[:n0, n0:], reverse=True, single=beta, double=1.0)
+    blocks.into(out[n0:, :n0], reverse=False, single=1.0, double=0.0)
+    gg = out[n0:, n0:]
+    np.multiply(beta, s_gg, out=gg)
+    gg += d_gg
+    gg[np.diag_indices(own.bnd.n)] += 0.5
 
     ones0 = np.ones(n0)
-    ones_g = np.ones(n)
-    rhs = np.empty(n0 + n)
-    rhs[:n0] = params.sigma_n * (d00 @ ones0 - 0.5) + beta * (s_g_to_0 @ ones_g)
-    rhs[n0:] = params.sigma_n * (d_0_to_g @ ones0) + beta * (s_gg @ ones_g)
+    ones_g = np.ones(own.bnd.n)
+    rhs = np.empty(out.shape[0])
+    rhs[:n0] = sigma_n * (d00 @ ones0 - 0.5) \
+        + blocks.dot(ones_g, reverse=True, single=beta, double=0.0)
+    rhs[n0:] = blocks.dot(ones0, reverse=False, single=0.0, double=sigma_n) \
+        + beta * (s_gg @ ones_g)
     return rhs
 
 
@@ -177,20 +174,22 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     """Block matrix (into `out`) and right-hand side of the pressure solve
     (Laplace `inner` blocks, otherwise as for `nutrient_system`)."""
     own, cross = pairs
-    n0, n = cross.src.n, cross.tgt.n
+    n0 = cross.src.n
     s00, d00 = inner
     s_gg, d_gg = ker.laplace_self_blocks(own)
-    s_0_to_g, d_0_to_g, s_g_to_0, d_g_to_0 = ker.laplace_cross_blocks(cross)
+    blocks = ker.laplace_cross_blocks(cross)
 
     out[:n0, :n0] = d00
-    out[np.arange(n0), np.arange(n0)] -= 0.5
-    out[:n0, n0:] = s_g_to_0
-    out[n0:, :n0] = d_0_to_g
+    out[np.diag_indices(n0)] -= 0.5
+    blocks.into(out[:n0, n0:], reverse=True, single=1.0, double=0.0)
+    blocks.into(out[n0:, :n0], reverse=False, single=0.0, double=1.0)
     out[n0:, n0:] = s_gg
 
-    rhs = np.empty(n0 + n)
-    rhs[:n0] = s00 @ g_neumann + d_g_to_0 @ g_dirichlet
-    rhs[n0:] = s_0_to_g @ g_neumann + d_gg @ g_dirichlet + 0.5 * g_dirichlet
+    rhs = np.empty(out.shape[0])
+    rhs[:n0] = s00 @ g_neumann \
+        + blocks.dot(g_dirichlet, reverse=True, single=0.0, double=1.0)
+    rhs[n0:] = blocks.dot(g_neumann, reverse=False, single=1.0, double=0.0) \
+        + d_gg @ g_dirichlet + 0.5 * g_dirichlet
     return rhs
 
 
@@ -231,8 +230,9 @@ def sigma_bounds_violation(fields, params):
 
 
 class FieldSolver:
-    """Per-run solver caching the static inner-boundary self blocks and one
-    system buffer, which each solve's two systems fill in turn."""
+    """Per-run solver caching the static inner-boundary self blocks, one
+    system buffer, which each solve's two systems fill in turn, and the
+    latest interface's self geometry."""
 
     def __init__(self, gamma0, params):
         self.gamma0 = gamma0
@@ -241,13 +241,21 @@ class FieldSolver:
         self._helm_blocks = ker.helmholtz_self_blocks(inner)
         self._lap_blocks = ker.laplace_self_blocks(inner)
         self._system = np.empty((0, 0))
+        self._own = None
+
+    def interface_geometry(self, gamma):
+        """Gamma's `SelfGeometry`, built once per samples object: a caller
+        that reads its gap before `solve(gamma)` shares it with the solve."""
+        if self._own is None or self._own.bnd is not gamma:
+            self._own = ker.self_geometry(gamma)
+        return self._own
 
     def solve(self, gamma):
         size = self.gamma0.n + gamma.n
         if self._system.shape != (size, size):
             self._system = np.empty((size, size))
-        near = proximity_warning(self.gamma0, gamma)
-        pairs = pair_geometries(self.gamma0, gamma)
+        pairs = (self.interface_geometry(gamma),
+                 ker.cross_geometry(self.gamma0, gamma))
         dsig, sig, it_n = solve_nutrient(self.params, self._helm_blocks, pairs,
                                          self._system)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
@@ -257,4 +265,4 @@ class FieldSolver:
         return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
                               pbar_gamma0=pbar0, dpbar_dn=dpdn,
                               gmres_iters_nutrient=it_n,
-                              gmres_iters_pressure=it_p, near_contact=near)
+                              gmres_iters_pressure=it_p)

@@ -9,6 +9,7 @@ import pytest
 from tumorbim import config as cfgmod
 from tumorbim import driver as drv
 from tumorbim import geometry as geo
+from tumorbim import solver as sol
 from tumorbim import stepping as stp
 from tumorbim.cli import main
 
@@ -122,6 +123,41 @@ class TestRun:
         snaps = sorted((tmp_path / "snapshots").iterdir())
         x, y, t, s = geo.read_snapshot(snaps[-1])
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+
+    def test_one_gap_pass_per_step(self, tmp_path, monkeypatch):
+        # the driver measures the Gamma0-Gamma gap once per loop iteration and
+        # the solve measures none; each recorded min_gap is the smaller of the
+        # two gaps recomputed from the step's snapshot
+        gap_between, solve = geo.min_gap_between, sol.FieldSolver.solve
+        calls, solving = [], [False]
+
+        def counting_gap(a, b):
+            calls.append(solving[0])
+            return gap_between(a, b)
+
+        def flagged_solve(self, gamma):
+            solving[0] = True
+            try:
+                return solve(self, gamma)
+            finally:
+                solving[0] = False
+
+        for module in (drv, sol, geo):
+            monkeypatch.setattr(module, "min_gap_between", counting_gap)
+        monkeypatch.setattr(sol.FieldSolver, "solve", flagged_solve)
+        res = drv.run(tiny_config(snapshot_interval=1e-3), out_dir=tmp_path)
+        assert res.status is drv.RunStatus.COMPLETE
+        assert calls == [False] * (res.steps_done + 1)
+
+        x0, y0, _, _ = geo.read_snapshot(tmp_path / "gamma0.txt")
+        gamma0 = geo.PlanarCurveSamples.from_xy(x0, y0)
+        snaps = sorted((tmp_path / "snapshots").iterdir())
+        assert len(snaps) == len(res.record.rows)
+        for snap, recorded in zip(snaps, res.record.column("min_gap")):
+            x, y, _, _ = geo.read_snapshot(snap)
+            gamma = geo.PlanarCurveSamples.from_xy(x, y)
+            assert recorded == min(gap_between(gamma0, gamma),
+                                   geo.min_self_gap(gamma))
 
     def test_metric_collapse_maps_to_solver_failure(self, tmp_path,
                                                     monkeypatch):

@@ -52,10 +52,22 @@ def kress_reference(g1, g2):
     return kress_matrix(n) * g1 + (TWO_PI / n) * g2
 
 
-def helmholtz_split(geom):
+def full_geometry(bnd):
+    """(r, h_ker) on every node pair: the distances by hypot and the
+    double-layer factors (x_t - x_s).n_s m_s/(2pi r), zero on the diagonal."""
+    dx = bnd.x[:, None] - bnd.x[None, :]
+    dy = bnd.y[:, None] - bnd.y[None, :]
+    r = np.hypot(dx, dy)
+    safe = np.where(r == 0.0, 1.0, r)
+    h_ker = (dx * bnd.normal_x[None, :] + dy * bnd.normal_y[None, :]) \
+        * bnd.s_alpha[None, :] / (TWO_PI * safe)
+    return r, h_ker
+
+
+def helmholtz_split(bnd):
     """((G1, G2) single, (G1, G2) double) of the modified-Helmholtz layers,
     with scipy on every entry of r and the analytic diagonal limits."""
-    bnd, r = geom.src, geom.r
+    r, h_ker = full_geometry(bnd)
     ls = log_sin_matrix(bnd.n)
     m = bnd.s_alpha
     safe = np.where(r == 0.0, 1.0, r)
@@ -63,20 +75,21 @@ def helmholtz_split(geom):
     g1 = -i0r * m[None, :] / TWO_PI
     g2 = (k0r + i0r * ls) * m[None, :] / TWO_PI
     np.fill_diagonal(g2, -(np.euler_gamma + np.log(m / 2.0)) * m / TWO_PI)
-    g1d = geom.h * i1r
+    g1d = h_ker * i1r
     np.fill_diagonal(g1d, 0.0)
-    g2d = geom.h * (k1r - i1r * ls)
+    g2d = h_ker * (k1r - i1r * ls)
     np.fill_diagonal(g2d, -(bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
                      / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
     return (g1, g2), (g1d, g2d)
 
 
-def laplace_single_split(geom):
+def laplace_single_split(bnd):
     """(G1, G2) of the Laplace single layer."""
-    m = geom.src.s_alpha
+    m = bnd.s_alpha
     g1 = -m[None, :] / TWO_PI
-    safe = np.where(geom.r == 0.0, 1.0, geom.r)
-    g2 = -np.log(safe) * m[None, :] / TWO_PI - g1 * log_sin_matrix(geom.src.n)
+    r, _ = full_geometry(bnd)
+    safe = np.where(r == 0.0, 1.0, r)
+    g2 = -np.log(safe) * m[None, :] / TWO_PI - g1 * log_sin_matrix(bnd.n)
     np.fill_diagonal(g2, -np.log(m) * m / TWO_PI)
     return g1, g2
 
@@ -119,15 +132,16 @@ class TestLogSplit:
         bnd = wavy(64)
         ls = log_sin_matrix(64)
         geom = ker.self_geometry(bnd)
-        safe = np.where(geom.r == 0.0, 1.0, geom.r)
+        r, h_ker = full_geometry(bnd)
+        safe = np.where(r == 0.0, 1.0, r)
         off = ~np.eye(64, dtype=bool)
-        helm_single, helm_double = helmholtz_split(geom)
+        helm_single, helm_double = helmholtz_split(bnd)
         cases = [
-            (ker.laplace_self_blocks(geom)[0], laplace_single_split(geom),
+            (ker.laplace_self_blocks(geom)[0], laplace_single_split(bnd),
              -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
             (ker.helmholtz_self_blocks(geom)[0], helm_single,
              k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (ker.helmholtz_self_blocks(geom)[1], helm_double, geom.h * k1(safe)),
+            (ker.helmholtz_self_blocks(geom)[1], helm_double, h_ker * k1(safe)),
         ]
         for block, (g1, g2), direct in cases:
             # the reference split recombines to the kernel off the diagonal,
@@ -154,9 +168,9 @@ class TestLogSplit:
         # G2(a, a) is the r -> 0 limit of (K0 + I0 ln 2|sin|) m/2pi:
         # -(C + ln(s_alpha/2)) m / 2pi from the K0 expansion
         bnd = wavy(128)
-        geom = ker.self_geometry(bnd)
-        s_mat, _ = ker.helmholtz_self_blocks(geom)
-        g2 = smooth_part(s_mat, -i0(geom.r) * bnd.s_alpha[None, :] / TWO_PI)
+        s_mat, _ = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+        g2 = smooth_part(s_mat, -i0(full_geometry(bnd)[0]) * bnd.s_alpha[None, :]
+                         / TWO_PI)
         expected = -(np.euler_gamma + np.log(bnd.s_alpha / 2)) * bnd.s_alpha / TWO_PI
         assert np.max(np.abs(np.diag(g2) - expected)) < 1e-13
         # numeric limit along the off-diagonal confirms the closed form
@@ -166,16 +180,16 @@ class TestLogSplit:
         # limit of h K1(r): -(1/4pi)(x_a y_aa - x_aa y_a)/s_alpha^2, which is
         # -1/(4pi) on the unit circle (counterclockwise, outward normal)
         bnd = circle(64)
-        geom = ker.self_geometry(bnd)
-        _, d_mat = ker.helmholtz_self_blocks(geom)
-        g1 = geom.h * i1(geom.r)
+        _, d_mat = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+        r, h_ker = full_geometry(bnd)
+        g1 = h_ker * i1(r)
         g2 = smooth_part(d_mat, g1)
         assert np.diag(g2) == pytest.approx(np.full(64, -1.0 / (2 * TWO_PI)), abs=1e-14)
         # confirm against the numeric limit of the full kernel along row 0
         ls = log_sin_matrix(64)
         vals = []
         for j in (1, 2):
-            full = geom.h[0, j] * k1(geom.r[0, j])
+            full = h_ker[0, j] * k1(r[0, j])
             vals.append(full - g1[0, j] * ls[0, j])
             assert g2[0, j] == pytest.approx(vals[-1], abs=1e-13)
         # second-order Richardson in the node offset
@@ -193,8 +207,8 @@ class TestGaussAndJumpIdentities:
         outer = wavy(128)
         inner = circle(128, radius=0.4)
         # one cross geometry serves both directions
-        _, d_in_to_out, _, d_out_to_in = ker.laplace_cross_blocks(
-            ker.cross_geometry(inner, outer))
+        _, d_in_to_out, _, d_out_to_in = cross_matrices(
+            ker.laplace_cross_blocks(ker.cross_geometry(inner, outer)), 128, 128)
         inside = d_out_to_in @ np.ones(128)
         outside = d_in_to_out @ np.ones(128)
         assert np.max(np.abs(inside + 1.0)) < 1e-12
@@ -316,19 +330,44 @@ class TestSelfMatrices:
         assert np.max(np.abs(extrap - coarse[:2])) < 1e-6
 
 
+def full_distances(bnd):
+    """sqrt(dx dx + dy dy) on every node pair, bitwise symmetric, with the
+    numerators (x_t - x_s).n_s m_s/2pi, in the builder's operation order."""
+    dx = bnd.x[:, None] - bnd.x[None, :]
+    dy = bnd.y[:, None] - bnd.y[None, :]
+    metric = bnd.s_alpha / TWO_PI
+    dipole = dx * (bnd.normal_x * metric) + dy * (bnd.normal_y * metric)
+    return np.sqrt(dx * dx + dy * dy), dipole
+
+
 def test_self_distances_symmetric_bitwise():
-    geom = ker.self_geometry(wavy(64, eps=0.3, k=3))
-    assert np.array_equal(geom.r, geom.r.T)
-    assert np.array_equal(geom.safe, geom.safe.T)
+    # the pairs i <= j, expanded, are the bitwise-symmetric full matrix
+    bnd = wavy(64, eps=0.3, k=3)
+    geom = ker.self_geometry(bnd)
+    r, dipole = full_distances(bnd)
+    assert np.array_equal(r, r.T)
+    expanded = geom.r[ker._triangle(64).place]
+    np.fill_diagonal(expanded, 0.0)
+    assert np.array_equal(expanded, r)
+    assert np.array_equal(geom.dipole, dipole)
 
 
-def full_matrix_self_blocks(geom):
+@pytest.mark.parametrize("bnd", [wavy(64, eps=0.3, k=3), wavy(8), circle(4),
+                                 geo.initial_interface(5.0, 0.3, 3, 512).samples()])
+def test_self_geometry_gap_is_min_self_gap(bnd):
+    # n <= 8 leaves no pair far enough apart: both read inf
+    assert ker.self_geometry(bnd).gap == geo.min_self_gap(bnd)
+
+
+def full_matrix_self_blocks(bnd):
     """The Helmholtz self blocks' brackets with the I0, I1 series, scipy's K0
-    and the Wronskian K1 = (1/r - I1 K0)/I0 evaluated on every entry of
-    `safe`, in the builders' operation order: W = h L - Q with L from the
-    node offsets, (h K0 + I0 W) m/2pi and (h K1 - I1 W) h_ker, and the
+    and the Wronskian K1 = (1/r - I1 K0)/I0 evaluated on every node pair,
+    with the self distances set to 1, in the builders' operation order:
+    W = h L - Q with L from the node offsets, (h K0 + I0 W) m/2pi and
+    ((h K1 - I1 W)/r) P with P the double-layer numerators, and the
     diagonals q_0 G1 + h G2."""
-    bnd, safe = geom.src, geom.safe
+    r, dipole = full_distances(bnd)
+    safe = np.where(r == 0.0, 1.0, r)
     n = bnd.n
     h = TWO_PI / n
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
@@ -338,9 +377,10 @@ def full_matrix_self_blocks(geom):
     w = h * ls - kress_matrix(n)
     scale = bnd.s_alpha / TWO_PI
     i0s, i1s, k0s = bessel.i0(safe), bessel.i1(safe), k0(safe)
-    k1s = (1.0 / safe - i1s * k0s) / i0s
+    inv = 1.0 / safe
+    k1s = (inv - i1s * k0s) / i0s
     single = (h * k0s + i0s * w) * scale
-    double = (h * k1s - i1s * w) * geom.h
+    double = ((h * k1s - i1s * w) * inv) * dipole
     diag = w[0, 0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
     np.fill_diagonal(single, diag * scale)
     np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
@@ -352,7 +392,7 @@ def full_matrix_self_blocks(geom):
 def test_upper_triangle_bessel_matches_full_matrix(bnd):
     geom = ker.self_geometry(bnd)
     for block, want in zip(ker.helmholtz_self_blocks(geom),
-                           full_matrix_self_blocks(geom)):
+                           full_matrix_self_blocks(bnd)):
         assert np.array_equal(block, want)
 
 
@@ -362,23 +402,35 @@ def preset_boundary(preset, n):
     return g0 if preset == "fig11" else g
 
 
-@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+# largest gaps (S_H, D_H, S_L) to the reference on a grown interface, R = 5:
+# twice those of the blocks before the single pair pass
+GROWN_BOUNDS = {64: (5.5e-13, 2.6e-12, 5.1e-15), 512: (6.2e-13, 1.8e-11, 2.4e-14)}
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11", "grown"])
 @pytest.mark.parametrize("n", [64, 512])
 def test_self_blocks_match_kress_reference(preset, n):
     # the one-pass blocks against Q G1 + h G2 of the test-side split, as a
     # relative error scaled by the reference's largest entry
-    geom = ker.self_geometry(preset_boundary(preset, n))
+    if preset == "grown":
+        bnd = geo.initial_interface(5.0, 0.3, 3, n).samples()
+        bounds = GROWN_BOUNDS[n]
+    else:
+        bnd = preset_boundary(preset, n)
+        bounds = (1e-13,) * 3
+    geom = ker.self_geometry(bnd)
     helm_single, helm_double = ker.helmholtz_self_blocks(geom)
     lap_single, lap_double = ker.laplace_self_blocks(geom)
-    split_single, split_double = helmholtz_split(geom)
-    for block, split in ((helm_single, split_single),
-                         (helm_double, split_double),
-                         (lap_single, laplace_single_split(geom))):
-        assert max_rel_gap(block, kress_reference(*split)) <= 1e-13
+    split_single, split_double = helmholtz_split(bnd)
+    for block, split, bound in ((helm_single, split_single, bounds[0]),
+                                (helm_double, split_double, bounds[1]),
+                                (lap_single, laplace_single_split(bnd), bounds[2])):
+        assert max_rel_gap(block, kress_reference(*split)) <= bound
     # the double layer keeps the alternating-point rule
+    r, h_ker = full_geometry(bnd)
     odd = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) % 2 == 1
-    assert np.array_equal(lap_double,
-                          np.where(odd, 2.0 * (TWO_PI / n) * geom.h / geom.safe, 0.0))
+    alternating = np.where(odd, 2.0 * (TWO_PI / n) * h_ker / np.where(odd, r, 1.0), 0.0)
+    assert max_rel_gap(lap_double, alternating) <= 1e-13
 
 
 def test_cross_matrix_rejects_touching():
@@ -419,10 +471,22 @@ def max_rel_gap(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
+def cross_matrices(blocks, n_src, n_tgt):
+    """[S, D] of src on tgt, then of tgt on src, each written by `into`."""
+    out = []
+    for reverse, shape in ((False, (n_tgt, n_src)), (True, (n_src, n_tgt))):
+        for single, double in ((1.0, 0.0), (0.0, 1.0)):
+            block = np.full(shape, np.nan)
+            blocks.into(block, reverse=reverse, single=single, double=double)
+            out.append(block)
+    return out
+
+
 def assert_blocks_match(separable, dense, tol=1e-13):
+    sizes = separable.src.n, separable.tgt.n
     for blocks in CROSS_BLOCKS:
-        for got, want in zip(blocks(separable), blocks(dense)):
-            assert got.shape == want.shape
+        for got, want in zip(cross_matrices(blocks(separable), *sizes),
+                             cross_matrices(blocks(dense), *sizes)):
             assert max_rel_gap(got, want) <= tol
 
 
@@ -487,7 +551,29 @@ def test_separable_blocks_serve_both_directions():
     swapped = ker.cross_geometry(outer, inner)
     assert swapped.expansion is None
     for blocks in CROSS_BLOCKS:
-        both, fwd = blocks(separable), blocks(swapped)
+        both = cross_matrices(blocks(separable), 64, 128)
+        fwd = cross_matrices(blocks(swapped), 128, 64)
         for got, want in zip(both[2:], fwd[:2]):
-            assert got.shape == (64, 128)
             assert max_rel_gap(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.2, 2.0], ids=["separable", "dense"])
+def test_cross_blocks_combine_and_apply(radius):
+    # `into` writes single S + double D of one direction and `dot` applies
+    # it to a vector, on both paths
+    outer, inner = wavy(128), circle(64, radius=radius)
+    geom = ker.cross_geometry(inner, outer)
+    assert (geom.expansion is None) == (radius == 2.0)
+    vectors = np.cos(inner.alpha), np.sin(2 * outer.alpha)
+    for blocks in CROSS_BLOCKS:
+        both = blocks(geom)
+        s, d, s_rev, d_rev = cross_matrices(both, 64, 128)
+        for reverse, want, v in ((False, 0.5 * s + 2.0 * d, vectors[0]),
+                                 (True, 0.5 * s_rev + 2.0 * d_rev, vectors[1])):
+            got = np.full(want.shape, np.nan)
+            both.into(got, reverse=reverse, single=0.5, double=2.0)
+            assert max_rel_gap(got, want) <= 1e-14
+            # relative to the sum of magnitudes, as the products cancel
+            applied = both.dot(v, reverse=reverse, single=0.5, double=2.0)
+            scale = np.max(np.abs(want) @ np.abs(v))
+            assert np.max(np.abs(applied - want @ v)) <= 1e-14 * scale

@@ -21,15 +21,20 @@ def system_buffer(g0, g):
     return np.empty((g0.n + g.n, g0.n + g.n))
 
 
+def pair_geometries(g0, g):
+    """The (Gamma-Gamma, Gamma0-Gamma) geometries of one solve."""
+    return ker.self_geometry(g), ker.cross_geometry(g0, g)
+
+
 def solve_nutrient(g0, g, params):
     inner = ker.helmholtz_self_blocks(ker.self_geometry(g0))
-    return sol.solve_nutrient(params, inner, sol.pair_geometries(g0, g),
+    return sol.solve_nutrient(params, inner, pair_geometries(g0, g),
                               system_buffer(g0, g))
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
     inner = ker.laplace_self_blocks(ker.self_geometry(g0))
-    return sol.solve_pressure(inner, sol.pair_geometries(g0, g), g_neumann,
+    return sol.solve_pressure(inner, pair_geometries(g0, g), g_neumann,
                               g_dirichlet, system_buffer(g0, g))
 
 
@@ -122,7 +127,8 @@ class TestNutrientSolve:
             # non-circular data via a perturbed outer boundary to avoid the
             # trivially small Krylov space of the concentric case
             g = geo.initial_interface(2.5, 0.05, 3, 256).samples()
-            assert sol.proximity_warning(g0, g) == (label == "narrow")
+            near = sol.proximity_warning(geo.min_gap_between(g0, g), g)
+            assert near == (label == "narrow")
             _, _, iters[label] = solve_nutrient(g0, g, params)
         assert iters["narrow"] > iters["wide"]
 
@@ -253,14 +259,38 @@ def test_field_solver_caches_match_fresh_solve():
     assert np.array_equal(fields.sigma_gamma, sig)
 
 
+def test_solve_reuses_interface_geometry(monkeypatch):
+    # a gap read through interface_geometry(g) and the solve of the same
+    # samples share one Gamma-Gamma geometry; new samples get their own
+    n0, n = 32, 64
+    g0 = geo.radial_boundary(0.5, 0.1, 3, n0)
+    g = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    params = sol.Params(**FIG7)
+    fresh = sol.FieldSolver(g0, params).solve(g)
+    solver = sol.FieldSolver(g0, params)
+    built = []
+    self_geometry = ker.self_geometry
+    monkeypatch.setattr(ker, "self_geometry",
+                        lambda bnd: built.append(bnd) or self_geometry(bnd))
+    own = solver.interface_geometry(g)
+    fields = solver.solve(g)
+    assert len(built) == 1 and built[0] is g
+    assert solver.interface_geometry(g) is own
+    assert np.array_equal(fields.sigma_gamma, fresh.sigma_gamma)
+    assert np.array_equal(fields.dpbar_dn, fresh.dpbar_dn)
+    again = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    solver.solve(again)
+    assert len(built) == 2 and built[1] is again
+
+
 def test_reused_buffer_keeps_no_stale_entries():
     # geometry A assembled first into a NaN-filled buffer, then geometry B:
     # both systems must equal B assembled into a fresh buffer, bit for bit
     n = 64
     g0 = geo.radial_boundary(0.5, 0.1, 3, n // 2)
-    pairs_a = sol.pair_geometries(g0, geo.initial_interface(2.5, 0.1, 2, n).samples())
+    pairs_a = pair_geometries(g0, geo.initial_interface(2.5, 0.1, 2, n).samples())
     g_b = geo.initial_interface(2.2, 0.2, 3, n).samples()
-    pairs_b = sol.pair_geometries(g0, g_b)
+    pairs_b = pair_geometries(g0, g_b)
     params = sol.Params(**FIG7)
     helm = ker.helmholtz_self_blocks(ker.self_geometry(g0))
     lap = ker.laplace_self_blocks(ker.self_geometry(g0))
@@ -318,7 +348,7 @@ def test_separable_solve_evaluates_k_on_target_radii(monkeypatch):
     n0 = n = 64
     g0 = geo.radial_boundary(0.1, 0.0, 0, n0)
     g = geo.initial_interface(2.5, 0.1, 2, n).samples()
-    assert sol.pair_geometries(g0, g)[1].expansion is not None
+    assert pair_geometries(g0, g)[1].expansion is not None
     solver = sol.FieldSolver(g0, sol.Params(**FIG7))
     counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
 
