@@ -142,32 +142,51 @@ def load_checkpoint(path):
             data = {k: blob[k] for k in blob.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+
+    def corrupted(what):
+        return ConfigError(f"checkpoint {path} is corrupted: {what}")
+
+    def scalar(key):
+        if data[key].size != 1:
+            raise corrupted(f"{key} holds {data[key].size} values, not 1")
+        return data[key].ravel()[0]
+
     for key in ("version", "theta", "s_alpha", "ref", "time", "step_index",
                 "config_json"):
         if key not in data:
-            raise ConfigError(f"checkpoint {path} is corrupted: missing {key}")
-    if int(data["version"][0]) != CHECKPOINT_VERSION:
-        raise ConfigError(f"checkpoint version {int(data['version'][0])} is "
-                          f"not supported (expected {CHECKPOINT_VERSION})")
+            raise corrupted(f"missing {key}")
+    version = int(scalar("version"))
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"checkpoint version {version} is not supported "
+                          f"(expected {CHECKPOINT_VERSION})")
     try:
         config = SimulationConfig(**json.loads(str(data["config_json"])))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint {path} is corrupted: bad config: "
-                          f"{exc}") from exc
+        raise corrupted(f"bad config: {exc}") from exc
     if data["theta"].size != config.n:
         raise ConfigError("checkpoint is corrupted: node count mismatch")
-    state = InterfaceState(theta=data["theta"],
-                           s_alpha=float(data["s_alpha"][0]),
+    if not np.all(np.isfinite(data["theta"])):
+        raise corrupted("theta has non-finite entries")
+    s_alpha = float(scalar("s_alpha"))
+    if not 0.0 < s_alpha < np.inf:
+        raise corrupted(f"s_alpha = {s_alpha} is not positive and finite")
+    if data["ref"].size != 2:
+        raise corrupted(f"ref holds {data['ref'].size} values, not 2")
+    state = InterfaceState(theta=data["theta"], s_alpha=s_alpha,
                            ref_point=tuple(data["ref"]),
-                           time=float(data["time"][0]))
+                           time=float(scalar("time")))
     history = None
-    if "hist_m" in data:
-        history = StepperHistory(m=float(data["hist_m"][0]),
+    hist_keys = ("hist_m", "hist_nhat", "hist_v0", "hist_normal0", "hist_s")
+    missing = [k for k in hist_keys if k not in data]
+    if len(missing) < len(hist_keys):
+        if missing:
+            raise corrupted(f"history without {', '.join(missing)}")
+        history = StepperHistory(m=float(scalar("hist_m")),
                                  n_hat=data["hist_nhat"],
-                                 v0=float(data["hist_v0"][0]),
+                                 v0=float(scalar("hist_v0")),
                                  normal0=data["hist_normal0"],
-                                 s_alpha=float(data["hist_s"][0]))
-    return config, state, history, int(data["step_index"][0])
+                                 s_alpha=float(scalar("hist_s")))
+    return config, state, history, int(scalar("step_index"))
 
 
 def _run_loop(config, state, history, start_index, out):

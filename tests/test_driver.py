@@ -249,6 +249,29 @@ class TestCheckpointResume:
                      "--out", str(tmp_path / "tr")]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("changes, message", [
+        (dict(version=np.array([], dtype=int)), "version holds 0 values"),
+        (dict(s_alpha=np.array([])), "s_alpha holds 0 values"),
+        (dict(s_alpha=np.array([0.0])), "s_alpha = 0.0 is not positive"),
+        (dict(s_alpha=np.array([-1.0])), "s_alpha = -1.0 is not positive"),
+        (dict(s_alpha=np.array([np.inf])), "s_alpha = inf is not positive"),
+        (dict(ref=np.zeros(3)), "ref holds 3 values, not 2"),
+        (dict(theta=np.full(32, np.nan)), "theta has non-finite entries"),
+        (dict(hist_nhat=None), "history without hist_nhat"),
+    ], ids=["empty-version", "empty-s_alpha", "zero-s_alpha", "negative-s_alpha",
+            "inf-s_alpha", "ref-3", "nan-theta", "history-part"])
+    def test_bad_checkpoint_array_exit_code(self, tmp_path, capsys, changes,
+                                            message):
+        drv.run(tiny_config(), out_dir=tmp_path / "run")
+        data = dict(np.load(tmp_path / "run" / "checkpoint.npz",
+                            allow_pickle=False))
+        data.update(changes)
+        path = str(tmp_path / "tampered.npz")
+        np.savez(path, **{k: v for k, v in data.items() if v is not None})
+        capsys.readouterr()
+        assert main(["run", "--resume", path]) == 4
+        assert message in capsys.readouterr().err
+
 
 class TestConvergenceStudy:
     def test_identical_members_zero_error(self):
