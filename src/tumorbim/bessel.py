@@ -37,9 +37,8 @@ def _i_series(n, x):
     I_n(max |x|) instead of underflowing like 1/(k! (k+n)!).  The sum ends
     with the first term that, at max z, is below eps/10 of the first and past
     the largest (k^2 > max z).  NaN and inf entries propagate; the finite ones
-    set the term count.  The result is accurate while I_n(max |x|) is finite
-    (max |x| below about 709); past that the sum stops where the bound
-    overflows.
+    set the term count.  A finite max |x| whose I_n overflows (above about
+    713.9) raises ValueError: no entry of the array could be trusted.
     """
     u = 0.5 * np.asarray(x, dtype=float)
     w = u * u
@@ -57,6 +56,14 @@ def _i_series(n, x):
         k += 1
         bound *= z_max / (k * (k + n))
         coef.append(coef[-1] * scale / (k * (k + n)))
+    # I_n at max z; an infinite bound means that it overflows too
+    peak = 0.0
+    for t in reversed(coef):
+        peak = peak * (z_max / scale) + t
+    if n:
+        peak *= math.sqrt(z_max)
+    if math.isinf(bound) or math.isinf(peak):
+        raise ValueError(f"I{n}({2.0 * math.sqrt(z_max):.6g}) overflows")
     out = coef[-1] * w
     for t in reversed(coef[1:-1]):
         out += t

@@ -154,3 +154,14 @@ def test_series_propagates_nan_and_inf():
     for series in (bessel.i0, bessel.i1):
         assert np.isnan(series(np.array([np.nan, np.nan]))).all()
         assert np.isnan(series(np.nan)) and np.isinf(series(np.inf))
+
+
+@pytest.mark.parametrize("series, reference", SERIES)
+def test_series_rejects_overflow(series, reference):
+    # I_n(720) overflows, and the term count it sets cannot be summed: the
+    # array is refused rather than returned with wrong finite entries
+    with pytest.raises(ValueError, match="overflows"):
+        series(np.array([1.0, 300.0, 500.0, 700.0, 720.0]))
+    # up to 700 the series still holds, to the rounding of z ~ (x/2) eps
+    x = np.array([1.0, 300.0, 500.0, 700.0])
+    assert np.max(np.abs(series(x) - reference(x)) / reference(x)) <= 1e-13
