@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import gmres as scipy_gmres
 from scipy.special import i0, i1, iv, k0, k1, kv
 
+from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 from tumorbim import solver as sol
 
 from oracles import annulus_nutrient_coeffs, interior_value_nutrient
 
+PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
 FIG7 = dict(p=5.0, a=0.25, chi=5.0, beta=0.5, sigma_n=0.2, ginv=1e-3)
 
 
@@ -27,15 +32,17 @@ def pair_geometries(g0, g):
 
 
 def solve_nutrient(g0, g, params):
+    """(d sigma/dn0, sigma, iterations) of one nutrient solve."""
     inner = ker.helmholtz_self_blocks(ker.self_geometry(g0))
     return sol.solve_nutrient(params, inner, pair_geometries(g0, g),
-                              system_buffer(g0, g))
+                              system_buffer(g0, g))[:3]
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
+    """(pbar on Gamma0, d pbar/dn, iterations) of one pressure solve."""
     inner = ker.laplace_self_blocks(ker.self_geometry(g0))
     return sol.solve_pressure(inner, pair_geometries(g0, g), g_neumann,
-                              g_dirichlet, system_buffer(g0, g))
+                              g_dirichlet, system_buffer(g0, g))[:3]
 
 
 class TestParams:
@@ -103,7 +110,7 @@ class TestNutrientSolve:
                 g0 = geo.radial_boundary(0.5, 0.1, 3, 128)
                 g = geo.initial_interface(2.5, 0.1, 2, 128).samples()
                 dsig, sig, _ = solve_nutrient(g0, g, params)
-                fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0)
+                fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0, 0.0, 0.0)
                 assert sol.sigma_bounds_violation(fields, params) < 1e-8
 
     def test_interior_green_representation(self):
@@ -111,7 +118,7 @@ class TestNutrientSolve:
         g0, g = circles(n)
         params = sol.Params(**FIG7)
         dsig, sig, _ = solve_nutrient(g0, g, params)
-        fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0)
+        fields = sol.BoundaryFields(dsig, sig, None, None, 0, 0, 0.0, 0.0)
         a1, a2 = annulus_nutrient_coeffs(0.1, 2.5, params.beta, params.sigma_n)
         probes = np.array([[1.0, 0.0], [0.0, -1.7]])
         vals = interior_value_nutrient(g0, g, params, fields, probes)
@@ -173,6 +180,100 @@ class TestPressureSolve:
         mat = np.zeros((4, 4))
         with pytest.raises(sol.SolverFailure):
             sol._solve_gmres(mat, np.ones(4), "test")
+
+
+def preset_systems(monkeypatch, preset, n=64):
+    """Copies of the (matrix, rhs) pairs that one solve of a preset's initial
+    interface, at N = N0 = n, hands to `sol.gmres`: nutrient, then pressure."""
+    cfg = cfgmod.load_config(PRESET_DIR / f"{preset}.cfg")
+    g0 = geo.radial_boundary(cfg.r0, cfg.eps0, cfg.k0, n)
+    g = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init, n).samples()
+    systems, gmres = [], sol.gmres
+
+    def capture(matrix, rhs):
+        systems.append((matrix.copy(), rhs.copy()))
+        return gmres(matrix, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sol, "gmres", capture)
+        sol.FieldSolver(g0, cfg.params()).solve(g)
+    return systems
+
+
+class TestGmres:
+    @pytest.mark.parametrize("preset", ["fig7", "fig11"])
+    def test_matches_scipy(self, monkeypatch, preset):
+        # scipy's gmres with the solver's settings is the oracle: same
+        # iteration counts, and the same solutions up to rounding
+        for matrix, rhs in preset_systems(monkeypatch, preset):
+            steps = []
+            want, _ = scipy_gmres(matrix, rhs, rtol=sol.GMRES_TOL, atol=0.0,
+                                  restart=sol.GMRES_MAXITER, maxiter=1,
+                                  callback=steps.append,
+                                  callback_type="pr_norm")
+            x, iterations = sol.gmres(matrix, rhs)
+            assert iterations == len(steps)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_identity_breaks_down_after_one_iteration(self, rng):
+        rhs = rng.standard_normal(50)
+        x, iterations = sol.gmres(np.eye(50), rhs)
+        assert iterations == 1
+        assert np.allclose(x, rhs, rtol=1e-15, atol=0.0)
+
+    def test_zero_rhs_takes_no_iterations(self):
+        x, iterations = sol.gmres(np.eye(4), np.zeros(4))
+        assert iterations == 0 and x.shape == (4,) and not np.any(x)
+
+    def test_reused_basis_keeps_no_stale_rows(self, monkeypatch, rng):
+        # NaN solves fill the shared bases; solves that alternate between two
+        # sizes then equal solves on fresh bases bit for bit
+        systems = {n: (np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n)),
+                       rng.standard_normal(n)) for n in (128, 256)}
+        fresh = {}
+        for n, system in systems.items():
+            monkeypatch.setattr(sol, "_bases", {})
+            fresh[n] = sol.gmres(*system)
+        monkeypatch.setattr(sol, "_bases", {})
+        for n in systems:
+            sol.gmres(np.full((n, n), np.nan), np.ones(n))
+        for n in (128, 256, 128, 256):
+            x, iterations = sol.gmres(*systems[n])
+            assert iterations == fresh[n][1]
+            assert np.array_equal(x, fresh[n][0])
+
+    @pytest.mark.parametrize("residual, fails",
+                             [(5e-10, False), (2e-9, True), (np.nan, True)])
+    def test_failure_at_ten_times_the_tolerance(self, monkeypatch, residual,
+                                                fails):
+        # the true relative residual fails a solve above 10 GMRES_TOL, and
+        # a NaN residual fails it too
+        rhs = np.ones(4)
+        x = rhs.copy()
+        x[0] += residual * np.linalg.norm(rhs)
+        monkeypatch.setattr(sol, "gmres", lambda matrix, b: (x, 7))
+        if fails:
+            with pytest.raises(sol.SolverFailure) as failure:
+                sol._solve_gmres(np.eye(4), rhs, "test")
+            assert failure.value.iterations == 7
+        else:
+            _, iterations, got = sol._solve_gmres(np.eye(4), rhs, "test")
+            assert iterations == 7 and got == pytest.approx(residual)
+
+    def test_fields_carry_the_true_residuals(self, monkeypatch):
+        solves, gmres = [], sol.gmres
+
+        def checked(matrix, rhs):
+            x, iterations = gmres(matrix, rhs)
+            solves.append(np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs))
+            return x, iterations
+
+        monkeypatch.setattr(sol, "gmres", checked)
+        g0 = geo.radial_boundary(0.5, 0.1, 3, 32)
+        g = geo.initial_interface(2.5, 0.1, 2, 64).samples()
+        fields = sol.FieldSolver(g0, sol.Params(**FIG7)).solve(g)
+        assert [fields.residual_nutrient, fields.residual_pressure] == solves
+        assert 0.0 < max(solves) <= 10 * sol.GMRES_TOL
 
 
 class TestRhsAndVelocity:
