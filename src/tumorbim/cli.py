@@ -7,6 +7,7 @@ a checkpoint).  Exit codes: 0 complete, 2 topology-proximity halt,
 """
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -17,6 +18,16 @@ from .linear import (LinearConfig, integrate_linear_odes, stability_curve,
                      write_stability_curve)
 
 EXIT_CONFIG_ERROR = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative number as a value: the
+    pattern argparse uses in Python 3.11 misses the exponent form, so
+    `--dt-ode -1e-3` would stop as an unknown option `-1e-3`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _add_override_flags(parser):
@@ -46,7 +57,7 @@ def _comma_list(kind):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tumorbim",
         description="Sharp-interface vascular tumor growth in an annulus "
                     "via boundary integral equations")

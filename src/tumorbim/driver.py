@@ -11,7 +11,6 @@ uninterrupted one.
 import enum
 import json
 import time as _time
-import warnings
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -208,6 +207,7 @@ def _run_loop(config, state, history, start_index, out):
     status = RunStatus.COMPLETE
     message = "reached t_final"
     peak = 0
+    worst = dict(nutrient=0.0, pressure=0.0)   # largest true residuals
     near_times = []     # times of the near-contact solves
     t_start = _time.perf_counter()
     if out is not None:
@@ -236,6 +236,8 @@ def _run_loop(config, state, history, start_index, out):
             break
         v = normal_velocity(fields, gamma, params)
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
+        worst["nutrient"] = max(worst["nutrient"], fields.residual_nutrient)
+        worst["pressure"] = max(worst["pressure"], fields.residual_pressure)
         if proximity_warning(gap0, gamma):
             near_times.append(state.time)
 
@@ -275,6 +277,8 @@ def _run_loop(config, state, history, start_index, out):
         summary = dict(status=int(status), status_name=status.name,
                        message=message, final_time=state.time,
                        steps_done=i, wall_time=wall, peak_gmres=peak,
+                       max_residual_nutrient=worst["nutrient"],
+                       max_residual_pressure=worst["pressure"],
                        proximity_steps=len(near_times),
                        first_proximity_time=near_times[0] if near_times else None,
                        version=__version__)
@@ -323,10 +327,15 @@ class ConvergenceStudy:
     times: np.ndarray
     errors: np.ndarray      # shape (len(labels) - 1, n_times)
     rates: np.ndarray       # shape (len(labels) - 2, n_times)
+    halted: list            # (label, message) of members that stopped early
 
     def write(self, path):
         with open(path, "w") as fh:
             fh.write("# labels: " + " ".join(str(v) for v in self.labels) + "\n")
+            if self.halted:
+                fh.write("# halted: " + "; ".join(f"{label}: {message}"
+                                                  for label, message in self.halted)
+                         + "\n")
             cols = ["time"] + [f"e{i + 1}" for i in range(self.errors.shape[0])] \
                 + [f"C{i + 1}" for i in range(self.rates.shape[0])]
             fh.write("\t".join(cols) + "\n")
@@ -346,7 +355,8 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
     Exactly one of `dts` or `ns` selects the refinement family.  All
     members share the record cadence, so rows align by index; errors are
     |area_n(t) - area_ref(t)| and the rates between consecutive members
-    are log2(e_n / e_{n+1}).
+    are log2(e_n / e_{n+1}).  Members that stop before t_final are listed in
+    the study's `halted`; the rows end with the shortest record.
     """
     if (dts is None) == (ns is None):
         raise ConfigError("specify exactly one of dts or ns")
@@ -378,14 +388,12 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
         results = [_run_for_study(w) for w in work]
 
     n_rows = min(len(r.record.rows) for r in results)
-    for r in results:
-        if r.status is not RunStatus.COMPLETE:
-            warnings.warn(f"study member halted early: {r.message}",
-                          RuntimeWarning, stacklevel=2)
+    halted = [(v, r.message) for v, r in zip(values, results)
+              if r.status is not RunStatus.COMPLETE]
     times = results[-1].record.column("time")[:n_rows]
     areas = [r.record.column("area")[:n_rows] for r in results]
     errors = np.array([np.abs(a - areas[-1]) for a in areas[:-1]])
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = np.log2(errors[:-1] / errors[1:])
     return ConvergenceStudy(labels=values, times=times, errors=errors,
-                            rates=rates), results
+                            rates=rates, halted=halted), results

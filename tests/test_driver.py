@@ -112,6 +112,22 @@ class TestRun:
         rec = drv.RunRecord.read(tmp_path / "record.tsv")
         assert rec.rows == res.record.rows  # 17-digit round trip is lossless
 
+    def test_summary_reports_largest_residuals(self, tmp_path, monkeypatch):
+        solves, solve = [], sol.FieldSolver.solve
+
+        def recorded(self, gamma):
+            fields = solve(self, gamma)
+            solves.append((fields.residual_nutrient, fields.residual_pressure))
+            return fields
+
+        monkeypatch.setattr(sol.FieldSolver, "solve", recorded)
+        drv.run(tiny_config(), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        worst = np.max(solves, axis=0)
+        assert [summary["max_residual_nutrient"],
+                summary["max_residual_pressure"]] == list(worst)
+        assert 0.0 < worst.min() and worst.max() <= 10 * sol.GMRES_TOL
+
     def test_proximity_halt(self, tmp_path):
         # strong apoptosis shrinks the interface onto the inner boundary
         cfg = tiny_config(a=2.0, r_init=1.2, eps_init=0.0, k_init=0,
@@ -294,6 +310,21 @@ class TestConvergenceStudy:
         assert text[0].startswith("# labels")
         assert len(text) == 2 + study.times.size
 
+    def test_halted_member_is_listed(self, tmp_path):
+        # strong apoptosis shrinks the interface onto the inner boundary; the
+        # coarse member's wider node spacing halts it first, at t = 0.12
+        cfg = tiny_config(a=2.0, r_init=1.2, eps_init=0.0, k_init=0, dt=1e-2,
+                          record_interval=1e-2, t_final=0.2, min_gap_factor=1.0)
+        study, results = drv.convergence_study(cfg, ns=[16, 32])
+        assert [r.status for r in results] == [drv.RunStatus.PROXIMITY_HALT,
+                                               drv.RunStatus.COMPLETE]
+        assert study.halted == [(16, results[0].message)]
+        assert study.times.size == len(results[0].record.rows) == 12
+        study.write(tmp_path / "study.tsv")
+        text = (tmp_path / "study.tsv").read_text().splitlines()
+        assert text[1] == f"# halted: 16: {results[0].message}"
+        assert len(text) == 3 + study.times.size
+
     def test_requires_cadence(self):
         with pytest.raises(cfgmod.ConfigError):
             drv.convergence_study(tiny_config(), dts=[1e-3, 5e-4])
@@ -387,7 +418,9 @@ class TestCli:
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4
 
-    @pytest.mark.parametrize("dt_ode", ["0", "-0.001", "nan"])
+    # a negative value in exponent form, written apart from its flag, is a
+    # value and reaches the same check
+    @pytest.mark.parametrize("dt_ode", ["0", "-0.001", "nan", "-1e-3"])
     def test_linstab_evolve_bad_dt_exit_code(self, tmp_path, capsys, dt_ode):
         path = self.write_cfg(tmp_path)
         code = main(["linstab", "--config", str(path), "--evolve",
@@ -407,8 +440,7 @@ class TestCli:
         assert "unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
-        # argparse reads a negative value in scientific notation as an option
-        (["linstab", "--evolve", "--dt-ode", "-1e-3", "--out", "x.tsv"],
+        (["linstab", "--evolve", "--out", "x.tsv", "--dt-ode"],
          "argument --dt-ode: expected one argument"),
         (["run", "--n", "abc"], "argument --n: invalid int value"),
         (["converge", "--dts", "1e-3,abc", "--out", "y.tsv"],
