@@ -63,7 +63,7 @@ class SimulationConfig:
             raise ConfigError("inner boundary needs eps0 >= 0 and k0 >= 0")
         if self.r0 <= 0 or self.r0 - self.eps0 <= 0:
             raise ConfigError("inner boundary radial rule must stay positive")
-        if self.r_init - self.eps_init <= self.r0 + self.eps0:
+        if self.r_init - abs(self.eps_init) <= self.r0 + self.eps0:
             raise ConfigError("initial interface must lie strictly outside "
                               "the inner boundary")
         if self.shape_mode < 1:

@@ -62,17 +62,6 @@ class RunRecord:
             for row in self.rows:
                 fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
-    @classmethod
-    def read(cls, path):
-        rec = cls()
-        with open(path) as fh:
-            header = fh.readline().split()
-            if tuple(header) != RECORD_COLUMNS:
-                raise ValueError(f"unrecognized record header in {path}")
-            for line in fh:
-                rec.rows.append(tuple(float(v) for v in line.split()))
-        return rec
-
 
 @dataclass
 class RunResult:

@@ -85,17 +85,33 @@ def krasny_filter(f_hat, floor):
     return out
 
 
-def trig_interp(samples, points):
-    """Evaluate the trigonometric interpolant of uniform samples at points."""
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    coef = np.fft.rfft(samples)
-    points = np.atleast_1d(np.asarray(points, dtype=float))
-    out = np.full(points.shape, coef[0].real / n)
-    for k in range(1, n // 2):
-        out += (2.0 / n) * (coef[k].real * np.cos(k * points)
-                            - coef[k].imag * np.sin(k * points))
-    out += (coef[n // 2].real / n) * np.cos((n // 2) * points)
+def trig_table(points, n):
+    """cos(k u) for k = 1..n/2 and sin(k u) for k = 1..n/2 - 1 at points u,
+    one row per k: what the degree-n/2 interpolants of n samples need."""
+    phase = np.outer(np.arange(1, n // 2 + 1, dtype=float), points)
+    return np.cos(phase), np.sin(phase[:-1])
+
+
+def trig_eval(coef, table):
+    """Trigonometric interpolant with rfft coefficients `coef` of n samples
+    at the points of `table` (from `trig_table`).
+
+    Term k is (2/n)(a_k cos - b_k sin), added in order of k after the mean
+    and before the Nyquist term: a loop over the modes, bit for bit, at two
+    or more points.
+    """
+    cos_t, sin_t = table
+    m = len(cos_t)
+    n = 2 * m
+    terms = coef[1:m].real[:, None] * cos_t[:-1]
+    terms -= coef[1:m].imag[:, None] * sin_t
+    terms *= 2.0 / n
+    terms[0] += coef[0].real / n
+    # numpy adds whole rows in sequence over the slow axis of a C-ordered
+    # array; it sums pairwise along the fast axis, which the row axis
+    # becomes at a single point
+    out = np.add.reduce(terms, axis=0)
+    out += (coef[m].real / n) * cos_t[-1]
     return out
 
 
@@ -210,7 +226,9 @@ def equal_arclength_reparam(x, y, tol=1e-12, max_iter=50):
 
     Solves int_0^{u_j} s_v dv = (j/N) L for the source parameters u_j by
     Newton's method with trigonometric interpolation, then builds the
-    tangent-angle state of the resampled curve.
+    tangent-angle state of the resampled curve.  Each iterate builds one
+    `trig_table`, which serves the arclength, the speed and, at the
+    converged iterate, x and y.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -220,19 +238,21 @@ def equal_arclength_reparam(x, y, tol=1e-12, max_iter=50):
     cum, mean_speed = periodic_antiderivative(speed)
     length = TWO_PI * mean_speed
     targets = length * np.arange(n) / n
+    cum_coef, speed_coef = np.fft.rfft(cum), np.fft.rfft(speed)
 
     u = alpha_grid(n)
     for _ in range(max_iter):
-        res = trig_interp(cum, u) + mean_speed * u - targets
+        table = trig_table(u, n)
+        res = trig_eval(cum_coef, table) + mean_speed * u - targets
         if np.max(np.abs(res)) <= tol * max(length, 1.0):
             break
-        u = u - res / trig_interp(speed, u)
+        u = u - res / trig_eval(speed_coef, table)
     else:
         raise ReparamError("equal-arclength Newton did not converge "
                            f"in {max_iter} iterations")
 
-    xr = trig_interp(x, u)
-    yr = trig_interp(y, u)
+    xr = trig_eval(np.fft.rfft(x), table)
+    yr = trig_eval(np.fft.rfft(y), table)
     x_a = spectral_derivative(xr)
     y_a = spectral_derivative(yr)
     theta = np.unwrap(np.arctan2(y_a, x_a))
@@ -345,15 +365,4 @@ def write_snapshot(path, samples_or_state):
         fh.write(f"{x.size} {t:.17g} {s:.17g}\n")
         for xi, yi in zip(x, y):
             fh.write(f"{xi:.17g} {yi:.17g}\n")
-
-
-def read_snapshot(path):
-    """Inverse of write_snapshot; returns (x, y, time, s_alpha)."""
-    with open(path) as fh:
-        head = fh.readline().split()
-        n, t, s = int(head[0]), float(head[1]), float(head[2])
-        data = np.loadtxt(fh, ndmin=2)
-    if data.shape != (n, 2):
-        raise ValueError(f"snapshot {path} is corrupted: expected {n} rows")
-    return data[:, 0].copy(), data[:, 1].copy(), t, s
 

@@ -143,7 +143,8 @@ def gmres(matrix, rhs):
         r_cols.append(col[:j + 1])
         g.append(-s * g[j])
         g[j] *= c
-        if abs(g[j + 1]) <= GMRES_TOL * bnorm or breakdown:
+        # "not >" so that a NaN residual stops the iteration too
+        if not abs(g[j + 1]) > GMRES_TOL * bnorm or breakdown:
             break
     # back substitution; a zero pivot (breakdown on a singular system)
     # leaves its component at zero, as in scipy

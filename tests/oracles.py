@@ -3,7 +3,9 @@
 Everything here deliberately avoids the code paths under test: plain power
 series, adaptive quadrature, direct dense solves, brute-force
 principal-value sums, layer potentials off the boundary by plain
-quadrature, and the paper's closed-form benchmark limits.
+quadrature, the paper's closed-form benchmark limits, and the trigonometric
+interpolant one mode at a time.  The readers of snapshot and record files
+live here too, since only the tests read those files back.
 """
 
 import math
@@ -14,7 +16,9 @@ from scipy.optimize import brentq
 from scipy.signal import resample
 from scipy.special import iv, k0, k1, kv
 
-from tumorbim.geometry import PlanarCurveSamples
+from tumorbim.driver import RECORD_COLUMNS, RunRecord
+from tumorbim.geometry import (InterfaceState, PlanarCurveSamples,
+                               periodic_antiderivative, spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -60,6 +64,68 @@ def bessel_k_recurrence(n, x, terms=60):
     for order in range(1, n):
         k_prev, k_cur = k_cur, k_prev + (2.0 * order / x) * k_cur
     return k_cur
+
+
+def trig_interp(samples, points):
+    """Evaluate the trigonometric interpolant of uniform samples at points,
+    one mode at a time."""
+    samples = np.asarray(samples, dtype=float)
+    n = samples.size
+    coef = np.fft.rfft(samples)
+    points = np.atleast_1d(np.asarray(points, dtype=float))
+    out = np.full(points.shape, coef[0].real / n)
+    for k in range(1, n // 2):
+        out += (2.0 / n) * (coef[k].real * np.cos(k * points)
+                            - coef[k].imag * np.sin(k * points))
+    out += (coef[n // 2].real / n) * np.cos((n // 2) * points)
+    return out
+
+
+def equal_arclength_newton(x, y, tol=1e-12, max_iter=50):
+    """Equal-arclength resampling by Newton's method on `trig_interp`, one
+    interpolant call per quantity; returns (state, Newton iterates)."""
+    n = x.size
+    speed = np.hypot(spectral_derivative(x), spectral_derivative(y))
+    cum, mean_speed = periodic_antiderivative(speed)
+    length = TWO_PI * mean_speed
+    targets = length * np.arange(n) / n
+    u = TWO_PI * np.arange(n) / n
+    for iterates in range(1, max_iter + 1):
+        res = trig_interp(cum, u) + mean_speed * u - targets
+        if np.max(np.abs(res)) <= tol * max(length, 1.0):
+            break
+        u = u - res / trig_interp(speed, u)
+    else:
+        raise RuntimeError("equal-arclength Newton did not converge")
+    xr = trig_interp(x, u)
+    yr = trig_interp(y, u)
+    theta = np.unwrap(np.arctan2(spectral_derivative(yr),
+                                 spectral_derivative(xr)))
+    return InterfaceState(theta=theta, s_alpha=length / TWO_PI,
+                          ref_point=(xr[0], yr[0])), iterates
+
+
+def read_snapshot(path):
+    """Inverse of `geometry.write_snapshot`; returns (x, y, time, s_alpha)."""
+    with open(path) as fh:
+        head = fh.readline().split()
+        n, t, s = int(head[0]), float(head[1]), float(head[2])
+        data = np.loadtxt(fh, ndmin=2)
+    if data.shape != (n, 2):
+        raise ValueError(f"snapshot {path} is corrupted: expected {n} rows")
+    return data[:, 0].copy(), data[:, 1].copy(), t, s
+
+
+def read_record(path):
+    """Inverse of `driver.RunRecord.write`."""
+    rec = RunRecord()
+    with open(path) as fh:
+        header = fh.readline().split()
+        if tuple(header) != RECORD_COLUMNS:
+            raise ValueError(f"unrecognized record header in {path}")
+        for line in fh:
+            rec.rows.append(tuple(float(v) for v in line.split()))
+    return rec
 
 
 def polar_curvature(r_func, dr, ddr, theta):

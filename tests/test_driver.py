@@ -13,6 +13,8 @@ from tumorbim import solver as sol
 from tumorbim import stepping as stp
 from tumorbim.cli import main
 
+from oracles import read_record, read_snapshot
+
 PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 TINY = dict(p=5.0, a=0.25, chi=5.0, beta=0.5, sigma_n=0.2, ginv=1e-3,
@@ -109,7 +111,7 @@ class TestRun:
         assert len(snaps) >= 3
         traces = sorted((tmp_path / "traces").iterdir())
         assert any("gamma0_" in t.name for t in traces)
-        rec = drv.RunRecord.read(tmp_path / "record.tsv")
+        rec = read_record(tmp_path / "record.tsv")
         assert rec.rows == res.record.rows  # 17-digit round trip is lossless
 
     def test_summary_reports_largest_residuals(self, tmp_path, monkeypatch):
@@ -137,7 +139,7 @@ class TestRun:
         assert res.state.time < 2.0
         # the final snapshot is written and loadable
         snaps = sorted((tmp_path / "snapshots").iterdir())
-        x, y, t, s = geo.read_snapshot(snaps[-1])
+        x, y, t, s = read_snapshot(snaps[-1])
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
     def test_one_gap_pass_per_step(self, tmp_path, monkeypatch):
@@ -165,12 +167,12 @@ class TestRun:
         assert res.status is drv.RunStatus.COMPLETE
         assert calls == [False] * (res.steps_done + 1)
 
-        x0, y0, _, _ = geo.read_snapshot(tmp_path / "gamma0.txt")
+        x0, y0, _, _ = read_snapshot(tmp_path / "gamma0.txt")
         gamma0 = geo.PlanarCurveSamples.from_xy(x0, y0)
         snaps = sorted((tmp_path / "snapshots").iterdir())
         assert len(snaps) == len(res.record.rows)
         for snap, recorded in zip(snaps, res.record.column("min_gap")):
-            x, y, _, _ = geo.read_snapshot(snap)
+            x, y, _, _ = read_snapshot(snap)
             gamma = geo.PlanarCurveSamples.from_xy(x, y)
             assert recorded == min(gap_between(gamma0, gamma),
                                    geo.min_self_gap(gamma))
@@ -407,13 +409,30 @@ class TestCli:
         assert code == 4
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps_init", ["-3", "-2.45", "2.45"])
+    def test_initial_clearance_exit_code(self, tmp_path, capsys, eps_init):
+        # the radial rule dips to R_init - |eps_init|, at or inside R0 = 0.1
+        path = self.write_cfg(tmp_path)
+        with open(path, "a") as fh:
+            fh.write("R_init = 2.5\nR0 = 0.1\nk_init = 2\n"
+                     f"eps_init = {eps_init}\n")
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "strictly outside" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode, overrides", [
         ("1", {}), ("2", dict(r_init=0.45, eps_init=-0.1))])
     def test_linstab_bad_linear_config_exit_code(self, tmp_path, mode,
                                                  overrides):
-        # mode 1 is a translation; r_init = 0.45 lies inside r0 = 0.5
-        path = tmp_path / "lin.cfg"
-        write_config(path, tiny_config(**overrides))
+        # mode 1 is a translation, which the linear model rejects; the rule
+        # 0.45 - 0.1 cos(2 a) dips inside r0 = 0.5, which the simulation
+        # config rejects
+        path = self.write_cfg(tmp_path)
+        keys = {f: k for k, f in cfgmod._KEY_TO_FIELD.items()}
+        with open(path, "a") as fh:
+            for name, value in overrides.items():
+                fh.write(f"{keys[name]} = {value}\n")
         code = main(["linstab", "--config", str(path), "--mode", mode,
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4

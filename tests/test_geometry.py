@@ -1,13 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tumorbim import geometry as geo
+from tumorbim.config import load_config
 
-from oracles import polar_arclength, polar_area, polar_curvature
+from oracles import (equal_arclength_newton, polar_arclength, polar_area,
+                     polar_curvature, read_snapshot, trig_interp)
 
 TWO_PI = 2 * np.pi
+PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def radial_curve(n, r0=2.5, eps=0.1, k=2):
@@ -99,6 +104,51 @@ class TestEqualArclength:
         smp = geo.PlanarCurveSamples.from_xy(x, y)
         dev = np.max(np.abs(smp.s_alpha - np.mean(smp.s_alpha)))
         assert dev / np.mean(smp.s_alpha) < 1e-10
+
+    @pytest.mark.parametrize("n", [4, 64, 512, 1024])
+    def test_table_evaluator_matches_mode_loop(self, rng, n):
+        # bit for bit against the one-mode-at-a-time reference, at
+        # non-uniform points
+        samples = rng.standard_normal(n)
+        points = np.sort(rng.uniform(-1.0, 2.0 * TWO_PI, n + 3))
+        got = geo.trig_eval(np.fft.rfft(samples), geo.trig_table(points, n))
+        assert np.array_equal(got, trig_interp(samples, points))
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("rule", ["fig4", "fig7", "fig11", "grown"])
+    def test_initial_interface_matches_reference_newton(self, rule, n):
+        if rule == "grown":
+            r_init, eps_init, k_init = 5.0, 0.3, 3
+        else:
+            cfg = load_config(PRESET_DIR / f"{rule}.cfg")
+            r_init, eps_init, k_init = cfg.r_init, cfg.eps_init, cfg.k_init
+        state = geo.initial_interface(r_init, eps_init, k_init, n)
+        want, _ = equal_arclength_newton(*radial_curve(n, r_init, eps_init,
+                                                       k_init))
+        assert np.array_equal(state.theta, want.theta)
+        assert state.s_alpha == want.s_alpha
+        assert state.ref_point == want.ref_point
+
+    def test_ellipse_matches_reference_newton(self):
+        a = geo.alpha_grid(128)
+        x, y = 2 * np.cos(a), np.sin(a)
+        state = geo.equal_arclength_reparam(x, y)
+        want, _ = equal_arclength_newton(x, y)
+        assert np.array_equal(state.theta, want.theta)
+        assert (state.s_alpha, state.ref_point) == (want.s_alpha,
+                                                    want.ref_point)
+
+    def test_one_table_per_newton_iterate(self, monkeypatch):
+        tables, build = [], geo.trig_table
+
+        def counted(points, n):
+            tables.append(points)
+            return build(points, n)
+
+        monkeypatch.setattr(geo, "trig_table", counted)
+        geo.initial_interface(2.5, 0.1, 2, 512)
+        _, iterates = equal_arclength_newton(*radial_curve(512))
+        assert iterates > 1 and len(tables) == iterates
 
     def test_newton_failure_raises(self):
         # too few nodes for this sharp shape: interpolation cannot resolve it
@@ -240,7 +290,7 @@ class TestSnapshotIO:
         state.time = 0.123456789012345
         path = tmp_path / "snap.txt"
         geo.write_snapshot(path, state)
-        x, y, t, s = geo.read_snapshot(path)
+        x, y, t, s = read_snapshot(path)
         xs, ys = geo.reconstruct(state)
         assert np.array_equal(x, xs) and np.array_equal(y, ys)
         assert t == state.time and s == state.s_alpha
@@ -249,7 +299,7 @@ class TestSnapshotIO:
         path = tmp_path / "snap.txt"
         path.write_text("8 0.0 1.0\n0.0 0.0\n")
         with pytest.raises(ValueError):
-            geo.read_snapshot(path)
+            read_snapshot(path)
 
 
 def test_fixed_boundary_radial_rule():

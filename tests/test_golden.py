@@ -21,6 +21,7 @@ from tumorbim import config as cfgmod
 from tumorbim import driver as drv
 
 from conftest import record_acceptance
+from oracles import read_record
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -73,8 +74,8 @@ def test_golden_record(golden_slice):
 
 def test_frozen_record(golden_slice):
     preset, out = golden_slice
-    got = drv.RunRecord.read(out / "record.tsv")
-    want = drv.RunRecord.read(DATA / f"frozen_{preset}_record.tsv")
+    got = read_record(out / "record.tsv")
+    want = read_record(DATA / f"frozen_{preset}_record.tsv")
     assert len(got.rows) == len(want.rows)
     drift, bad = [], []
     for name, (kind, tol) in FROZEN_TOLERANCE.items():

@@ -226,8 +226,8 @@ class TestGmres:
         assert iterations == 0 and x.shape == (4,) and not np.any(x)
 
     def test_reused_basis_keeps_no_stale_rows(self, monkeypatch, rng):
-        # NaN solves fill the shared bases; solves that alternate between two
-        # sizes then equal solves on fresh bases bit for bit
+        # with the shared bases filled with NaN, solves that alternate
+        # between two sizes equal solves on fresh bases bit for bit
         systems = {n: (np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n)),
                        rng.standard_normal(n)) for n in (128, 256)}
         fresh = {}
@@ -236,11 +236,20 @@ class TestGmres:
             fresh[n] = sol.gmres(*system)
         monkeypatch.setattr(sol, "_bases", {})
         for n in systems:
-            sol.gmres(np.full((n, n), np.nan), np.ones(n))
+            sol._basis(n, n + 1).fill(np.nan)
         for n in (128, 256, 128, 256):
             x, iterations = sol.gmres(*systems[n])
             assert iterations == fresh[n][1]
             assert np.array_equal(x, fresh[n][0])
+
+    def test_nan_system_stops_after_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(sol, "_bases", {})
+        matrix, rhs = np.full((256, 256), np.nan), np.ones(256)
+        _, iterations = sol.gmres(matrix, rhs)
+        assert iterations == 1
+        with pytest.raises(sol.SolverFailure) as failure:
+            sol._solve_gmres(matrix, rhs, "test")
+        assert failure.value.iterations == 1
 
     @pytest.mark.parametrize("residual, fails",
                              [(5e-10, False), (2e-9, True), (np.nan, True)])
