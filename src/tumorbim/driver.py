@@ -26,7 +26,7 @@ from .geometry import (InterfaceState, area, initial_interface,  # noqa: F401
                        min_gap_between, min_self_gap, radial_boundary,
                        shape_diagnostics, write_snapshot)
 from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
-                     normal_velocity, proximity_warning)
+                     normal_velocity, proximity_warning, sigma_bounds_violation)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
 
 CHECKPOINT_VERSION = 2
@@ -197,6 +197,7 @@ def _run_loop(config, state, history, start_index, out):
     message = "reached t_final"
     peak = 0
     worst = dict(nutrient=0.0, pressure=0.0)   # largest true residuals
+    sigma_violation = 0.0   # largest distance of sigma on Gamma outside [0, 1]
     near_times = []     # times of the near-contact solves
     t_start = _time.perf_counter()
     if out is not None:
@@ -227,6 +228,8 @@ def _run_loop(config, state, history, start_index, out):
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
         worst["nutrient"] = max(worst["nutrient"], fields.residual_nutrient)
         worst["pressure"] = max(worst["pressure"], fields.residual_pressure)
+        sigma_violation = max(sigma_violation,
+                              sigma_bounds_violation(fields, params))
         if proximity_warning(gap0, gamma):
             near_times.append(state.time)
 
@@ -268,6 +271,7 @@ def _run_loop(config, state, history, start_index, out):
                        steps_done=i, wall_time=wall, peak_gmres=peak,
                        max_residual_nutrient=worst["nutrient"],
                        max_residual_pressure=worst["pressure"],
+                       max_sigma_violation=sigma_violation,
                        proximity_steps=len(near_times),
                        first_proximity_time=near_times[0] if near_times else None,
                        version=__version__)

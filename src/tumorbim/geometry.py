@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,7 +89,9 @@ def trig_table(points, n):
     """cos(k u) for k = 1..n/2 and sin(k u) for k = 1..n/2 - 1 at points u,
     one row per k: what the degree-n/2 interpolants of n samples need."""
     phase = np.outer(np.arange(1, n // 2 + 1, dtype=float), points)
-    return np.cos(phase), np.sin(phase[:-1])
+    cos_t = np.cos(phase)
+    # sin overwrites the phases cos has read, which saves one table
+    return cos_t, np.sin(phase[:-1], out=phase[:-1])
 
 
 def trig_eval(coef, table):
@@ -288,6 +290,55 @@ def centroid(samples):
     return cx, cy
 
 
+def periodic_spline(x, y, points):
+    """Periodic cubic spline through the knots (x, y), y[-1] == y[0] and at
+    least five knots, at `points`: scipy's CubicSpline(x, y,
+    bc_type="periodic")(points), float for float.
+
+    The slopes solve scipy's condensed tridiagonal system (the periodic
+    system without its last unknown) for its two right-hand sides in one
+    LAPACK dgtsv call, and its periodic correction gives the last slope.
+    A point maps into [x[0], x[-1]] as in scipy, and its piece sums the power
+    terms in PPoly's order: c3 + c2 d, then + c1 d*d, then + c0 (d*d)*d.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # interval k - 1 at position k, cyclically
+    dx_prev = np.concatenate((dx[-1:], dx[:-1]))
+    slope_prev = np.concatenate((slope[-1:], slope[:-1]))
+    m = x.size - 2
+    # row i, cyclic: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
+    # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
+    rhs = 3 * (dx * slope_prev + dx_prev * slope)
+    b = np.zeros((m, 2), order="F")
+    b[:, 0] = rhs[:m]
+    b[0, 1] = -dx[0]
+    b[-1, 1] = -dx[-3]
+    sol = dgtsv(dx[1:m], 2 * (dx_prev[:m] + dx[:m]), dx_prev[:m - 1], b,
+                overwrite_b=1)[3]
+    s1, s2 = sol[:, 0], sol[:, 1]
+    s_last = ((rhs[m] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+              / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    s = np.empty(m + 2)
+    s[:m] = s1 + s_last * s2
+    s[m] = s_last
+    s[-1] = s[0]
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - s[:-1]) / dx - t
+
+    u = x[0] + (points - x[0]) % (x[-1] - x[0])
+    i = np.searchsorted(x[1:-1], u, side="right")
+    d = u - x[i]
+    out = y[i] + s[i] * d
+    d2 = d * d
+    out += c1[i] * d2
+    d2 *= d
+    out += c0[i] * d2
+    return out
+
+
 def shape_diagnostics(samples, mode):
     """Effective radius and mode amplitude of the radial perturbation.
 
@@ -308,18 +359,33 @@ def shape_diagnostics(samples, mode):
         phi, rad = phi[::-1], rad[::-1]
     phi_ext = np.concatenate([phi, [phi[0] + TWO_PI]])
     rad_ext = np.concatenate([rad, [rad[0]]])
-    spline = CubicSpline(phi_ext, rad_ext, bc_type="periodic")
     m = max(512, samples.n)
     uniform = phi[0] + TWO_PI * np.arange(m) / m
-    coef = np.fft.rfft(spline(uniform))
+    coef = np.fft.rfft(periodic_spline(phi_ext, rad_ext, uniform))
     delta = 2.0 * np.abs(coef[mode]) / m
     return r_eff, delta / r_eff, True
 
 
 def min_gap_between(a, b):
-    """Minimum point-to-point distance between two boundaries."""
-    dx = np.subtract.outer(a.x, b.x)
-    dy = np.subtract.outer(a.y, b.y)
+    """Minimum point-to-point distance between two boundaries.
+
+    A node of b lies at least |x_b| - max |x_a| from every node of a, so only
+    the nodes of b whose bound is within a rounding margin (scaled by the
+    radii) of one exact node-to-curve distance are paired with all of a.
+    Their squared distances are formed as in the full N_a x N_b pass, so
+    the minimum is the same float.
+    """
+    r_a = np.hypot(a.x, a.y).max()
+    r_b = np.hypot(b.x, b.y)
+    j = r_b.argmin()
+    upper = np.hypot(a.x - b.x[j], a.y - b.y[j]).min()
+    # 2**-48: sixteen machine epsilons of the radii cover the rounding of
+    # the radii, the bound and the squared distances; "not >" keeps every
+    # node when a coordinate is NaN, so that NaN propagates
+    keep = ~(r_b > r_a + upper + 2.0 ** -48 * (r_a + r_b.max()))
+    # one row per kept node of b, so that numpy's inner loops run along a
+    dx = a.x - b.x[keep][:, None]
+    dy = a.y - b.y[keep][:, None]
     dx *= dx
     dy *= dy
     dx += dy

@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths under test: plain power
 series, adaptive quadrature, direct dense solves, brute-force
 principal-value sums, layer potentials off the boundary by plain
 quadrature, the paper's closed-form benchmark limits, and the trigonometric
-interpolant one mode at a time.  The readers of snapshot and record files
+interpolant one mode at a time, scipy's periodic cubic spline and the
+full node-pair pass of the boundary gap.  The readers of snapshot and record files
 live here too, since only the tests read those files back.
 """
 
@@ -12,13 +13,15 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.signal import resample
 from scipy.special import iv, k0, k1, kv
 
 from tumorbim.driver import RECORD_COLUMNS, RunRecord
-from tumorbim.geometry import (InterfaceState, PlanarCurveSamples,
-                               periodic_antiderivative, spectral_derivative)
+from tumorbim.geometry import (InterfaceState, PlanarCurveSamples, area,
+                               centroid, periodic_antiderivative,
+                               spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -103,6 +106,39 @@ def equal_arclength_newton(x, y, tol=1e-12, max_iter=50):
                                  spectral_derivative(xr)))
     return InterfaceState(theta=theta, s_alpha=length / TWO_PI,
                           ref_point=(xr[0], yr[0])), iterates
+
+
+def periodic_cubic_spline(x, y, points):
+    """scipy's periodic cubic spline through (x, y), y[-1] == y[0], at points."""
+    return CubicSpline(x, y, bc_type="periodic")(points)
+
+
+def shape_diagnostics(samples, mode):
+    """`geometry.shape_diagnostics` through scipy's spline: (r_eff,
+    delta_over_r, ok), NaN and False for a curve that is not star-shaped
+    about its centroid."""
+    r_eff = np.sqrt(area(samples) / np.pi)
+    cx, cy = centroid(samples)
+    phi = np.unwrap(np.arctan2(samples.y - cy, samples.x - cx))
+    dphi = np.diff(phi)
+    if not (np.all(dphi > 0) or np.all(dphi < 0)):
+        return r_eff, float("nan"), False
+    rad = np.hypot(samples.x - cx, samples.y - cy)
+    if dphi[0] < 0:
+        phi, rad = phi[::-1], rad[::-1]
+    m = max(512, samples.n)
+    uniform = phi[0] + TWO_PI * np.arange(m) / m
+    values = periodic_cubic_spline(np.append(phi, phi[0] + TWO_PI),
+                                   np.append(rad, rad[0]), uniform)
+    delta = 2.0 * np.abs(np.fft.rfft(values)[mode]) / m
+    return r_eff, delta / r_eff, True
+
+
+def min_gap_full(a, b):
+    """Minimum node distance between two boundaries over all node pairs."""
+    dx = np.subtract.outer(a.x, b.x)
+    dy = np.subtract.outer(a.y, b.y)
+    return float(np.sqrt(np.min(dx * dx + dy * dy)))
 
 
 def read_snapshot(path):

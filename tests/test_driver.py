@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -129,6 +131,23 @@ class TestRun:
         assert [summary["max_residual_nutrient"],
                 summary["max_residual_pressure"]] == list(worst)
         assert 0.0 < worst.min() and worst.max() <= 10 * sol.GMRES_TOL
+
+    def test_summary_reports_sigma_violation(self, tmp_path, monkeypatch):
+        solve = sol.FieldSolver.solve
+        solves = []
+
+        def overshooting(self, gamma):
+            fields = solve(self, gamma)
+            if not solves:
+                fields.sigma_gamma[3] = 1.5
+            solves.append(fields)
+            return fields
+
+        monkeypatch.setattr(sol.FieldSolver, "solve", overshooting)
+        drv.run(tiny_config(), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert len(solves) > 1
+        assert summary["max_sigma_violation"] == 0.5
 
     def test_proximity_halt(self, tmp_path):
         # strong apoptosis shrinks the interface onto the inner boundary
@@ -533,3 +552,17 @@ class TestCli:
         # the resumed record opens with the checkpointed row again
         assert cont[1] == half[-1]
         assert half + cont[2:] == straight
+
+
+def test_cli_import_loads_no_interpolate_or_sparse():
+    # scipy.interpolate pulls in scipy.sparse, which costs the command line
+    # about a quarter second of import time and 20 MB of memory
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                 if p]))
+    code = ("import sys, tumorbim.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.interpolate', 'scipy.sparse'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tumorbim import geometry as geo
 from tumorbim.config import load_config
 
+import oracles
 from oracles import (equal_arclength_newton, polar_arclength, polar_area,
                      polar_curvature, read_snapshot, trig_interp)
 
@@ -282,6 +283,135 @@ class TestAreaAndDiagnostics:
         assert not ok
         assert np.isnan(dor)
         assert np.isfinite(r_eff)
+
+
+@st.composite
+def star_rules(draw):
+    """(alpha, r) of a random radial rule r = R (1 + sum eps_k cos(k a + c_k))
+    with sum |eps_k| <= 0.3 at N nodes, N from 4 to 1024."""
+    n = 2 ** draw(st.integers(2, 10))
+    radius = draw(st.floats(0.5, 10.0))
+    terms = draw(st.lists(st.tuples(st.integers(1, 6), st.floats(-0.1, 0.1),
+                                    st.floats(0.0, TWO_PI)), max_size=3))
+    a = geo.alpha_grid(n) + draw(st.floats(0.0, TWO_PI))
+    r = np.ones(n)
+    for k, eps, phase in terms:
+        r += eps * np.cos(k * a + phase)
+    return a, radius * r
+
+
+class TestPeriodicSpline:
+    @settings(max_examples=60, deadline=None)
+    @given(rule=star_rules(), centre=st.tuples(st.floats(-0.05, 0.05),
+                                               st.floats(-0.05, 0.05)),
+           clockwise=st.booleans(), shift=st.floats(-10.0, 10.0))
+    def test_matches_scipy_bitwise(self, rule, centre, clockwise, shift):
+        # knots: the polar angles of the nodes about a point near the origin
+        # (non-uniform spacing; the curve stays star-shaped about it), in
+        # increasing order as shape_diagnostics puts them for a clockwise
+        # curve; the points reach past both ends
+        a, r = rule
+        x = r * np.cos(a) - centre[0] * r.min()
+        y = r * np.sin(a) - centre[1] * r.min()
+        if clockwise:
+            x, y = x[::-1], y[::-1]
+        phi, rad = np.unwrap(np.arctan2(y, x)), np.hypot(x, y)
+        if clockwise:
+            phi, rad = phi[::-1], rad[::-1]
+        assert np.all(np.diff(phi) > 0)
+        knots = np.append(phi, phi[0] + TWO_PI) + shift
+        values = np.append(rad, rad[0])
+        m = max(512, a.size)
+        points = knots[0] + 3 * TWO_PI * (np.arange(m) / m - 1 / 3)
+        points = np.concatenate([points, knots])
+        want = oracles.periodic_cubic_spline(knots, values, points)
+        got = geo.periodic_spline(knots, values, points)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=star_rules(), mode=st.integers(2, 5))
+    def test_shape_diagnostics_match_scipy_spline(self, rule, mode):
+        a, r = rule
+        smp = geo.PlanarCurveSamples.from_xy(r * np.cos(a), r * np.sin(a))
+        got = geo.shape_diagnostics(smp, mode)
+        assert np.array_equal(got, oracles.shape_diagnostics(smp, mode),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("preset", ["fig4", "fig7", "fig11"])
+    def test_shape_diagnostics_on_preset_starts(self, preset, n):
+        cfg = load_config(PRESET_DIR / f"{preset}.cfg")
+        smp = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init,
+                                    n).samples()
+        got = geo.shape_diagnostics(smp, cfg.shape_mode)
+        assert got == oracles.shape_diagnostics(smp, cfg.shape_mode)
+        assert got[2]
+
+
+def curve(r, a, centre=(0.0, 0.0)):
+    return geo.PlanarCurveSamples.from_xy(centre[0] + r * np.cos(a),
+                                          centre[1] + r * np.sin(a))
+
+
+class TestBoundaryGap:
+    """`min_gap_between` against the pass over all node pairs, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=star_rules(), inner=st.tuples(st.integers(2, 9),
+                                              st.floats(0.05, 0.95),
+                                              st.floats(0.0, 0.3),
+                                              st.integers(0, 4)),
+           offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    def test_nested_either_way(self, rule, inner, offset):
+        a, r = rule
+        outer = curve(r, a)
+        log_n0, scale, eps0, k0 = inner
+        a0 = geo.alpha_grid(2 ** log_n0)
+        r0 = scale * 0.7 * r.min() * (1 + eps0 * np.cos(k0 * a0))
+        room = 0.7 * r.min() - r0.max()
+        core = curve(r0, a0, (offset[0] * room, offset[1] * room))
+        for first, second in ((core, outer), (outer, core)):
+            assert geo.min_gap_between(first, second) \
+                == oracles.min_gap_full(first, second)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    def test_near_contact(self, gap, n):
+        # the four tips of a four-fold core come within `gap` of a radius-10
+        # circle, each on the ray of a circle node: four node pairs tie up to
+        # rounding, and their pruning bounds are tight; turning the pair
+        # rounds the coordinates off the axes
+        for turn in 0.05 * np.arange(11):
+            a = geo.alpha_grid(n) + turn
+            a0 = geo.alpha_grid(n // 2) + turn
+            core = curve((10.0 - gap) * (0.8 + 0.2 * np.cos(4 * (a0 - turn))),
+                         a0)
+            outer = curve(np.full(n, 10.0), a)
+            for first, second in ((core, outer), (outer, core)):
+                got = geo.min_gap_between(first, second)
+                assert got == oracles.min_gap_full(first, second)
+                assert got == pytest.approx(gap, rel=1e-5)
+
+    @pytest.mark.parametrize("turn", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_tied_node_distances(self, n, turn):
+        # concentric circles: every node of the outer circle is the same
+        # distance from the core up to rounding, so the pruning bound ties
+        # with the exact distances across the whole curve
+        a = geo.alpha_grid(n)
+        outer = curve(np.full(n, 9.5), a + turn * np.pi / n)
+        for r0 in (1.0, 9.0, 9.5 - 1e-9):
+            core = curve(np.full(n, r0), a)
+            for first, second in ((core, outer), (outer, core)):
+                assert geo.min_gap_between(first, second) \
+                    == oracles.min_gap_full(first, second)
+
+    def test_nan_propagates(self):
+        a = geo.alpha_grid(16)
+        outer = curve(np.full(16, 3.0), a)
+        outer.x[5] = np.nan
+        assert np.isnan(geo.min_gap_between(curve(np.ones(16), a), outer))
+        assert np.isnan(geo.min_gap_between(outer, curve(np.ones(16), a)))
 
 
 class TestSnapshotIO:

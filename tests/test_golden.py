@@ -91,3 +91,10 @@ def test_frozen_record(golden_slice):
                       f"{'FAIL' if bad else 'PASS'} max drift "
                       + ", ".join(drift))
     assert not bad, f"{preset} drifted from the frozen record: {bad}"
+
+
+def test_sigma_stays_in_bounds(golden_slice):
+    # the maximum principle keeps the nutrient trace on Gamma in [0, 1]
+    _, out = golden_slice
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["max_sigma_violation"] < 1e-8
