@@ -281,15 +281,6 @@ def area(samples):
                                              - samples.y * samples.x_a))
 
 
-def centroid(samples):
-    """Area centroid from the boundary integrals of x dA and y dA."""
-    a = area(samples)
-    h = TWO_PI / samples.n
-    cx = 0.5 * h * float(np.sum(samples.x ** 2 * samples.y_a)) / a
-    cy = -0.5 * h * float(np.sum(samples.y ** 2 * samples.x_a)) / a
-    return cx, cy
-
-
 def periodic_spline(x, y, points):
     """Periodic cubic spline through the knots (x, y), y[-1] == y[0] and at
     least five knots, at `points`: scipy's CubicSpline(x, y,
@@ -342,14 +333,18 @@ def periodic_spline(x, y, points):
 def shape_diagnostics(samples, mode):
     """Effective radius and mode amplitude of the radial perturbation.
 
-    Returns (r_eff, delta_over_r, ok).  r_eff = sqrt(A/pi).  delta is the
-    one-sided amplitude of Fourier mode `mode` of the polar radius about
-    the area centroid, resampled at uniform polar angle through a periodic
-    cubic spline.  ok is False (and the amplitudes NaN) when the curve is
-    not star-shaped about its centroid.
+    Returns (r_eff, delta_over_r, ok).  r_eff = sqrt(|A|/pi), so that either
+    orientation gives the same values.  delta is the one-sided amplitude of
+    Fourier mode `mode` of the polar radius about the area centroid (the
+    boundary integrals of x dA and y dA over the signed area), resampled at
+    uniform polar angle through a periodic cubic spline.  ok is False (and
+    the amplitudes NaN) when the curve is not star-shaped about its centroid.
     """
-    r_eff = np.sqrt(area(samples) / np.pi)
-    cx, cy = centroid(samples)
+    a = area(samples)
+    r_eff = np.sqrt(abs(a) / np.pi)
+    h = TWO_PI / samples.n
+    cx = 0.5 * h * float(np.sum(samples.x ** 2 * samples.y_a)) / a
+    cy = -0.5 * h * float(np.sum(samples.y ** 2 * samples.x_a)) / a
     phi = np.unwrap(np.arctan2(samples.y - cy, samples.x - cx))
     dphi = np.diff(phi)
     if not (np.all(dphi > 0) or np.all(dphi < 0)):

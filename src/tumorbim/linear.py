@@ -8,7 +8,9 @@ their named term breakdown, the critical apoptosis curve and the linear
 trajectory (R(t), delta/R(t)).
 
 All coefficients come from closed forms; the 2x2 defining systems are kept
-only as test oracles.
+only as test oracles.  `coefficients` is the one place that evaluates Bessel
+functions, each order once per radius; the rate functions read the
+`CoefficientSet` it returns.
 """
 
 import warnings
@@ -40,7 +42,7 @@ class LinearConfig:
             raise ValueError("perturbation mode must be an integer >= 2")
         if self.r_init <= self.r0:
             raise ValueError("initial radius must exceed the inner radius")
-        if self.delta_init / self.r_init > 0.2:
+        if abs(self.delta_init) / self.r_init > 0.2:
             warnings.warn("delta/R above 0.2 is outside the linear regime",
                           RuntimeWarning, stacklevel=3)
 
@@ -57,8 +59,10 @@ class LinearPrediction:
 
 @dataclass
 class CoefficientSet:
-    """All mode coefficients at one radius, plus common building blocks."""
+    """All mode coefficients at one radius, plus the Bessel combinations
+    that the rate equations need."""
 
+    radius: float
     a1: float
     a2: float
     b1: float
@@ -69,60 +73,24 @@ class CoefficientSet:
     d2: float
     sigma0_r: float      # A1 I0(R) + A2 K0(R)
     flux0_r0: float      # A1 I1(R0) - A2 K1(R0)
+    flux0_r: float       # A1 I1(R) - A2 K1(R)
     mode_flux: float     # A1 I1(R) - A2 K1(R) + B1 Il(R) + B2 Kl(R)
     inner_mode_flux: float  # B1 I_{l-1}(R0) - B2 K_{l-1}(R0)
-
-
-def radial_coeffs(radius, config):
-    """Coefficients (A1, A2) of the radially symmetric nutrient solution.
-
-    Defined by the Dirichlet level at R0 and the Robin influx at R:
-    A1 I0(R0) + A2 K0(R0) = sigma_n,
-    A1 I1(R) - A2 K1(R) = beta (1 - A1 I0(R) - A2 K0(R)).
-    """
-    p = config.params
-    r0 = config.r0
-    if radius <= r0:
-        raise ValueError("radius must exceed the inner radius")
-    u = bessel_k(1, radius) - p.beta * bessel_k(0, radius)
-    v = p.beta * bessel_i(0, radius) + bessel_i(1, radius)
-    i00 = bessel_i(0, r0)
-    k00 = bessel_k(0, r0)
-    den = k00 * v + i00 * u
-    if den == 0 or not np.isfinite(den):
-        raise FloatingPointError("radial coefficient denominator degenerate")
-    a1 = (p.sigma_n * u + p.beta * k00) / den
-    a2 = (p.sigma_n * v - p.beta * i00) / den
-    return a1, a2
-
-
-def perturb_coeffs(radius, config, a1=None, a2=None):
-    """Coefficients (B1, B2) of the mode-l nutrient perturbation.
-
-    Defined by B1 Il(R0) + B2 Kl(R0) = 0 and the linearized Robin
-    condition at R; closed form B1 = -Kl(R0) Q / Den, B2 = Il(R0) Q / Den.
-    """
-    p = config.params
-    r0, ell, r = config.r0, config.mode, radius
-    if a1 is None or a2 is None:
-        a1, a2 = radial_coeffs(radius, config)
-    br = p.beta * r
-    q_num = a1 * ((br - 1.0) * bessel_i(1, r) + r * bessel_i(0, r)) \
-        + a2 * ((1.0 - br) * bessel_k(1, r) + r * bessel_k(0, r))
-    den = bessel_i(ell, r0) * ((ell - br) * bessel_k(ell, r)
-                               + r * bessel_k(ell - 1, r)) \
-        + bessel_k(ell, r0) * ((br - ell) * bessel_i(ell, r)
-                               + r * bessel_i(ell - 1, r))
-    if den == 0 or not np.isfinite(den):
-        raise FloatingPointError("perturbation coefficient denominator degenerate")
-    b1 = -bessel_k(ell, r0) * q_num / den
-    b2 = bessel_i(ell, r0) * q_num / den
-    return b1, b2
+    # 1/R + A1 (I1(R) - I0(R)/R) - A2 (K1(R) + K0(R)/R) + B1 Il(R) + B2 Kl(R)
+    angiogenesis_sum: float
 
 
 def coefficients(radius, config):
     """Full coefficient set at one radius.
 
+    I_n and K_n, n in {0, 1, l - 1, l}, are evaluated once each at R and at
+    R0.  (A1, A2) solve the radially symmetric nutrient problem, Dirichlet
+    at R0 and Robin at R:
+    A1 I0(R0) + A2 K0(R0) = sigma_n,
+    A1 I1(R) - A2 K1(R) = beta (1 - A1 I0(R) - A2 K0(R)).
+    (B1, B2) solve the mode-l perturbation, B1 Il(R0) + B2 Kl(R0) = 0 and
+    the linearized Robin condition at R, in the closed form
+    B1 = -Kl(R0) Q / Den, B2 = Il(R0) Q / Den.
     (C1, C2) solve the radially symmetric modified-pressure problem (Neumann
     at R0 from the nutrient flux and apoptosis, Dirichlet at R from
     curvature, nutrient and the apoptosis potential); (D1, D2) solve the
@@ -130,15 +98,40 @@ def coefficients(radius, config):
     """
     p = config.params
     r0, ell, r = config.r0, config.mode, radius
+    if radius <= r0:
+        raise ValueError("radius must exceed the inner radius")
+    orders = {0, 1, ell - 1, ell}
+    i_r = {n: bessel_i(n, r) for n in orders}
+    k_r = {n: bessel_k(n, r) for n in orders}
+    i_0 = {n: bessel_i(n, r0) for n in orders}
+    k_0 = {n: bessel_k(n, r0) for n in orders}
     pa = p.p * p.a
-    a1, a2 = radial_coeffs(radius, config)
-    b1, b2 = perturb_coeffs(radius, config, a1, a2)
 
-    flux0 = a1 * bessel_i(1, r0) - a2 * bessel_k(1, r0)
-    sigma0 = a1 * bessel_i(0, r) + a2 * bessel_k(0, r)
-    mode_flux = a1 * bessel_i(1, r) - a2 * bessel_k(1, r) \
-        + b1 * bessel_i(ell, r) + b2 * bessel_k(ell, r)
-    inner_mode = b1 * bessel_i(ell - 1, r0) - b2 * bessel_k(ell - 1, r0)
+    u = k_r[1] - p.beta * k_r[0]
+    v = p.beta * i_r[0] + i_r[1]
+    den = k_0[0] * v + i_0[0] * u
+    if den == 0 or not np.isfinite(den):
+        raise FloatingPointError("radial coefficient denominator degenerate")
+    a1 = (p.sigma_n * u + p.beta * k_0[0]) / den
+    a2 = (p.sigma_n * v - p.beta * i_0[0]) / den
+
+    br = p.beta * r
+    q_num = a1 * ((br - 1.0) * i_r[1] + r * i_r[0]) \
+        + a2 * ((1.0 - br) * k_r[1] + r * k_r[0])
+    den = i_0[ell] * ((ell - br) * k_r[ell] + r * k_r[ell - 1]) \
+        + k_0[ell] * ((br - ell) * i_r[ell] + r * i_r[ell - 1])
+    if den == 0 or not np.isfinite(den):
+        raise FloatingPointError("perturbation coefficient denominator degenerate")
+    b1 = -k_0[ell] * q_num / den
+    b2 = i_0[ell] * q_num / den
+
+    flux0 = a1 * i_0[1] - a2 * k_0[1]
+    sigma0 = a1 * i_r[0] + a2 * k_r[0]
+    flux_r = a1 * i_r[1] - a2 * k_r[1]
+    mode_flux = flux_r + b1 * i_r[ell] + b2 * k_r[ell]
+    inner_mode = b1 * i_0[ell - 1] - b2 * k_0[ell - 1]
+    angiogenesis = 1.0 / r + a1 * (i_r[1] - i_r[0] / r) \
+        - a2 * (k_r[1] + k_r[0] / r) + b1 * i_r[ell] + b2 * k_r[ell]
 
     c2 = p.p * flux0 * r0 - 0.5 * pa * r0 ** 2
     c1 = p.ginv / r - 0.25 * pa * r ** 2 + (p.p - p.chi) * sigma0 \
@@ -152,30 +145,35 @@ def coefficients(radius, config):
     d1 = (w_r * r ** ell + r0 ** (ell + 1) * w_0 / ell) / denom
     d2 = (w_r * r ** ell * r0 ** (2 * ell)
           - r ** (2 * ell) * r0 ** (ell + 1) * w_0 / ell) / denom
-    return CoefficientSet(a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2, d1=d1,
-                          d2=d2, sigma0_r=sigma0, flux0_r0=flux0,
-                          mode_flux=mode_flux, inner_mode_flux=inner_mode)
+    return CoefficientSet(radius=r, a1=a1, a2=a2, b1=b1, b2=b2, c1=c1, c2=c2,
+                          d1=d1, d2=d2, sigma0_r=sigma0, flux0_r0=flux0,
+                          flux0_r=flux_r, mode_flux=mode_flux,
+                          inner_mode_flux=inner_mode,
+                          angiogenesis_sum=angiogenesis)
 
 
-def dr_dt(radius, config, coeffs=None):
+def dr_dt(coeffs, config):
     """Rate of change of the unperturbed radius.
 
     dR/dt = P (A1 I1(R) - A2 K1(R) - (R0/R)(A1 I1(R0) - A2 K1(R0)))
             - (P A / 2)(R^2 - R0^2)/R.
     """
     p = config.params
-    r0, r = config.r0, radius
-    if coeffs is None:
-        a1, a2 = radial_coeffs(radius, config)
-    else:
-        a1, a2 = coeffs.a1, coeffs.a2
-    flux_r = a1 * bessel_i(1, r) - a2 * bessel_k(1, r)
-    flux_r0 = a1 * bessel_i(1, r0) - a2 * bessel_k(1, r0)
-    return p.p * (flux_r - (r0 / r) * flux_r0) \
+    r0, r = config.r0, coeffs.radius
+    return p.p * (coeffs.flux0_r - (r0 / r) * coeffs.flux0_r0) \
         - 0.5 * p.p * p.a * (r ** 2 - r0 ** 2) / r
 
 
-def shape_rate_terms(radius, config, coeffs=None):
+def _lam_bracket(radius, config):
+    """lam = (R^2l - R0^2l)/(R^2l + R0^2l) and the factor multiplying P*A
+    in the apoptosis contribution."""
+    r0, ell, r = config.r0, config.mode, radius
+    lam = 1.0 - 2.0 * r0 ** (2 * ell) / (r ** (2 * ell) + r0 ** (2 * ell))
+    ratio2 = (r0 / r) ** 2
+    return lam, (1.0 - ratio2) * lam * ell / 2.0 - ratio2
+
+
+def shape_rate_terms(coeffs, config):
     """Named contributions to (delta/R)^-1 d(delta/R)/dt.
 
     Returns a dict over RATE_NAMES; their sum is the shape growth rate.
@@ -186,58 +184,37 @@ def shape_rate_terms(radius, config, coeffs=None):
     the taxis coupling).
     """
     p = config.params
-    r0, ell, r = config.r0, config.mode, radius
-    if coeffs is None:
-        coeffs = coefficients(radius, config)
-    lam = 1.0 - 2.0 * r0 ** (2 * ell) / (r ** (2 * ell) + r0 ** (2 * ell))
-    ratio2 = (r0 / r) ** 2
-    e_flux = coeffs.mode_flux
-    f_flux = coeffs.flux0_r0
-    g_inner = coeffs.inner_mode_flux
+    r0, ell, r = config.r0, config.mode, coeffs.radius
+    lam, bracket = _lam_bracket(r, config)
     cross = r ** ell * r0 ** ell / (r ** (2 * ell) + r0 ** (2 * ell))
 
-    apoptosis = p.p * p.a * ((1.0 - ratio2) * lam * ell / 2.0 - ratio2)
+    apoptosis = p.p * p.a * bracket
     adhesion = -p.ginv * ell * (ell ** 2 - 1) / r ** 3 * lam
-    angiogenesis = -p.p * p.beta * (
-        1.0 / r
-        + coeffs.a1 * (bessel_i(1, r) - bessel_i(0, r) / r)
-        - coeffs.a2 * (bessel_k(1, r) + bessel_k(0, r) / r)
-        + coeffs.b1 * bessel_i(ell, r) + coeffs.b2 * bessel_k(ell, r))
-    chemotaxis = p.chi * e_flux * lam * ell / r
-    proliferation = p.p * (f_flux * (r0 / r ** 2) * (2.0 + ell * lam)
-                           - 2.0 * g_inner * cross * (r0 / r)) \
-        - p.p * e_flux * lam * ell / r
+    angiogenesis = -p.p * p.beta * coeffs.angiogenesis_sum
+    chemotaxis = p.chi * coeffs.mode_flux * lam * ell / r
+    proliferation = p.p * (coeffs.flux0_r0 * (r0 / r ** 2) * (2.0 + ell * lam)
+                           - 2.0 * coeffs.inner_mode_flux * cross * (r0 / r)) \
+        - p.p * coeffs.mode_flux * lam * ell / r
     return {"apoptosis": apoptosis, "cell_cell_adhesion": adhesion,
             "angiogenesis": angiogenesis, "chemotaxis": chemotaxis,
             "proliferation": proliferation}
 
 
-def dshape_dt(radius, config, coeffs=None):
+def dshape_dt(coeffs, config):
     """(delta/R)^-1 d(delta/R)/dt: sum of the named contributions."""
-    return float(sum(shape_rate_terms(radius, config, coeffs).values()))
+    return float(sum(shape_rate_terms(coeffs, config).values()))
 
 
-def apoptosis_bracket(radius, config):
-    """Factor multiplying P*A in the apoptosis contribution."""
-    r0, ell, r = config.r0, config.mode, radius
-    lam = 1.0 - 2.0 * r0 ** (2 * ell) / (r ** (2 * ell) + r0 ** (2 * ell))
-    ratio2 = (r0 / r) ** 2
-    return (1.0 - ratio2) * lam * ell / 2.0 - ratio2
-
-
-def critical_apoptosis(radius, config, terms=None):
+def critical_apoptosis(coeffs, config):
     """Apoptosis level at which the shape factor is stationary.
 
-    Solves dshape_dt = 0 for A at fixed radius; `terms` are the radius's
-    `shape_rate_terms`, computed here when not given.  Raises
-    ZeroDivisionError when the apoptosis bracket vanishes (the curve has a
-    pole there).
+    Solves dshape_dt = 0 for A at fixed radius.  Raises ZeroDivisionError
+    when the apoptosis bracket vanishes (the curve has a pole there).
     """
-    bracket = apoptosis_bracket(radius, config)
+    _, bracket = _lam_bracket(coeffs.radius, config)
     if abs(bracket) < 1e-14:
         raise ZeroDivisionError("apoptosis bracket vanishes: pole in the curve")
-    if terms is None:
-        terms = shape_rate_terms(radius, config)
+    terms = shape_rate_terms(coeffs, config)
     rest = sum(v for k, v in terms.items() if k != "apoptosis")
     return -rest / (config.params.p * bracket)
 
@@ -253,7 +230,7 @@ def integrate_linear_odes(config, t_final, dt=1e-3):
 
     def rates(r, s):
         coeffs = coefficients(r, config)
-        return dr_dt(r, config, coeffs), s * dshape_dt(r, config, coeffs)
+        return dr_dt(coeffs, config), s * dshape_dt(coeffs, config)
 
     n_steps = int(round(t_final / dt))
     times = [0.0]
@@ -290,9 +267,10 @@ def stability_curve(config, r_values):
     """
     rows = []
     for r in np.asarray(r_values, dtype=float):
-        terms = shape_rate_terms(r, config)
+        coeffs = coefficients(r, config)
+        terms = shape_rate_terms(coeffs, config)
         try:
-            ac = critical_apoptosis(r, config, terms)
+            ac = critical_apoptosis(coeffs, config)
         except ZeroDivisionError:
             ac = float("nan")
         rows.append((r, ac) + tuple(terms[k] for k in RATE_NAMES))

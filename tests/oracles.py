@@ -20,8 +20,7 @@ from scipy.special import iv, k0, k1, kv
 
 from tumorbim.driver import RECORD_COLUMNS, RunRecord
 from tumorbim.geometry import (InterfaceState, PlanarCurveSamples, area,
-                               centroid, periodic_antiderivative,
-                               spectral_derivative)
+                               periodic_antiderivative, spectral_derivative)
 
 TWO_PI = 2.0 * np.pi
 
@@ -111,6 +110,15 @@ def equal_arclength_newton(x, y, tol=1e-12, max_iter=50):
 def periodic_cubic_spline(x, y, points):
     """scipy's periodic cubic spline through (x, y), y[-1] == y[0], at points."""
     return CubicSpline(x, y, bc_type="periodic")(points)
+
+
+def centroid(samples):
+    """Area centroid from the boundary integrals of x dA and y dA."""
+    a = area(samples)
+    h = TWO_PI / samples.n
+    cx = 0.5 * h * float(np.sum(samples.x ** 2 * samples.y_a)) / a
+    cy = -0.5 * h * float(np.sum(samples.y ** 2 * samples.x_a)) / a
+    return cx, cy
 
 
 def shape_diagnostics(samples, mode):

@@ -273,6 +273,26 @@ class TestAreaAndDiagnostics:
         assert ok
         assert abs(dor3) < 1e-6
 
+    @pytest.mark.parametrize("n", [16, 64, 512])
+    @pytest.mark.parametrize("mode, r_func, centre", [
+        pytest.param(2, lambda a: 2.5 + 0.1 * np.cos(2 * a), (0.3, -0.2),
+                     id="off-centre"),
+        pytest.param(3, lambda a: (1.0 + 0.2 * np.cos(3 * a + 1.0)
+                                   + 0.05 * np.cos(5 * a)), (0.0, 0.0),
+                     id="three-fold")])
+    def test_shape_diagnostics_clockwise(self, n, mode, r_func, centre):
+        # the same nodes in reverse order: a negative signed area, and polar
+        # angles that decrease about the same centroid
+        a = geo.alpha_grid(n)
+        x = centre[0] + r_func(a) * np.cos(a)
+        y = centre[1] + r_func(a) * np.sin(a)
+        ccw = geo.shape_diagnostics(geo.PlanarCurveSamples.from_xy(x, y), mode)
+        cw = geo.shape_diagnostics(
+            geo.PlanarCurveSamples.from_xy(x[::-1], y[::-1]), mode)
+        assert ccw[2] and cw[2]
+        assert cw[0] == pytest.approx(ccw[0], rel=1e-14)
+        assert cw[1] == pytest.approx(ccw[1], abs=1e-14)
+
     def test_non_star_shaped_flagged(self):
         a = geo.alpha_grid(256)
         # a kidney-like curve that is not star-shaped about its centroid

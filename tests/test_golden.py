@@ -9,6 +9,11 @@ The `tests/data/frozen_*` files are never regenerated.  Every run is also
 compared with them under fixed tolerances, so that drift cannot build up
 over a series of regenerations; the measured drift of each column is echoed
 in the acceptance summary.
+
+The `tests/data/converged_*` files hold the same 50-step slices run at
+N = N0 = 256 and are never regenerated either.  They bound the N = 64
+slice's discretisation error, so a change that makes the N = 64 run less
+accurate fails here even when it keeps within the frozen tolerances.
 """
 
 import json
@@ -45,6 +50,18 @@ FROZEN_TOLERANCE = {
 }
 
 
+# preset -> column -> (kind, bound) of the N = 64 slice against the N = 256
+# one; each bound is about twice the error measured when the records were
+# written (fig7: max_v 2.1e-9 rel, delta/R 8.5e-8 abs; fig11: max_v 1.2e-6
+# rel, delta/R 8.4e-8 abs; area and r_eff within 2e-15 rel on both)
+CONVERGED_TOLERANCE = {
+    "fig7": {"area": ("rel", 4e-15), "r_eff": ("rel", 4e-15),
+             "delta_over_r": ("abs", 1.7e-7), "max_v": ("rel", 4.2e-9)},
+    "fig11": {"area": ("rel", 4e-15), "r_eff": ("rel", 4e-15),
+              "delta_over_r": ("abs", 1.7e-7), "max_v": ("rel", 2.4e-6)},
+}
+
+
 @pytest.fixture(scope="module", params=["fig7", "fig11"])
 def golden_slice(request, tmp_path_factory):
     """(preset, output directory) of one 50-step N = 64 run."""
@@ -72,25 +89,43 @@ def test_golden_record(golden_slice):
             summary["first_proximity_time"]) == PROXIMITY[preset]
 
 
-def test_frozen_record(golden_slice):
-    preset, out = golden_slice
-    got = read_record(out / "record.tsv")
-    want = read_record(DATA / f"frozen_{preset}_record.tsv")
+def column_errors(got, want, tolerance):
+    """(one "name error kind" entry per column, the columns over their bound)."""
     assert len(got.rows) == len(want.rows)
-    drift, bad = [], []
-    for name, (kind, tol) in FROZEN_TOLERANCE.items():
+    errors, bad = [], []
+    for name, (kind, tol) in tolerance.items():
         g, w = got.column(name), want.column(name)
         err = np.abs(g - w)
         if kind == "rel":
             err = err / np.abs(w)
         worst = float(np.max(err))
-        drift.append(f"{name} {worst:.1e} {kind}")
+        errors.append(f"{name} {worst:.1e} {kind}")
         if worst > tol:
             bad.append(f"{name}: {worst:.3e} > {tol:g} ({kind})")
+    return errors, bad
+
+
+def test_frozen_record(golden_slice):
+    preset, out = golden_slice
+    drift, bad = column_errors(read_record(out / "record.tsv"),
+                               read_record(DATA / f"frozen_{preset}_record.tsv"),
+                               FROZEN_TOLERANCE)
     record_acceptance(f"frozen record {preset} (50 steps, N = 64): "
                       f"{'FAIL' if bad else 'PASS'} max drift "
                       + ", ".join(drift))
     assert not bad, f"{preset} drifted from the frozen record: {bad}"
+
+
+def test_converged_record(golden_slice):
+    preset, out = golden_slice
+    errors, bad = column_errors(
+        read_record(out / "record.tsv"),
+        read_record(DATA / f"converged_{preset}_record.tsv"),
+        CONVERGED_TOLERANCE[preset])
+    record_acceptance(f"converged record {preset} (50 steps, N = 64 against "
+                      f"N = 256): {'FAIL' if bad else 'PASS'} max error "
+                      + ", ".join(errors))
+    assert not bad, f"{preset} strayed from the converged record: {bad}"
 
 
 def test_sigma_stays_in_bounds(golden_slice):

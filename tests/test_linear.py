@@ -49,15 +49,15 @@ def linear_boundary_traces(radius, delta, theta_polar, config):
 
 class TestRadialCoeffs:
     def test_direct_solve_oracle(self):
-        c = cfg()
-        a1, a2 = lin.radial_coeffs(2.5, c)
+        co = lin.coefficients(2.5, cfg())
+        a1, a2 = co.a1, co.a2
         a1_o, a2_o = annulus_nutrient_coeffs(0.1, 2.5, 0.5, 0.2)
         assert a1 == pytest.approx(a1_o, rel=1e-13)
         assert a2 == pytest.approx(a2_o, rel=1e-13)
 
     def test_defining_residuals(self):
-        c = cfg()
-        a1, a2 = lin.radial_coeffs(2.5, c)
+        co = lin.coefficients(2.5, cfg())
+        a1, a2 = co.a1, co.a2
         assert a1 * iv(0, 0.1) + a2 * kv(0, 0.1) == pytest.approx(0.2, abs=1e-12)
         robin = a1 * iv(1, 2.5) - a2 * kv(1, 2.5) \
             - 0.5 * (1 - a1 * iv(0, 2.5) - a2 * kv(0, 2.5))
@@ -67,7 +67,8 @@ class TestRadialCoeffs:
         # sigma_n equal to the self-consistent inner value keeps the
         # Dirichlet residual exact (defining equation check only)
         c = cfg(sol.Params(p=1, a=0, chi=0, beta=0.7, sigma_n=0.63, ginv=0))
-        a1, a2 = lin.radial_coeffs(2.0, c)
+        co = lin.coefficients(2.0, c)
+        a1, a2 = co.a1, co.a2
         assert a1 * iv(0, 0.1) + a2 * kv(0, 0.1) == pytest.approx(0.63, abs=1e-12)
 
     def test_small_core_limit_trend(self):
@@ -78,7 +79,8 @@ class TestRadialCoeffs:
         devs = []
         for r0 in (1e-6, 1e-10, 1e-14):
             c = cfg(params, r0=r0)
-            a1, a2 = lin.radial_coeffs(2.5, c)
+            co = lin.coefficients(2.5, c)
+            a1, a2 = co.a1, co.a2
             a1_lim, a2_lim = radial_coeffs_limit_r0(2.5, c)
             devs.append(abs(a1 - a1_lim) + abs(a2 - a2_lim))
         assert devs[0] > devs[1] > devs[2]
@@ -88,16 +90,16 @@ class TestRadialCoeffs:
 
 class TestPerturbCoeffs:
     def test_inner_condition_exact(self):
-        c = cfg()
-        b1, b2 = lin.perturb_coeffs(2.5, c)
+        co = lin.coefficients(2.5, cfg())
+        b1, b2 = co.b1, co.b2
         assert b1 * iv(2, 0.1) + b2 * kv(2, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_solve_oracle(self):
         for params, r0, ell, r in ((FIG3, 0.1, 2, 2.5), (FIG2, 0.1, 2, 1.5),
                                    (FIG7, 1.0, 3, 2.5)):
             c = cfg(params, r0=r0, mode=ell)
-            a1, a2 = lin.radial_coeffs(r, c)
-            b1, b2 = lin.perturb_coeffs(r, c)
+            co = lin.coefficients(r, c)
+            a1, a2, b1, b2 = co.a1, co.a2, co.b1, co.b2
             b1_o, b2_o = perturbation_coeffs_direct(r0, r, ell, params.beta, a1, a2)
             assert b1 == pytest.approx(b1_o, rel=1e-11)
             assert b2 == pytest.approx(b2_o, rel=1e-11)
@@ -105,7 +107,8 @@ class TestPerturbCoeffs:
     def test_large_beta_limit(self):
         params = sol.Params(p=1, a=0.3, chi=0, beta=1e6, sigma_n=0.2, ginv=1e-3)
         c = cfg(params)
-        b1, b2 = lin.perturb_coeffs(2.5, c)
+        co = lin.coefficients(2.5, c)
+        b1, b2 = co.b1, co.b2
         b1_lim, b2_lim = perturb_coeffs_limit_beta(2.5, c)
         assert b1 == pytest.approx(b1_lim, rel=1e-4)
         assert b2 == pytest.approx(b2_lim, rel=1e-4)
@@ -167,27 +170,34 @@ class TestPressureCoeffs:
 class TestRates:
     def test_zero_proliferation_is_static_radius(self):
         params = sol.Params(p=0, a=0.3, chi=0, beta=0.5, sigma_n=0.2, ginv=1e-3)
-        assert lin.dr_dt(2.5, cfg(params)) == 0.0
+        c = cfg(params)
+        assert lin.dr_dt(lin.coefficients(2.5, c), c) == 0.0
 
     def test_stationary_radius_root(self):
         c = cfg(FIG7)
-        root = find_root(lambda r: lin.dr_dt(r, c), 2.5, 3.0)
-        assert lin.dr_dt(root - 0.05, c) > 0 > lin.dr_dt(root + 0.05, c)
+        def rate(r):
+            return lin.dr_dt(lin.coefficients(r, c), c)
+
+        root = find_root(rate, 2.5, 3.0)
+        assert rate(root - 0.05) > 0 > rate(root + 0.05)
 
     def test_term_ledger_sums_to_total(self):
         for r in (1.5, 2.5, 4.0):
             c = cfg(FIG3, mode=3)
-            terms = lin.shape_rate_terms(r, c)
-            assert sum(terms.values()) == pytest.approx(lin.dshape_dt(r, c),
+            co = lin.coefficients(r, c)
+            terms = lin.shape_rate_terms(co, c)
+            assert sum(terms.values()) == pytest.approx(lin.dshape_dt(co, c),
                                                         abs=1e-12)
 
     def test_adhesion_stabilizes(self):
         params = sol.Params(p=5, a=0.25, chi=5, beta=0.5, sigma_n=0.2, ginv=10.0)
         c = cfg(params)
-        terms = lin.shape_rate_terms(2.5, c)
+        terms = lin.shape_rate_terms(lin.coefficients(2.5, c), c)
         assert terms["cell_cell_adhesion"] < 0
         # the adhesion contribution scales linearly in ginv
-        weak = lin.shape_rate_terms(2.5, cfg(FIG7))["cell_cell_adhesion"]
+        c7 = cfg(FIG7)
+        weak = lin.shape_rate_terms(lin.coefficients(2.5, c7),
+                                    c7)["cell_cell_adhesion"]
         assert terms["cell_cell_adhesion"] == pytest.approx(weak * 1e4, rel=1e-12)
 
     def test_beta_saturation_of_rates(self):
@@ -200,7 +210,8 @@ class TestRates:
         for b_lo, b_hi in ((100.0, 1000.0), (1000.0, 10000.0)):
             c_lo = cfg(params_by_beta[b_lo], r0=1e-16)
             c_hi = cfg(params_by_beta[b_hi], r0=1e-16)
-            gaps.append(max(abs(lin.dr_dt(r, c_lo) - lin.dr_dt(r, c_hi))
+            gaps.append(max(abs(lin.dr_dt(lin.coefficients(r, c_lo), c_lo)
+                                - lin.dr_dt(lin.coefficients(r, c_hi), c_hi))
                             for r in r_grid))
         assert gaps[1] < 0.15 * gaps[0]  # ~1/beta convergence
 
@@ -209,17 +220,19 @@ class TestCriticalApoptosis:
     def test_root_property(self):
         c = cfg(FIG3)
         for r in (1.5, 2.5, 4.0):
-            a_c = lin.critical_apoptosis(r, c)
+            a_c = lin.critical_apoptosis(lin.coefficients(r, c), c)
             params_at = sol.Params(p=5, a=a_c, chi=5, beta=0.5,
                                    sigma_n=0.2, ginv=1e-3)
-            assert abs(lin.dshape_dt(r, cfg(params_at))) < 1e-10
+            c_at = cfg(params_at)
+            assert abs(lin.dshape_dt(lin.coefficients(r, c_at), c_at)) < 1e-10
 
     def test_beta_ordering_at_large_radius(self):
         a_c = {}
         for beta in (0.5, 2.0):
             params = sol.Params(p=5, a=0.25, chi=5, beta=beta,
                                 sigma_n=0.2, ginv=1e-3)
-            a_c[beta] = lin.critical_apoptosis(4.0, cfg(params))
+            c = cfg(params)
+            a_c[beta] = lin.critical_apoptosis(lin.coefficients(4.0, c), c)
         assert a_c[2.0] > a_c[0.5]
 
     def test_taxis_lowers_critical_apoptosis(self):
@@ -227,7 +240,8 @@ class TestCriticalApoptosis:
         for chi in (0.0, 5.0):
             params = sol.Params(p=5, a=0.25, chi=chi, beta=0.5,
                                 sigma_n=0.2, ginv=1e-3)
-            a_c[chi] = lin.critical_apoptosis(4.0, cfg(params))
+            c = cfg(params)
+            a_c[chi] = lin.critical_apoptosis(lin.coefficients(4.0, c), c)
         assert a_c[5.0] < a_c[0.0]
 
     def test_stability_curve_table(self):
@@ -242,10 +256,11 @@ class TestCriticalApoptosis:
             self, monkeypatch):
         c = cfg(FIG3)
         radii = np.linspace(0.5, 4.0, 10)
-        # the table as built from the per-radius calls, each of which
-        # evaluates the coefficients itself
-        want = [(r, lin.critical_apoptosis(r, c))
-                + tuple(lin.shape_rate_terms(r, c)[k] for k in lin.RATE_NAMES)
+        # the table as built from the per-radius calls, each on a
+        # coefficient set of its own
+        want = [(r, lin.critical_apoptosis(lin.coefficients(r, c), c))
+                + tuple(lin.shape_rate_terms(lin.coefficients(r, c), c)[k]
+                        for k in lin.RATE_NAMES)
                 for r in radii]
         calls = [0]
         original = lin.coefficients
@@ -266,7 +281,8 @@ class TestLinearTraces:
         c = cfg(FIG7)
         grid = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         tr = linear_boundary_traces(2.5, 0.0, grid, c)
-        a1, a2 = lin.radial_coeffs(2.5, c)
+        co = lin.coefficients(2.5, c)
+        a1, a2 = co.a1, co.a2
         assert np.max(np.abs(tr["sigma_gamma"] - (a1 * iv(0, 2.5) + a2 * kv(0, 2.5)))) < 1e-13
         for key in tr:
             assert np.ptp(tr[key]) < 1e-13
@@ -371,7 +387,8 @@ class TestShapeRateAgainstBim:
         v0 = np.sum(v * w) / (2 * np.pi)
         r_eff, dor, _ = geo.shape_diagnostics(gamma, 2)
         measured = v2 / (dor * r_eff) - v0 / r_eff
-        assert measured == pytest.approx(lin.dshape_dt(2.5, c), abs=5e-3)
+        assert measured == pytest.approx(lin.dshape_dt(lin.coefficients(2.5, c), c),
+                                         abs=5e-3)
 
 
 def test_linear_config_validation():
@@ -383,6 +400,38 @@ def test_linear_config_validation():
         lin.LinearConfig(r0=0.5, mode=2, params=FIG7, r_init=0.4)
     with pytest.warns(RuntimeWarning):
         lin.LinearConfig(r0=0.1, mode=2, params=FIG7, r_init=1.0, delta_init=0.5)
+
+
+def test_linear_config_warns_on_amplitude_magnitude():
+    # a negative amplitude is the same perturbation shifted by half a period
+    with pytest.warns(RuntimeWarning):
+        lin.LinearConfig(r0=0.1, mode=2, params=FIG7, r_init=1.0,
+                         delta_init=-0.5)
+
+
+@pytest.mark.parametrize("mode, per_set", [(2, 12), (3, 16), (6, 16)])
+def test_one_bessel_table_per_coefficient_set(monkeypatch, mode, per_set):
+    # I_n and K_n, n in {0, 1, l - 1, l}, once each at R and at R0: an RK4
+    # step builds four coefficient sets and a stability curve one per
+    # radius, and the rates read theirs without calling Bessel functions
+    calls = [0]
+
+    def counting(fn):
+        def wrapped(n, x):
+            calls[0] += 1
+            return fn(n, x)
+        return wrapped
+
+    monkeypatch.setattr(lin, "bessel_i", counting(lin.bessel_i))
+    monkeypatch.setattr(lin, "bessel_k", counting(lin.bessel_k))
+    c = cfg(mode=mode)
+    pred = lin.integrate_linear_odes(c, 1e-3, dt=1e-3)
+    assert pred.times.size == 2
+    assert calls[0] == 4 * per_set
+    calls[0] = 0
+    radii = np.linspace(0.5, 4.0, 5)
+    lin.stability_curve(c, radii)
+    assert calls[0] == radii.size * per_set
 
 
 def test_full_run_tracks_linear_trajectory(tmp_path):
