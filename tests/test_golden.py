@@ -14,6 +14,9 @@ The `tests/data/converged_*` files hold the same 50-step slices run at
 N = N0 = 256 and are never regenerated either.  They bound the N = 64
 slice's discretisation error, so a change that makes the N = 64 run less
 accurate fails here even when it keeps within the frozen tolerances.
+
+The `tests/data/golden_linear_*` files pin the linear model's `linstab`
+output, a fig3 stability curve and a fig2 trajectory, byte for byte.
 """
 
 import json
@@ -24,6 +27,7 @@ import pytest
 
 from tumorbim import config as cfgmod
 from tumorbim import driver as drv
+from tumorbim.cli import main
 
 from conftest import record_acceptance
 from oracles import read_record
@@ -126,6 +130,24 @@ def test_converged_record(golden_slice):
                       f"N = 256): {'FAIL' if bad else 'PASS'} max error "
                       + ", ".join(errors))
     assert not bad, f"{preset} strayed from the converged record: {bad}"
+
+
+# golden file -> linstab arguments that write it
+GOLDEN_LINEAR = {
+    "golden_linear_fig3_stability.tsv": ["--config", "configs/fig3.cfg",
+                                         "--mode", "2", "--num", "50"],
+    "golden_linear_fig2_evolve.tsv": ["--config", "configs/fig2.cfg",
+                                      "--evolve", "--t-final", "0.2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LINEAR))
+def test_golden_linear(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / name
+    assert main(["linstab", *GOLDEN_LINEAR[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / name).read_bytes(), \
+        f"linstab output differs from tests/data/{name}"
 
 
 def test_sigma_stays_in_bounds(golden_slice):
