@@ -11,9 +11,8 @@ of z, worth about (x/2) eps, grows with x: they agree with scipy to 4e-15
 up to x = 60.  Their cost grows with the largest argument, which interface
 diameters keep small.  Everything else is delegated to scipy.special,
 which implements the standard series / asymptotic / recurrence strategy in
-C at full double precision.  This module adds the integer-order domain
-contract (order validation, argument validation, I(-n) = I(n),
-K(-n) = K(n)).
+C at full double precision; `bessel_ik` hands the linear model one scalar
+I_n, K_n pair from it.
 """
 
 import math
@@ -21,9 +20,9 @@ import math
 import numpy as np
 from scipy import special
 
-__all__ = ["bessel_i", "bessel_k", "i0", "i0e", "i1", "k0", "k1"]
+__all__ = ["bessel_ik", "i0", "i0e", "i1", "k0", "k1"]
 
-# Array fast paths used by the kernel assembly (no validation overhead).
+# Array fast paths used by the kernel assembly.
 i0e = special.i0e
 k0 = special.k0
 k1 = special.k1
@@ -84,53 +83,15 @@ def i1(x):
     return _i_series(1, x)
 
 
-def _check_order(n):
-    if int(n) != n:
-        raise ValueError(f"Bessel order must be an integer, got {n!r}")
-    return abs(int(n))
+def bessel_ik(n, x):
+    """(I_n(x), K_n(x)) as floats for an integer order n and a scalar x.
 
-
-def bessel_i(n, x):
-    """Modified Bessel function of the first kind, I_n(x).
-
-    Parameters
-    ----------
-    n : int
-        Order; negative orders map to I_{|n|}.
-    x : float or ndarray
-        Argument, must be finite and >= 0.
+    No argument is checked: a negative n gives I_|n|, K_|n|, and x is the
+    caller's to keep finite and positive.  Orders 0 and 1 go to scipy's i0,
+    k0, i1, k1, which differ from iv, kv in the last bits.
     """
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise ValueError("bessel_i requires finite x >= 0")
     if n == 0:
-        out = special.i0(x)
-    elif n == 1:
-        out = special.i1(x)
-    else:
-        out = special.iv(n, x)
-    return out if out.ndim else float(out)
-
-
-def bessel_k(n, x):
-    """Modified Bessel function of the second kind, K_n(x).
-
-    Parameters
-    ----------
-    n : int
-        Order; negative orders map to K_{|n|}.
-    x : float or ndarray
-        Argument, must be finite and > 0 (K_n diverges at 0).
-    """
-    n = _check_order(n)
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0):
-        raise ValueError("bessel_k requires finite x > 0")
-    if n == 0:
-        out = special.k0(x)
-    elif n == 1:
-        out = special.k1(x)
-    else:
-        out = special.kv(n, x)
-    return out if out.ndim else float(out)
+        return float(special.i0(x)), float(special.k0(x))
+    if n == 1:
+        return float(special.i1(x)), float(special.k1(x))
+    return float(special.iv(n, x)), float(special.kv(n, x))

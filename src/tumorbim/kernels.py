@@ -35,7 +35,6 @@ from .bessel import i0, i0e, i1, k0, k1
 from .geometry import TWO_PI, PlanarCurveSamples, near_pairs
 
 
-@lru_cache(maxsize=16)
 def kress_weights(m):
     """Quadrature weights q_j for the 2pi-periodic log kernel, j = 0..2m-1.
 
@@ -46,10 +45,7 @@ def kress_weights(m):
         raise ValueError("m must be >= 1")
     j = np.arange(2 * m)
     ks = np.arange(1, m)
-    if ks.size:
-        q = -(np.pi / m) * np.sum(np.cos(np.outer(j, ks) * np.pi / m) / ks, axis=1)
-    else:
-        q = np.zeros(2 * m)
+    q = -(np.pi / m) * np.sum(np.cos(np.outer(j, ks) * np.pi / m) / ks, axis=1)
     q -= (-1.0) ** j * np.pi / (2.0 * m * m)
     return q
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_i, bessel_k
+from .bessel import bessel_ik
 from .solver import Params
 
 RATE_NAMES = ("apoptosis", "cell_cell_adhesion", "angiogenesis",
@@ -94,17 +94,17 @@ def coefficients(radius, config):
     (C1, C2) solve the radially symmetric modified-pressure problem (Neumann
     at R0 from the nutrient flux and apoptosis, Dirichlet at R from
     curvature, nutrient and the apoptosis potential); (D1, D2) solve the
-    mode-l problem.
+    mode-l problem.  A radius that is NaN, infinite or not above R0 raises
+    ValueError.
     """
     p = config.params
     r0, ell, r = config.r0, config.mode, radius
-    if radius <= r0:
-        raise ValueError("radius must exceed the inner radius")
-    orders = {0, 1, ell - 1, ell}
-    i_r = {n: bessel_i(n, r) for n in orders}
-    k_r = {n: bessel_k(n, r) for n in orders}
-    i_0 = {n: bessel_i(n, r0) for n in orders}
-    k_0 = {n: bessel_k(n, r0) for n in orders}
+    if not r0 < radius < np.inf:
+        raise ValueError("radius must be finite and exceed the inner radius")
+    i_r, k_r, i_0, k_0 = {}, {}, {}, {}
+    for n in {0, 1, ell - 1, ell}:
+        i_r[n], k_r[n] = bessel_ik(n, r)
+        i_0[n], k_0[n] = bessel_ik(n, r0)
     pa = p.p * p.a
 
     u = k_r[1] - p.beta * k_r[0]

@@ -187,13 +187,14 @@ def nutrient_system(params, inner, pairs, out):
     overwritten; returns the right-hand side.
 
     Block order is (Gamma0 unknowns, Gamma unknowns); `inner` holds the static
-    Gamma0 self blocks (S00, D00) and `pairs` the step's (Gamma-Gamma
-    `SelfGeometry`, Gamma0-Gamma `PairGeometry`).
+    Gamma0 single layer S00 and the row sums D00 1 of its double layer, and
+    `pairs` the step's (Gamma-Gamma `SelfGeometry`, Gamma0-Gamma
+    `PairGeometry`).
     """
     beta, sigma_n = params.beta, params.sigma_n
     own, cross = pairs
     n0 = cross.src.n
-    s00, d00 = inner
+    s00, d00_ones = inner
     s_gg, d_gg = ker.helmholtz_self_blocks(own)
     blocks = ker.helmholtz_cross_blocks(cross)
 
@@ -208,7 +209,7 @@ def nutrient_system(params, inner, pairs, out):
     ones0 = np.ones(n0)
     ones_g = np.ones(own.bnd.n)
     rhs = np.empty(out.shape[0])
-    rhs[:n0] = sigma_n * (d00 @ ones0 - 0.5) \
+    rhs[:n0] = sigma_n * (d00_ones - 0.5) \
         + blocks.dot(ones_g, reverse=True, single=beta, double=0.0)
     rhs[n0:] = blocks.dot(ones0, reverse=False, single=0.0, double=sigma_n) \
         + beta * (s_gg @ ones_g)
@@ -304,15 +305,17 @@ def sigma_bounds_violation(fields, params):
 
 
 class FieldSolver:
-    """Per-run solver caching the static inner-boundary self blocks, one
-    system buffer, which each solve's two systems fill in turn, and the
-    latest interface's self geometry."""
+    """Per-run solver caching the static inner-boundary self blocks (of the
+    Helmholtz double layer only its row sums), one system buffer, which each
+    solve's two systems fill in turn, and the latest interface's self
+    geometry."""
 
     def __init__(self, gamma0, params):
         self.gamma0 = gamma0
         self.params = params
         inner = ker.self_geometry(gamma0)
-        self._helm_blocks = ker.helmholtz_self_blocks(inner)
+        s00, d00 = ker.helmholtz_self_blocks(inner)
+        self._helm_blocks = s00, d00 @ np.ones(gamma0.n)
         self._lap_blocks = ker.laplace_self_blocks(inner)
         self._system = np.empty((0, 0))
         self._own = None

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import iv, kv
 
 from pathlib import Path
 
@@ -8,8 +9,6 @@ from tumorbim import driver as drv
 from tumorbim import geometry as geo
 from tumorbim import linear as lin
 from tumorbim import solver as sol
-from tumorbim.bessel import bessel_i as iv
-from tumorbim.bessel import bessel_k as kv
 
 from conftest import record_acceptance
 from oracles import (annulus_nutrient_coeffs, find_root,
@@ -398,6 +397,11 @@ def test_linear_config_validation():
         lin.LinearConfig(r0=0.1, mode=1, params=FIG7)
     with pytest.raises(ValueError):
         lin.LinearConfig(r0=0.5, mode=2, params=FIG7, r_init=0.4)
+    # the coefficients need a finite radius outside the core: a NaN or
+    # infinite RK4 stage halts the linear trajectory
+    for radius in (np.nan, np.inf, 0.1, 0.05):
+        with pytest.raises(ValueError):
+            lin.coefficients(radius, cfg(r0=0.1))
     with pytest.warns(RuntimeWarning):
         lin.LinearConfig(r0=0.1, mode=2, params=FIG7, r_init=1.0, delta_init=0.5)
 
@@ -415,15 +419,14 @@ def test_one_bessel_table_per_coefficient_set(monkeypatch, mode, per_set):
     # step builds four coefficient sets and a stability curve one per
     # radius, and the rates read theirs without calling Bessel functions
     calls = [0]
+    bessel_ik = lin.bessel_ik
 
-    def counting(fn):
-        def wrapped(n, x):
-            calls[0] += 1
-            return fn(n, x)
-        return wrapped
+    def counting(n, x):
+        values = bessel_ik(n, x)
+        calls[0] += len(values)
+        return values
 
-    monkeypatch.setattr(lin, "bessel_i", counting(lin.bessel_i))
-    monkeypatch.setattr(lin, "bessel_k", counting(lin.bessel_k))
+    monkeypatch.setattr(lin, "bessel_ik", counting)
     c = cfg(mode=mode)
     pred = lin.integrate_linear_odes(c, 1e-3, dt=1e-3)
     assert pred.times.size == 2

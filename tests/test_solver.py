@@ -31,11 +31,16 @@ def pair_geometries(g0, g):
     return ker.self_geometry(g), ker.cross_geometry(g0, g)
 
 
+def helmholtz_inner(g0):
+    """The nutrient system's static Gamma0 data: S00 and D00's row sums."""
+    s00, d00 = ker.helmholtz_self_blocks(ker.self_geometry(g0))
+    return s00, d00 @ np.ones(g0.n)
+
+
 def solve_nutrient(g0, g, params):
     """(d sigma/dn0, sigma, iterations) of one nutrient solve."""
-    inner = ker.helmholtz_self_blocks(ker.self_geometry(g0))
-    return sol.solve_nutrient(params, inner, pair_geometries(g0, g),
-                              system_buffer(g0, g))[:3]
+    return sol.solve_nutrient(params, helmholtz_inner(g0),
+                              pair_geometries(g0, g), system_buffer(g0, g))[:3]
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
@@ -182,12 +187,18 @@ class TestPressureSolve:
             sol._solve_gmres(mat, np.ones(4), "test")
 
 
-def preset_systems(monkeypatch, preset, n=64):
-    """Copies of the (matrix, rhs) pairs that one solve of a preset's initial
-    interface, at N = N0 = n, hands to `sol.gmres`: nutrient, then pressure."""
+def preset_solve(preset, n):
+    """`BoundaryFields` of one solve of a preset's initial interface at
+    N = N0 = n."""
     cfg = cfgmod.load_config(PRESET_DIR / f"{preset}.cfg")
     g0 = geo.radial_boundary(cfg.r0, cfg.eps0, cfg.k0, n)
     g = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init, n).samples()
+    return sol.FieldSolver(g0, cfg.params()).solve(g)
+
+
+def preset_systems(monkeypatch, preset, n=64):
+    """Copies of the (matrix, rhs) pairs that `preset_solve` hands to
+    `sol.gmres`: nutrient, then pressure."""
     systems, gmres = [], sol.gmres
 
     def capture(matrix, rhs):
@@ -196,8 +207,21 @@ def preset_systems(monkeypatch, preset, n=64):
 
     with monkeypatch.context() as patch:
         patch.setattr(sol, "gmres", capture)
-        sol.FieldSolver(g0, cfg.params()).solve(g)
+        preset_solve(preset, n)
     return systems
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+def test_gmres_counts_do_not_grow_with_n(preset):
+    # the discretised systems are well conditioned: the initial systems'
+    # (nutrient, pressure) GMRES counts are the same at N = N0 = 128, 256
+    # and 512.  N = 64 is left out, as fig11's pressure count there sits on
+    # the stopping line
+    counts = []
+    for n in (128, 256, 512):
+        fields = preset_solve(preset, n)
+        counts.append((fields.gmres_iters_nutrient, fields.gmres_iters_pressure))
+    assert counts == counts[:1] * 3, counts
 
 
 class TestGmres:
@@ -402,7 +426,7 @@ def test_reused_buffer_keeps_no_stale_entries():
     g_b = geo.initial_interface(2.2, 0.2, 3, n).samples()
     pairs_b = pair_geometries(g0, g_b)
     params = sol.Params(**FIG7)
-    helm = ker.helmholtz_self_blocks(ker.self_geometry(g0))
+    helm = helmholtz_inner(g0)
     lap = ker.laplace_self_blocks(ker.self_geometry(g0))
     g_n, g_d = np.cos(g0.alpha), np.sin(2 * g_b.alpha)
     assemblies = (lambda pairs, out: sol.nutrient_system(params, helm, pairs, out),
