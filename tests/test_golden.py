@@ -15,6 +15,9 @@ N = N0 = 256 and are never regenerated either.  They bound the N = 64
 slice's discretisation error, so a change that makes the N = 64 run less
 accurate fails here even when it keeps within the frozen tolerances.
 
+The `tests/data/golden_*_traces_*` files pin the same slices' final
+boundary-trace files byte for byte in the same way.
+
 The `tests/data/golden_linear_*` files pin the linear model's `linstab`
 output, a fig3 stability curve and a fig2 trajectory, byte for byte.
 """
@@ -91,6 +94,15 @@ def test_golden_record(golden_slice):
     summary = json.loads((out / "summary.json").read_text())
     assert (summary["proximity_steps"],
             summary["first_proximity_time"]) == PROXIMITY[preset]
+
+
+@pytest.mark.parametrize("side", ["gamma0", "gamma"])
+def test_golden_traces(golden_slice, side):
+    preset, out = golden_slice
+    got = (out / "traces" / f"{side}_00000050.txt").read_bytes()
+    name = f"golden_{preset}_traces_{side}.txt"
+    assert got == (DATA / name).read_bytes(), \
+        f"{preset} {side} traces differ from tests/data/{name}"
 
 
 def column_errors(got, want, tolerance):
