@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .driver import convergence_study, reemit_traces, resume, run
-from .linear import (LinearConfig, integrate_linear_odes, stability_curve,
-                     write_stability_curve)
+from .driver import convergence_study, reemit_traces, resume, run, write_table
+from .linear import LinearConfig, integrate_linear_odes, stability_curve
 
 EXIT_CONFIG_ERROR = 4
 
@@ -129,17 +128,15 @@ def _cmd_linstab(args):
             pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        with open(args.out, "w") as fh:
-            fh.write("time\tradius\tdelta_over_r\n")
-            for t, r, s in zip(pred.times, pred.radius, pred.delta_over_r):
-                fh.write(f"{t:.17g}\t{r:.17g}\t{s:.17g}\n")
+        write_table(args.out, ("time", "radius", "delta_over_r"),
+                    zip(pred.times, pred.radius, pred.delta_over_r))
         print(f"wrote {pred.times.size} rows to {args.out}"
               + (" (halted early)" if pred.halted else ""))
     else:
         radii = np.linspace(args.r_min, args.r_max, args.num)
         radii = radii[radii > config.r0]
         table = stability_curve(lin_cfg, radii)
-        write_stability_curve(args.out, table)
+        write_table(args.out, table.dtype.names, table)
         print(f"wrote {len(table)} rows to {args.out}")
     return 0
 

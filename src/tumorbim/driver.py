@@ -57,10 +57,7 @@ class RunRecord:
         return np.array([row[idx] for row in self.rows])
 
     def write(self, path):
-        with open(path, "w") as fh:
-            fh.write("\t".join(RECORD_COLUMNS) + "\n")
-            for row in self.rows:
-                fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+        write_table(path, RECORD_COLUMNS, self.rows)
 
 
 @dataclass
@@ -72,6 +69,17 @@ class RunResult:
     wall_time: float = 0.0
     steps_done: int = 0
     peak_gmres: int = 0
+
+
+def write_table(path, columns, rows, comments=()):
+    """Tab-separated text: a `#` line per comment, the column names, then
+    one line per row with every value at .17g."""
+    with open(path, "w") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        fh.write("\t".join(columns) + "\n")
+        for row in rows:
+            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _intervals_to_steps(interval, dt, label):
@@ -94,14 +102,11 @@ def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
     tdir.mkdir(parents=True, exist_ok=True)
     p_hydro = hydrostatic_pressure(fields.pbar_gamma0, np.full(gamma0.n, params.sigma_n),
                                    gamma0.x, gamma0.y, params)
-    with open(tdir / f"gamma0_{tag}.txt", "w") as fh:
-        fh.write(f"# t = {t:.17g}\nalpha\tdsigma_dn0\tp_hydrostatic\n")
-        for a, f1, f2 in zip(gamma0.alpha, fields.dsigma_dn0, p_hydro):
-            fh.write(f"{a:.17g}\t{f1:.17g}\t{f2:.17g}\n")
-    with open(tdir / f"gamma_{tag}.txt", "w") as fh:
-        fh.write(f"# t = {t:.17g}\nalpha\tsigma\tminus_dpbar_dn\n")
-        for a, f1, f2 in zip(gamma.alpha, fields.sigma_gamma, -fields.dpbar_dn):
-            fh.write(f"{a:.17g}\t{f1:.17g}\t{f2:.17g}\n")
+    stamp = [f"t = {t:.17g}"]
+    write_table(tdir / f"gamma0_{tag}.txt", ("alpha", "dsigma_dn0", "p_hydrostatic"),
+                zip(gamma0.alpha, fields.dsigma_dn0, p_hydro), stamp)
+    write_table(tdir / f"gamma_{tag}.txt", ("alpha", "sigma", "minus_dpbar_dn"),
+                zip(gamma.alpha, fields.sigma_gamma, -fields.dpbar_dn), stamp)
 
 
 def save_checkpoint(path, config, state, history, step_index):
@@ -182,9 +187,7 @@ def _run_loop(config, state, history, start_index, out):
     params = config.params()
     gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
     solver = FieldSolver(gamma0, params)
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * config.t_final:
-        raise ConfigError("t_final must be an integer multiple of dt")
+    n_steps = _intervals_to_steps(config.t_final, config.dt, "t_final")
     rec_every = _intervals_to_steps(config.record_interval, config.dt,
                                     "record_interval") or 1
     snap_every = _intervals_to_steps(config.snapshot_interval, config.dt,
@@ -323,18 +326,14 @@ class ConvergenceStudy:
     halted: list            # (label, message) of members that stopped early
 
     def write(self, path):
-        with open(path, "w") as fh:
-            fh.write("# labels: " + " ".join(str(v) for v in self.labels) + "\n")
-            if self.halted:
-                fh.write("# halted: " + "; ".join(f"{label}: {message}"
-                                                  for label, message in self.halted)
-                         + "\n")
-            cols = ["time"] + [f"e{i + 1}" for i in range(self.errors.shape[0])] \
-                + [f"C{i + 1}" for i in range(self.rates.shape[0])]
-            fh.write("\t".join(cols) + "\n")
-            for j, t in enumerate(self.times):
-                vals = [t] + list(self.errors[:, j]) + list(self.rates[:, j])
-                fh.write("\t".join(f"{v:.17g}" for v in vals) + "\n")
+        comments = ["labels: " + " ".join(str(v) for v in self.labels)]
+        if self.halted:
+            comments.append("halted: " + "; ".join(f"{label}: {message}"
+                                                   for label, message in self.halted))
+        cols = ["time"] + [f"e{i + 1}" for i in range(self.errors.shape[0])] \
+            + [f"C{i + 1}" for i in range(self.rates.shape[0])]
+        write_table(path, cols, np.vstack([self.times, self.errors, self.rates]).T,
+                    comments)
 
 
 def _run_for_study(args):

@@ -9,7 +9,6 @@ filtering and interpolation is spectral; node counts are powers of two.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -398,7 +397,6 @@ def min_self_gap(samples):
     return float(np.sqrt(np.min(d2)))
 
 
-@lru_cache(maxsize=16)
 def near_pairs(n):
     """True where two of n nodes lie at most max(4, n/16) positions apart."""
     idx = np.arange(n)

@@ -3,7 +3,7 @@
 Self-interaction blocks with a log singularity use Kress's rule for the
 log part and the trapezoidal rule for the smooth remainder (R. Kress,
 Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
-one weight W = h ln(2|sin((a - a')/2)|) - Q, cached per node count.  One
+one weight W = h ln(2|sin((a - a')/2)|) - Q, held with the node pairs.  One
 pass over the node pairs i <= j gives the distances and the self gap; a
 block is one symmetric bracket of the kernel's smooth factors with h and W
 (carrying the double layers' 1/r or 1/r^2), expanded once and scaled by
@@ -53,38 +53,34 @@ def kress_weights(m):
 class _Triangle(NamedTuple):
     """The node pairs i <= j of n nodes, row by row: `flat` their indices
     i n + j, `place` the n x n position in the list of each entry or its
-    mirror, `far` the positions of the pairs `min_self_gap` compares, and
-    `odd` true where j - i is odd."""
+    mirror, `far` the positions of the pairs `min_self_gap` compares, `odd`
+    true where j - i is odd, and `weight` the Kress-trapezoid weight W on
+    them."""
 
     flat: np.ndarray
     place: np.ndarray
     far: np.ndarray
     odd: np.ndarray
+    weight: np.ndarray
 
 
 @lru_cache(maxsize=16)
 def _triangle(n):
+    """The pairs of n = 2m nodes.  W = h L - Q with h = 2pi/n,
+    L[i, j] = ln(2 |sin((a_i - a_j)/2)|) with a zero diagonal and
+    Q[i, j] = q_{|i-j|}.  Both depend on k = |i - j| only, and the sine is
+    taken of pi min(k, n - k)/n, which is exact to rounding near k = n."""
     rows, cols = np.triu_indices(n)
     place = np.empty((n, n), dtype=np.intp)
     place[rows, cols] = place[cols, rows] = np.arange(rows.size)
     flat = rows * n + cols
-    return _Triangle(flat, place, np.flatnonzero(~near_pairs(n).ravel()[flat]),
-                     (cols - rows) % 2 == 1)
-
-
-@lru_cache(maxsize=16)
-def _kress_trapezoid_weight(n):
-    """W = h L - Q on the pairs of `_triangle(n)`, for n = 2m nodes:
-    h = 2pi/n, L[i, j] = ln(2 |sin((a_i - a_j)/2)|) with a zero diagonal and
-    Q[i, j] = q_{|i-j|}.  Both depend on k = |i - j| only, and the sine is
-    taken of pi min(k, n - k)/n, which is exact to rounding near k = n."""
     offset = np.arange(n)
     with np.errstate(divide="ignore"):
         log_sin = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
     log_sin[0] = 0.0
     w = (TWO_PI / n) * log_sin - kress_weights(n // 2)
-    rows, cols = np.divmod(_triangle(n).flat, n)
-    return w[cols - rows]
+    return _Triangle(flat, place, np.flatnonzero(~near_pairs(n).ravel()[flat]),
+                     (cols - rows) % 2 == 1, w[cols - rows])
 
 
 class SelfGeometry(NamedTuple):
@@ -376,8 +372,8 @@ def helmholtz_self_blocks(geom):
     -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
     """
     bnd, r = geom.bnd, geom.r
-    place = _triangle(bnd.n).place
-    w = _kress_trapezoid_weight(bnd.n)
+    tri = _triangle(bnd.n)
+    w = tri.weight
     h = TWO_PI / bnd.n
     scale = bnd.s_alpha / TWO_PI
     i0r, i1r, k0r = i0(r), i1(r), k0(r)
@@ -385,12 +381,12 @@ def helmholtz_self_blocks(geom):
     inv_r = 1.0 / r
     k1r = inv_r - i1r * k0r
     k1r /= i0r
-    single = (h * k0r + i0r * w)[place]
+    single = (h * k0r + i0r * w)[tri.place]
     single *= scale
     k1r *= h
     k1r -= i1r * w
     k1r *= inv_r
-    double = k1r[place]
+    double = k1r[tri.place]
     double *= geom.dipole
     # w[0] = -q_0, as L vanishes on the diagonal
     diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
@@ -418,7 +414,7 @@ def laplace_self_blocks(geom):
     bnd, r = geom.bnd, geom.r
     n = bnd.n
     tri = _triangle(n)
-    w = _kress_trapezoid_weight(n)
+    w = tri.weight
     h = TWO_PI / n
     scale = bnd.s_alpha / TWO_PI
     single = (w - h * np.log(r))[tri.place]

@@ -36,12 +36,15 @@ class LinearConfig:
     delta_init: float = 0.1
 
     def __post_init__(self):
-        if self.r0 <= 0:
-            raise ValueError("inner radius must be positive")
+        if not 0 < self.r0 < np.inf:
+            raise ValueError("inner radius must be positive and finite")
         if self.mode < 2 or int(self.mode) != self.mode:
             raise ValueError("perturbation mode must be an integer >= 2")
-        if self.r_init <= self.r0:
-            raise ValueError("initial radius must exceed the inner radius")
+        if not self.r0 < self.r_init < np.inf:
+            raise ValueError("initial radius must be finite and exceed the "
+                             "inner radius")
+        if not np.isfinite(self.delta_init):
+            raise ValueError("initial amplitude must be finite")
         if abs(self.delta_init) / self.r_init > 0.2:
             warnings.warn("delta/R above 0.2 is outside the linear regime",
                           RuntimeWarning, stacklevel=3)
@@ -277,12 +280,3 @@ def stability_curve(config, r_values):
     dtype = [("radius", float), ("a_crit", float)] + \
         [(name, float) for name in RATE_NAMES]
     return np.array(rows, dtype=dtype)
-
-
-def write_stability_curve(path, table):
-    """Delimited text output of a stability_curve table."""
-    header = "\t".join(table.dtype.names)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in table:
-            fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")

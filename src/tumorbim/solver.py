@@ -90,21 +90,6 @@ class BoundaryFields:
     residual_pressure: float
 
 
-# system size -> Krylov basis rows, grown as the iterations need them
-_bases = {}
-
-
-def _basis(n, rows):
-    """The size-n Krylov basis with at least `rows` rows; growing it keeps
-    the rows it holds."""
-    held = _bases.get(n, np.empty((0, n)))
-    if len(held) >= rows:
-        return held
-    grown = _bases[n] = np.empty((max(rows, 2 * len(held)), n))
-    grown[:len(held)] = held
-    return grown
-
-
 def gmres(matrix, rhs):
     """Restart-free GMRES from x0 = 0; returns (x, iterations).
 
@@ -117,13 +102,12 @@ def gmres(matrix, rhs):
     if bnorm == 0:
         return np.zeros(n), 0
     eps = np.finfo(float).eps
-    basis = _basis(n, 2)
+    # a basis per call: np.empty commits only the rows the iterations write
+    basis = np.empty((min(GMRES_MAXITER, n) + 1, n))
     np.multiply(rhs, 1.0 / bnorm, out=basis[0])
     g = [bnorm]             # rotated right-hand side
     rot, r_cols = [], []    # Givens (c, s); columns of the triangular factor
-    for j in range(min(GMRES_MAXITER, n)):
-        if len(basis) < j + 2:
-            basis = _basis(n, j + 2)
+    for j in range(len(basis) - 1):
         w, v = basis[j + 1], basis[:j + 1]
         np.matmul(matrix, basis[j], out=w)
         norm_av = math.sqrt(w @ w)

@@ -54,18 +54,17 @@ def nonlinear_term(theta_a, phi_hat, v, t_vel, s_alpha):
     return full - smallscale_term(phi_hat, theta_a.size, s_alpha)
 
 
-def _integrating_factor(k3, integral, enabled):
-    if not enabled:
-        return np.ones_like(k3)
+def _integrating_factor(k3, integral):
+    """e^{-k^3 integral}, one factor per Fourier mode."""
     return np.exp(-k3 * integral)
 
 
-def first_step(state, v, dt, use_integrating_factor=True):
+def first_step(state, v, dt):
     """Starter step: explicit Euler for s_alpha, first-order propagator for theta."""
-    return step(state, v, None, dt, use_integrating_factor)
+    return step(state, v, None, dt)
 
 
-def step(state, v, history, dt, use_integrating_factor=True):
+def step(state, v, history, dt):
     """Integrating-factor AB2 update of (theta, s_alpha) plus the anchor point.
 
     With `history` None this is the starter: explicit Euler for s_alpha and
@@ -93,15 +92,14 @@ def step(state, v, history, dt, use_integrating_factor=True):
     if s_new <= 0:
         raise SolverCollapse(state.time)
     k3 = np.arange(n // 2 + 1, dtype=float) ** 3
-    ek1 = _integrating_factor(
-        k3, 0.5 * dt * (state.s_alpha ** -3 + s_new ** -3), use_integrating_factor)
+    ek1 = _integrating_factor(k3, 0.5 * dt * (state.s_alpha ** -3 + s_new ** -3))
     if history is None:
         phi_hat = ek1 * (phi_hat + dt * n_hat)
         ref_new = ref + dt * v[0] * normal0
     else:
         int_two = dt * (0.5 * history.s_alpha ** -3 + state.s_alpha ** -3
                         + 0.5 * s_new ** -3)
-        ek2 = _integrating_factor(k3, int_two, use_integrating_factor)
+        ek2 = _integrating_factor(k3, int_two)
         phi_hat = ek1 * phi_hat + 0.5 * dt * (3.0 * ek1 * n_hat
                                               - ek2 * history.n_hat)
         ref_new = ref + 0.5 * dt * (3.0 * v[0] * normal0

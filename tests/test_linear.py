@@ -397,6 +397,11 @@ def test_linear_config_validation():
         lin.LinearConfig(r0=0.1, mode=1, params=FIG7)
     with pytest.raises(ValueError):
         lin.LinearConfig(r0=0.5, mode=2, params=FIG7, r_init=0.4)
+    # NaN and infinite radii and a NaN amplitude fail the comparisons
+    for bad in (dict(r0=np.nan), dict(r_init=np.nan), dict(r_init=np.inf),
+                dict(delta_init=np.nan)):
+        with pytest.raises(ValueError):
+            lin.LinearConfig(**{"r0": 0.1, "mode": 2, "params": FIG7, **bad})
     # the coefficients need a finite radius outside the core: a NaN or
     # infinite RK4 stage halts the linear trajectory
     for radius in (np.nan, np.inf, 0.1, 0.05):

@@ -249,25 +249,7 @@ class TestGmres:
         x, iterations = sol.gmres(np.eye(4), np.zeros(4))
         assert iterations == 0 and x.shape == (4,) and not np.any(x)
 
-    def test_reused_basis_keeps_no_stale_rows(self, monkeypatch, rng):
-        # with the shared bases filled with NaN, solves that alternate
-        # between two sizes equal solves on fresh bases bit for bit
-        systems = {n: (np.eye(n) + rng.standard_normal((n, n)) / (2 * np.sqrt(n)),
-                       rng.standard_normal(n)) for n in (128, 256)}
-        fresh = {}
-        for n, system in systems.items():
-            monkeypatch.setattr(sol, "_bases", {})
-            fresh[n] = sol.gmres(*system)
-        monkeypatch.setattr(sol, "_bases", {})
-        for n in systems:
-            sol._basis(n, n + 1).fill(np.nan)
-        for n in (128, 256, 128, 256):
-            x, iterations = sol.gmres(*systems[n])
-            assert iterations == fresh[n][1]
-            assert np.array_equal(x, fresh[n][0])
-
-    def test_nan_system_stops_after_one_iteration(self, monkeypatch):
-        monkeypatch.setattr(sol, "_bases", {})
+    def test_nan_system_stops_after_one_iteration(self):
         matrix, rhs = np.full((256, 256), np.nan), np.ones(256)
         _, iterations = sol.gmres(matrix, rhs)
         assert iterations == 1
