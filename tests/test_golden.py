@@ -18,6 +18,11 @@ accurate fails here even when it keeps within the frozen tolerances.
 The `tests/data/golden_*_traces_*` files pin the same slices' final
 boundary-trace files byte for byte in the same way.
 
+The `tests/data/golden_*_n512_*` files pin a 2-step slice of the same
+presets at N = N0 = 512, its `record.tsv` and both final trace files, byte
+for byte.  Both take the separable cross path there (fig11's N = 64 slice
+takes the dense one), at the size the headline runs use.
+
 The `tests/data/golden_linear_*` files pin the linear model's `linstab`
 output, a fig3 stability curve and a fig2 trajectory, byte for byte.
 """
@@ -69,17 +74,23 @@ CONVERGED_TOLERANCE = {
 }
 
 
+def run_slice(preset, n, steps, out):
+    """Run `steps` steps of a preset at N = N0 = n into `out`, recording
+    every step and writing the traces only at the end."""
+    cfg = cfgmod.load_config(ROOT / "configs" / f"{preset}.cfg")
+    cfg = cfg.with_overrides(n=n, n0=n, t_final=steps * cfg.dt,
+                             record_interval=0.0, snapshot_interval=0.0,
+                             trace_interval=0.0)
+    result = drv.run(cfg, out_dir=out)
+    assert result.status == drv.RunStatus.COMPLETE, result.message
+
+
 @pytest.fixture(scope="module", params=["fig7", "fig11"])
 def golden_slice(request, tmp_path_factory):
     """(preset, output directory) of one 50-step N = 64 run."""
     preset = request.param
-    cfg = cfgmod.load_config(ROOT / "configs" / f"{preset}.cfg")
-    cfg = cfg.with_overrides(n=64, n0=64, t_final=50 * cfg.dt,
-                             record_interval=0.0, snapshot_interval=0.0,
-                             trace_interval=0.0)
     out = tmp_path_factory.mktemp(f"golden_{preset}")
-    result = drv.run(cfg, out_dir=out)
-    assert result.status == drv.RunStatus.COMPLETE, result.message
+    run_slice(preset, 64, 50, out)
     return preset, out
 
 
@@ -103,6 +114,18 @@ def test_golden_traces(golden_slice, side):
     name = f"golden_{preset}_traces_{side}.txt"
     assert got == (DATA / name).read_bytes(), \
         f"{preset} {side} traces differ from tests/data/{name}"
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+def test_golden_n512(preset, tmp_path):
+    run_slice(preset, 512, 2, tmp_path)
+    got = {"record": tmp_path / "record.tsv"}
+    got.update({f"traces_{side}": tmp_path / "traces" / f"{side}_00000002.txt"
+                for side in ("gamma0", "gamma")})
+    differ = [f"golden_{preset}_n512_{kind}" for kind, path in got.items()
+              if path.read_bytes() != (DATA / f"golden_{preset}_n512_{kind}"
+                                       f"{path.suffix}").read_bytes()]
+    assert not differ, f"N = 512 outputs differ from tests/data: {differ}"
 
 
 def column_errors(got, want, tolerance):
