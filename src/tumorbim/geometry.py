@@ -393,15 +393,10 @@ def min_self_gap(samples):
     dx = samples.x[:, None] - samples.x[None, :]
     dy = samples.y[:, None] - samples.y[None, :]
     d2 = dx * dx + dy * dy
-    d2[near_pairs(samples.n)] = np.inf
+    n = samples.n
+    sep = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    d2[np.minimum(sep, n - sep) <= max(4, n // 16)] = np.inf
     return float(np.sqrt(np.min(d2)))
-
-
-def near_pairs(n):
-    """True where two of n nodes lie at most max(4, n/16) positions apart."""
-    idx = np.arange(n)
-    sep = np.abs(idx[:, None] - idx[None, :])
-    return np.minimum(sep, n - sep) <= max(4, n // 16)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,14 @@ Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
 one weight W = h ln(2|sin((a - a')/2)|) - Q, held with the node pairs.  One
 pass over the node pairs i <= j gives the distances and the self gap; a
 block is one symmetric bracket of the kernel's smooth factors with h and W
-(carrying the double layers' 1/r or 1/r^2), expanded once and scaled by
-the source metric or the double-layer numerators; the diagonals carry the
-analytic limits.  The Helmholtz self blocks take I0 and I1 from the power
-series in `bessel`, K0 from scipy and K1 from the Wronskian
-I0 K1 + I1 K0 = 1/r.  The Laplace double layer has only a removable
-singularity and is integrated by the alternating-point trapezoidal rule.
+(carrying the double layers' 1/r or 1/r^2), formed in place on the pairs,
+expanded once and scaled by the source metric or the double-layer
+numerators; the diagonals carry the analytic limits.  A single layer may be
+written straight into a block of the caller's system matrix.  The
+Helmholtz self blocks take I0 and I1 from the power series in `bessel`, K0
+from scipy and K1 from the Wronskian I0 K1 + I1 K0 = 1/r.  The Laplace
+double layer has only a removable singularity and is integrated by the
+alternating-point trapezoidal rule.
 Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
 the source boundary lies well inside the disc |x| < min |target|, they are
 low-rank factors from the kernels' expansions about the origin (Graf's
@@ -32,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bessel import i0, i0e, i1, k0, k1
-from .geometry import TWO_PI, PlanarCurveSamples, near_pairs
+from .geometry import TWO_PI, PlanarCurveSamples
 
 
 def kress_weights(m):
@@ -53,7 +55,8 @@ def kress_weights(m):
 class _Triangle(NamedTuple):
     """The node pairs i <= j of n nodes, row by row: `flat` their indices
     i n + j, `place` the n x n position in the list of each entry or its
-    mirror, `far` the positions of the pairs `min_self_gap` compares, `odd`
+    mirror, `far` the positions of the pairs `min_self_gap` compares (offset
+    min(j - i, n - (j - i)) above max(4, n/16)), `odd`
     true where j - i is odd, and `weight` the Kress-trapezoid weight W on
     them."""
 
@@ -79,8 +82,9 @@ def _triangle(n):
         log_sin = np.log(2.0 * np.sin(np.pi * np.minimum(offset, n - offset) / n))
     log_sin[0] = 0.0
     w = (TWO_PI / n) * log_sin - kress_weights(n // 2)
-    return _Triangle(flat, place, np.flatnonzero(~near_pairs(n).ravel()[flat]),
-                     (cols - rows) % 2 == 1, w[cols - rows])
+    k = cols - rows
+    far = np.minimum(k, n - k) > max(4, n // 16)
+    return _Triangle(flat, place, np.flatnonzero(far), k % 2 == 1, w[k])
 
 
 class SelfGeometry(NamedTuple):
@@ -358,8 +362,18 @@ def _laplace_sides(exp):
     return _side(tgt, value, radial, angular), _side(src, s_val, s_ang, s_ang)
 
 
-def helmholtz_self_blocks(geom):
-    """(single, double) modified-Helmholtz self blocks.
+def _expand(pairs, place, factor, out=None):
+    """The n x n block of the pair values times `factor` (the source metric
+    or the double-layer numerators), into `out` if given.  The gather goes
+    to a contiguous array first: `np.take` into a strided `out` would buffer
+    one anyway."""
+    block = np.take(pairs, place)
+    return np.multiply(block, factor, out=block if out is None else out)
+
+
+def helmholtz_self_blocks(geom, single=None):
+    """(single, double) modified-Helmholtz self blocks; the single layer is
+    written into `single` if given.
 
     With m the source metric, P the double-layer numerators and W the
     Kress-trapezoid weight: S = (m/2pi) [h K0 + I0 W] and
@@ -370,6 +384,8 @@ def helmholtz_self_blocks(geom):
     r -> m |a - a'| and K0(z) = -(ln(z/2) + C) I0(z) + ...; the double layer
     has G1 = 0 and G2 the limit of P K1(r)/r,
     -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
+    Both brackets are formed in place, each pair array dropped after its
+    last reader, so two of them are left when the blocks are expanded.
     """
     bnd, r = geom.bnd, geom.r
     tri = _triangle(bnd.n)
@@ -379,15 +395,24 @@ def helmholtz_self_blocks(geom):
     i0r, i1r, k0r = i0(r), i1(r), k0(r)
     # I1 K0 < 1/r = I0 K1 + I1 K0: the subtraction loses at most one bit
     inv_r = 1.0 / r
-    k1r = inv_r - i1r * k0r
+    k1r = i1r * k0r
+    np.subtract(inv_r, k1r, out=k1r)
     k1r /= i0r
-    single = (h * k0r + i0r * w)[tri.place]
-    single *= scale
+    # h K0 + I0 W into k0r
+    k0r *= h
+    i0r *= w
+    k0r += i0r
+    del i0r
+    # (h K1 - I1 W)/r into k1r
     k1r *= h
-    k1r -= i1r * w
+    i1r *= w
+    k1r -= i1r
+    del i1r
     k1r *= inv_r
-    double = k1r[tri.place]
-    double *= geom.dipole
+    del inv_r
+    single = _expand(k0r, tri.place, scale, single)
+    del k0r
+    double = _expand(k1r, tri.place, geom.dipole)
     # w[0] = -q_0, as L vanishes on the diagonal
     diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
     np.fill_diagonal(single, diag * scale)
@@ -405,23 +430,28 @@ def helmholtz_cross_blocks(geom):
     return _dense_blocks(geom, k0(geom.r), k1r)
 
 
-def laplace_self_blocks(geom):
-    """(single, double) Laplace self blocks.  The single layer is
-    (m/2pi) [W - h ln r], formed on the pairs i <= j, with diagonal
-    q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's kernel P/r^2
-    has only a removable singularity: alternating-point rule with doubled
-    weights, P [2h/r^2 on odd offsets]."""
+def laplace_self_blocks(geom, single=None):
+    """(single, double) Laplace self blocks; the single layer is written
+    into `single` if given.  The single layer is (m/2pi) [W - h ln r], with
+    diagonal q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's
+    kernel P/r^2 has only a removable singularity: alternating-point rule
+    with doubled weights, P [2h/r^2 on odd offsets].  Both brackets are
+    formed in turn in one pair array."""
     bnd, r = geom.bnd, geom.r
     n = bnd.n
     tri = _triangle(n)
     w = tri.weight
     h = TWO_PI / n
     scale = bnd.s_alpha / TWO_PI
-    single = (w - h * np.log(r))[tri.place]
-    single *= scale
+    bracket = np.log(r)
+    bracket *= h
+    np.subtract(w, bracket, out=bracket)
+    single = _expand(bracket, tri.place, scale, single)
     np.fill_diagonal(single, (w[0] - h * np.log(bnd.s_alpha)) * scale)
-    double = np.where(tri.odd, (2.0 * h) / (r * r), 0.0)[tri.place]
-    double *= geom.dipole
+    np.multiply(r, r, out=bracket)
+    np.divide(2.0 * h, bracket, out=bracket)
+    bracket[~tri.odd] = 0.0
+    double = _expand(bracket, tri.place, geom.dipole)
     return single, double
 
 

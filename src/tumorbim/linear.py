@@ -214,10 +214,15 @@ def critical_apoptosis(coeffs, config):
     Solves dshape_dt = 0 for A at fixed radius.  Raises ZeroDivisionError
     when the apoptosis bracket vanishes (the curve has a pole there).
     """
-    _, bracket = _lam_bracket(coeffs.radius, config)
+    return _critical_apoptosis(coeffs.radius, shape_rate_terms(coeffs, config),
+                               config)
+
+
+def _critical_apoptosis(radius, terms, config):
+    """`critical_apoptosis` from the radius's `shape_rate_terms`."""
+    _, bracket = _lam_bracket(radius, config)
     if abs(bracket) < 1e-14:
         raise ZeroDivisionError("apoptosis bracket vanishes: pole in the curve")
-    terms = shape_rate_terms(coeffs, config)
     rest = sum(v for k, v in terms.items() if k != "apoptosis")
     return -rest / (config.params.p * bracket)
 
@@ -273,7 +278,7 @@ def stability_curve(config, r_values):
         coeffs = coefficients(r, config)
         terms = shape_rate_terms(coeffs, config)
         try:
-            ac = critical_apoptosis(coeffs, config)
+            ac = _critical_apoptosis(coeffs.radius, terms, config)
         except ZeroDivisionError:
             ac = float("nan")
         rows.append((r, ac) + tuple(terms[k] for k in RATE_NAMES))

@@ -179,24 +179,26 @@ def nutrient_system(params, inner, pairs, out):
     own, cross = pairs
     n0 = cross.src.n
     s00, d00_ones = inner
-    s_gg, d_gg = ker.helmholtz_self_blocks(own)
+    # the Gamma-Gamma single layer S goes straight into its system block
+    gg = out[n0:, n0:]
+    d_gg = ker.helmholtz_self_blocks(own, single=gg)[1]
     blocks = ker.helmholtz_cross_blocks(cross)
 
     out[:n0, :n0] = s00
     blocks.into(out[:n0, n0:], reverse=True, single=beta, double=1.0)
     blocks.into(out[n0:, :n0], reverse=False, single=1.0, double=0.0)
-    gg = out[n0:, n0:]
-    np.multiply(beta, s_gg, out=gg)
+    ones0 = np.ones(n0)
+    ones_g = np.ones(own.bnd.n)
+    s_gg_ones = gg @ ones_g
+    gg *= beta
     gg += d_gg
     gg[np.diag_indices(own.bnd.n)] += 0.5
 
-    ones0 = np.ones(n0)
-    ones_g = np.ones(own.bnd.n)
     rhs = np.empty(out.shape[0])
     rhs[:n0] = sigma_n * (d00_ones - 0.5) \
         + blocks.dot(ones_g, reverse=True, single=beta, double=0.0)
     rhs[n0:] = blocks.dot(ones0, reverse=False, single=0.0, double=sigma_n) \
-        + beta * (s_gg @ ones_g)
+        + beta * s_gg_ones
     return rhs
 
 
@@ -234,14 +236,13 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     own, cross = pairs
     n0 = cross.src.n
     s00, d00 = inner
-    s_gg, d_gg = ker.laplace_self_blocks(own)
+    d_gg = ker.laplace_self_blocks(own, single=out[n0:, n0:])[1]
     blocks = ker.laplace_cross_blocks(cross)
 
     out[:n0, :n0] = d00
     out[np.diag_indices(n0)] -= 0.5
     blocks.into(out[:n0, n0:], reverse=True, single=1.0, double=0.0)
     blocks.into(out[n0:, :n0], reverse=False, single=0.0, double=1.0)
-    out[n0:, n0:] = s_gg
 
     rhs = np.empty(out.shape[0])
     rhs[:n0] = s00 @ g_neumann \

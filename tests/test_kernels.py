@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -357,6 +358,52 @@ def test_self_distances_symmetric_bitwise():
 def test_self_geometry_gap_is_min_self_gap(bnd):
     # n <= 8 leaves no pair far enough apart: both read inf
     assert ker.self_geometry(bnd).gap == geo.min_self_gap(bnd)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 512])
+def test_far_pairs_are_the_triangle_pairs_not_near(n):
+    # near: at most max(4, n/16) positions apart around the ring
+    idx = np.arange(n)
+    sep = np.abs(idx[:, None] - idx[None, :])
+    near = np.minimum(sep, n - sep) <= max(4, n // 16)
+    tri = ker._triangle(n)
+    assert np.array_equal(tri.far, np.flatnonzero(~near.ravel()[tri.flat]))
+
+
+@pytest.mark.parametrize("blocks", [ker.helmholtz_self_blocks,
+                                    ker.laplace_self_blocks])
+def test_self_blocks_write_single_into_strided_block(blocks):
+    # the single layer written into a block of a larger buffer is the one
+    # returned as its own array, bit for bit; the double layer is unchanged
+    bnd = wavy(64, eps=0.3, k=3)
+    geom = ker.self_geometry(bnd)
+    single, double = blocks(geom)
+    buf = np.zeros((96, 96))
+    got_single, got_double = blocks(geom, single=buf[32:, 32:])
+    assert np.shares_memory(got_single, buf)
+    assert np.array_equal(buf[32:, 32:], single)
+    assert not np.any(buf[:32]) and not np.any(buf[:, :32])
+    assert np.array_equal(got_double, double)
+
+
+def test_helmholtz_self_pass_peak_memory():
+    # beside its two n x n blocks, the pass holds at most 2.5 arrays of the
+    # n(n + 1)/2 node pairs at any time (it held 5 when each bracket
+    # allocated its own operands)
+    n = 512
+    geom = ker.self_geometry(wavy(n))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        blocks = ker.helmholtz_self_blocks(geom)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    pair_arrays = (peak - sum(b.nbytes for b in blocks)) / geom.r.nbytes
+    assert pair_arrays <= 2.5, f"peak holds {pair_arrays:.2f} pair arrays"
 
 
 def full_matrix_self_blocks(bnd):

@@ -248,7 +248,7 @@ class TestCriticalApoptosis:
         table = lin.stability_curve(c, np.linspace(0.5, 4.0, 20))
         assert table.dtype.names[:2] == ("radius", "a_crit")
         total = sum(table[name] for name in lin.RATE_NAMES)
-        # at A = params.a the five terms sum to the rate; a_crit re-零s it
+        # at A = params.a the five terms sum to the rate; a_crit zeroes it again
         assert np.all(np.isfinite(table["a_crit"]))
 
     def test_stability_curve_evaluates_coefficients_once_per_radius(
@@ -261,16 +261,21 @@ class TestCriticalApoptosis:
                 + tuple(lin.shape_rate_terms(lin.coefficients(r, c), c)[k]
                         for k in lin.RATE_NAMES)
                 for r in radii]
-        calls = [0]
-        original = lin.coefficients
+        calls = {}
 
-        def counting(radius, config):
-            calls[0] += 1
-            return original(radius, config)
+        def counting(name):
+            original = getattr(lin, name)
 
-        monkeypatch.setattr(lin, "coefficients", counting)
+            def counted(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+            return counted
+
+        for name in ("coefficients", "shape_rate_terms"):
+            monkeypatch.setattr(lin, name, counting(name))
         table = lin.stability_curve(c, radii)
-        assert calls[0] == radii.size
+        assert calls == {"coefficients": radii.size,
+                         "shape_rate_terms": radii.size}
         got = [tuple(row) for row in table]
         assert np.array_equal(np.array(got), np.array(want))
 
