@@ -11,7 +11,6 @@ filtering and interpolation is spectral; node counts are powers of two.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 TWO_PI = 2.0 * np.pi
 
@@ -280,14 +279,68 @@ def area(samples):
                                              - samples.y * samples.x_a))
 
 
+def _back_substitute(dl, d, du, x):
+    """Solve U x = b for `_dgtsv`'s upper factor (diagonal d, superdiagonals
+    du and dl), overwriting the list x = b."""
+    n = len(d)
+    x[-1] /= d[-1]
+    if n > 1:
+        x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
+    return x
+
+
+def _dgtsv(dl, d, du, b):
+    """The tridiagonal system with sub-, main and superdiagonals dl, d, du
+    solved for the two columns of the n x 2 array b: LAPACK's dgtsv,
+    operation for operation (LAPACK Users' Guide, 3rd ed., SIAM 1999), so
+    the solution is the same float.  The diagonals must be finite and stay
+    so under elimination: a NaN pivot over a zero subdiagonal entry, which
+    LAPACK carries on as NaN, raises ZeroDivisionError here.
+
+    Gaussian elimination with partial pivoting: row i swaps with row i + 1
+    when |d_i| < |dl_i|, and dl_i then holds the second superdiagonal this
+    creates.  A zero pivot returns the partly eliminated right-hand sides
+    at once, as LAPACK does (with info > 0).
+    """
+    n = len(d)
+    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
+    b1, b2 = b.T.tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                return np.column_stack((b1, b2))
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b1[i + 1] -= fact * b1[i]
+            b2[i + 1] -= fact * b2[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b1[i], b1[i + 1] = b1[i + 1], b1[i] - fact * b1[i + 1]
+            b2[i], b2[i + 1] = b2[i + 1], b2[i] - fact * b2[i + 1]
+    if d[-1] == 0.0:
+        return np.column_stack((b1, b2))
+    return np.column_stack((_back_substitute(dl, d, du, b1),
+                            _back_substitute(dl, d, du, b2)))
+
+
 def periodic_spline(x, y, points):
     """Periodic cubic spline through the knots (x, y), y[-1] == y[0] and at
     least five knots, at `points`: scipy's CubicSpline(x, y,
     bc_type="periodic")(points), float for float.
 
     The slopes solve scipy's condensed tridiagonal system (the periodic
-    system without its last unknown) for its two right-hand sides in one
-    LAPACK dgtsv call, and its periodic correction gives the last slope.
+    system without its last unknown) for its two right-hand sides by
+    `_dgtsv`, and its periodic correction gives the last slope.
     A point maps into [x[0], x[-1]] as in scipy, and its piece sums the power
     terms in PPoly's order: c3 + c2 d, then + c1 d*d, then + c0 (d*d)*d.
     """
@@ -300,12 +353,11 @@ def periodic_spline(x, y, points):
     # row i, cyclic: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] + dx[i-1] s[i+1]
     # = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
     rhs = 3 * (dx * slope_prev + dx_prev * slope)
-    b = np.zeros((m, 2), order="F")
+    b = np.zeros((m, 2))
     b[:, 0] = rhs[:m]
     b[0, 1] = -dx[0]
     b[-1, 1] = -dx[-3]
-    sol = dgtsv(dx[1:m], 2 * (dx_prev[:m] + dx[:m]), dx_prev[:m - 1], b,
-                overwrite_b=1)[3]
+    sol = _dgtsv(dx[1:m], 2 * (dx_prev[:m] + dx[:m]), dx_prev[:m - 1], b)
     s1, s2 = sol[:, 0], sol[:, 1]
     s_last = ((rhs[m] - dx[-2] * s1[0] - dx[-1] * s1[-1])
               / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))

@@ -19,8 +19,10 @@ the source boundary lies well inside the disc |x| < min |target|, they are
 low-rank factors from the kernels' expansions about the origin (Graf's
 addition theorem for K0, DLMF 10.44(ii), from scipy's K0, K1 on the target
 radii and i0e on the source radii; the multipole series of the log
-kernel), and a system block is one GEMM of them written into its slice;
-otherwise they are dense matrices from scipy's K0, K1 on the distances.
+kernel), and a system block is one GEMM of them written into its slice.
+The source's share of the factors is built once per source and order
+(`CrossSource`).  Otherwise the blocks are dense matrices from scipy's K0,
+K1 on the distances.
 
 Fundamental solutions: Phi = (1/2pi) ln(1/r) for Laplace and
 G = (1/2pi) K0(r) for the modified Helmholtz operator (Laplacian - 1).
@@ -55,10 +57,9 @@ def kress_weights(m):
 class _Triangle(NamedTuple):
     """The node pairs i <= j of n nodes, row by row: `flat` their indices
     i n + j, `place` the n x n position in the list of each entry or its
-    mirror, `far` the positions of the pairs `min_self_gap` compares (offset
-    min(j - i, n - (j - i)) above max(4, n/16)), `odd`
-    true where j - i is odd, and `weight` the Kress-trapezoid weight W on
-    them."""
+    mirror, `far` true on the pairs `min_self_gap` compares (offset
+    min(j - i, n - (j - i)) above max(4, n/16)), `odd` true where j - i is
+    odd, and `weight` the Kress-trapezoid weight W on them."""
 
     flat: np.ndarray
     place: np.ndarray
@@ -84,7 +85,7 @@ def _triangle(n):
     w = (TWO_PI / n) * log_sin - kress_weights(n // 2)
     k = cols - rows
     far = np.minimum(k, n - k) > max(4, n // 16)
-    return _Triangle(flat, place, np.flatnonzero(far), k % 2 == 1, w[k])
+    return _Triangle(flat, place, far, k % 2 == 1, w[k])
 
 
 class SelfGeometry(NamedTuple):
@@ -109,16 +110,22 @@ def _dipole(dx, dy, src):
 
 
 def self_geometry(bnd):
-    """Geometry of one boundary acting on itself."""
+    """Geometry of one boundary acting on itself.  r^2 is formed in place,
+    one coordinate's pair differences at a time, so beside the n x n
+    differences the pass holds at most two pair arrays."""
     tri = _triangle(bnd.n)
     dx = np.subtract.outer(bnd.x, bnd.x)
+    r = np.take(dx, tri.flat)
+    r *= r
     dy = np.subtract.outer(bnd.y, bnd.y)
-    ux, uy = np.take(dx, tri.flat), np.take(dy, tri.flat)
-    r2 = ux * ux
-    r2 += uy * uy
-    gap = float(np.sqrt(np.min(r2[tri.far], initial=np.inf)))
-    r2[tri.place.diagonal()] = 1.0
-    return SelfGeometry(bnd, np.sqrt(r2), _dipole(dx, dy, bnd), gap)
+    u = np.take(dy, tri.flat)
+    u *= u
+    r += u
+    del u
+    gap = float(np.sqrt(np.min(r, where=tri.far, initial=np.inf)))
+    r[tri.place.diagonal()] = 1.0
+    np.sqrt(r, out=r)
+    return SelfGeometry(bnd, r, _dipole(dx, dy, bnd), gap)
 
 
 # largest rank 2M + 1 of the separable path, as a share of min(N, N0).
@@ -139,12 +146,62 @@ class Polar(NamedTuple):
     normal: np.ndarray
 
 
-class Expansion(NamedTuple):
-    """Truncation order M and the polar data of a cross pair whose source
-    lies inside the disc of radius min |target|."""
+class SourceSide(NamedTuple):
+    """The source's part of the order-M expansions that no target changes:
+    its `polar` data, the largest node radius `rho_max`, `i0` = I0(rho) as
+    i0e(rho) e^rho, `ratios` I_m(rho)/I_{m-1}(rho) for m = 1..M+1 and
+    `powers` (rho/rho_max)^m for m = 0..M (one row per order)."""
 
     order: int
-    src: Polar
+    polar: Polar
+    rho_max: float
+    i0: np.ndarray
+    ratios: np.ndarray
+    powers: np.ndarray
+
+
+class CrossSource:
+    """A source boundary of cross blocks with its node radii `radius` and
+    their extremes, which every target shares, and the `SourceSide` of the
+    latest expansion order, rebuilt when the order changes."""
+
+    def __init__(self, bnd):
+        self.bnd = bnd
+        self.radius = np.hypot(bnd.x, bnd.y)
+        self.rho_min, self.rho_max = np.min(self.radius), np.max(self.radius)
+        self._side = None
+
+    def side(self, order):
+        """The `SourceSide` of order M.  The ratios come from the backward
+        recurrence p[m] = rho/(2m + rho p[m+1]), started from zero where the
+        bound p <= rho/2m has damped it below eps."""
+        if self._side is not None and self._side.order == order:
+            return self._side
+        rho, rho_max = self.radius, self.rho_max
+        top, damp = order + 1, 1.0
+        while damp > EPS:
+            top += 1
+            damp *= min(1.0, rho_max / (2 * top)) ** 2
+        ratios = np.empty((order + 1, rho.size))
+        last = np.zeros(rho.size)
+        for m in range(top, 0, -1):
+            last = rho / (2 * m + rho * last)
+            if m <= order + 1:
+                ratios[m - 1] = last
+        powers = np.ones((order + 1, rho.size))
+        np.cumprod(np.broadcast_to(rho / rho_max, (order, rho.size)), axis=0,
+                   out=powers[1:])
+        self._side = SourceSide(order, _polar(self.bnd, rho, order), rho_max,
+                                i0e(rho) * np.exp(rho), ratios, powers)
+        return self._side
+
+
+class Expansion(NamedTuple):
+    """Truncation order M, the source's side and the target's polar data of
+    a cross pair whose source lies inside the disc of radius min |target|."""
+
+    order: int
+    src: SourceSide
     tgt: Polar
 
 
@@ -172,18 +229,18 @@ def _polar(bnd, radius, order):
                  (bnd.normal_x + 1j * bnd.normal_y) * unit.conjugate())
 
 
-def _expansion(src, tgt):
+def _expansion(source, tgt):
     """The pair's expansion about the origin, or None where the dense path
     is cheaper or the series does not converge.  M is the smallest order
     with (rho_max/R_min)^M below machine precision."""
-    rho, rad = np.hypot(src.x, src.y), np.hypot(tgt.x, tgt.y)
-    ratio = np.max(rho) / np.min(rad)
-    if not (np.min(rho) > 0.0 and ratio < 1.0):
+    rad = np.hypot(tgt.x, tgt.y)
+    ratio = source.rho_max / np.min(rad)
+    if not (source.rho_min > 0.0 and ratio < 1.0):
         return None
     order = max(1, math.floor(math.log(EPS) / math.log(ratio)) + 1)
-    if 2 * order + 1 > SEPARABLE_RANK_SHARE * min(src.n, tgt.n):
+    if 2 * order + 1 > SEPARABLE_RANK_SHARE * min(source.bnd.n, tgt.n):
         return None
-    return Expansion(order, _polar(src, rho, order), _polar(tgt, rad, order))
+    return Expansion(order, source.side(order), _polar(tgt, rad, order))
 
 
 def dense_cross_geometry(src, tgt):
@@ -196,13 +253,14 @@ def dense_cross_geometry(src, tgt):
     return PairGeometry(src, tgt, r, _dipole(dx, dy, src), rev)
 
 
-def cross_geometry(src, tgt):
-    """Geometry of two disjoint boundaries, serving both directions: the
-    separable expansion where `_expansion` admits it, else the dense one."""
-    expansion = _expansion(src, tgt)
+def cross_geometry(source, tgt):
+    """Geometry of the `CrossSource` and a disjoint boundary, serving both
+    directions: the separable expansion where `_expansion` admits it, else
+    the dense one."""
+    expansion = _expansion(source, tgt)
     if expansion is None:
-        return dense_cross_geometry(src, tgt)
-    return PairGeometry(src, tgt, None, None, None, expansion)
+        return dense_cross_geometry(source.bnd, tgt)
+    return PairGeometry(source.bnd, tgt, None, None, None, expansion)
 
 
 class DenseBlocks(NamedTuple):
@@ -291,10 +349,10 @@ def _helmholtz_sides(exp):
     I_m/I_{m-1} of the backward recurrence, so neither overflows.
     """
     order, src, tgt = exp.order, exp.src, exp.tgt
-    rad, rho = tgt.radius, src.radius
+    rad = tgt.radius
     k0r, k1r = k0(rad), k1(rad)
     at = np.argmin(rad)
-    r_min, rho_max = rad[at], np.max(rho)
+    r_min = rad[at]
     # q[m] = a_{m+1}/a_m for m = 0..M; t[m] = K_m(R)/a_m for m = 0..M+1
     q = [float(k1r[at] / k0r[at])]
     for m in range(1, order + 1):
@@ -305,24 +363,12 @@ def _helmholtz_sides(exp):
     for m in range(1, order + 1):
         t[m + 1] = t[m - 1] * (1.0 / (q[m - 1] * q[m])) \
             + (2 * m / q[m]) * inv_rad * t[m]
-    # p[m] = I_m(rho)/I_{m-1}(rho) = rho/(2m + rho p[m+1]) for m = 1..M+1,
-    # started from zero where the bound p <= rho/2m has damped it below eps
-    top, damp = order + 1, 1.0
-    while damp > EPS:
-        top += 1
-        damp *= min(1.0, rho_max / (2 * top)) ** 2
-    p = np.empty((order + 2, rho.size))
-    last = np.zeros(rho.size)
-    for m in range(top, 0, -1):
-        last = rho / (2 * m + rho * last)
-        if m <= order + 1:
-            p[m] = last
     # v[m] = I_m(rho) a_m for m = 0..M+1
     q = np.array(q)
     qc = q[:, None]
-    v = np.empty_like(p)
-    v[0] = i0e(rho) * np.exp(rho) * k0r[at]
-    np.cumprod(p[1:] * qc, axis=0, out=v[1:])
+    v = np.empty((order + 2, src.i0.size))
+    v[0] = src.i0 * k0r[at]
+    np.cumprod(src.ratios * qc, axis=0, out=v[1:])
     v[1:] *= v[0]
     # neighbours Z_{m-1}/a_m and Z_{m+1}/a_m, with Z_{-1} = Z_1
     k_lo = np.concatenate([t[1:2] * q[0], t[:order] / qc[:-1]])
@@ -334,7 +380,7 @@ def _helmholtz_sides(exp):
     # Z_m' = (Z_{m-1} + Z_{m+1})/2 and m Z_m/r = (Z_{m-1} - Z_{m+1})/2 for I;
     # both change sign for K
     return (_side(tgt, t[:-1], -0.5 * (k_lo + k_hi), 0.5 * (k_hi - k_lo)),
-            _side(src, neumann * v[:-1], neumann * 0.5 * (i_lo + i_hi),
+            _side(src.polar, neumann * v[:-1], neumann * 0.5 * (i_lo + i_hi),
                   neumann * 0.5 * (i_lo - i_hi)))
 
 
@@ -342,12 +388,11 @@ def _laplace_sides(exp):
     """Sides of -ln|x - y| = -ln R + sum_{m>=1} (rho/R)^m cos m(theta - phi)/m,
     with (rho/R)^m split as (R_min/R)^m (rho/rho_max)^m (rho_max/R_min)^m."""
     order, src, tgt = exp.order, exp.src, exp.tgt
-    rad, rho = tgt.radius, src.radius
-    r_min, rho_max = np.min(rad), np.max(rho)
+    rad, rho_max, powers = tgt.radius, src.rho_max, src.powers
+    r_min = np.min(rad)
     m = np.arange(order + 1)[:, None]
-    # rows k of the powers: (R_min/R)^(k+1) and (rho/rho_max)^(k+1)
+    # rows k: (R_min/R)^(k+1)
     tgt_pow = np.cumprod(np.broadcast_to(r_min / rad, (order + 1, rad.size)), axis=0)
-    src_pow = np.cumprod(np.broadcast_to(rho / rho_max, (order, rho.size)), axis=0)
     # target: F_0 = -ln R, F_m = (R_min/R)^m, F_m' = -m F_m/R with
     # m F_m/R = m (R_min/R)^{m+1}/R_min
     value = np.vstack([-np.log(rad), tgt_pow[:-1]])
@@ -356,10 +401,11 @@ def _laplace_sides(exp):
     # source: G_0 = 1, G_m = c_m (rho/rho_max)^m/m with c_m = (rho_max/R_min)^m,
     # G_m' = m G_m/rho = c_m (rho/rho_max)^{m-1}/rho_max
     c = (rho_max / r_min) ** m[1:]
-    ones = np.ones((1, rho.size))
-    s_val = np.vstack([ones, c / m[1:] * src_pow])
-    s_ang = np.vstack([0.0 * ones, c / rho_max * np.vstack([ones, src_pow[:-1]])])
-    return _side(tgt, value, radial, angular), _side(src, s_val, s_ang, s_ang)
+    ones = np.ones((1, powers.shape[1]))
+    s_val = np.vstack([ones, c / m[1:] * powers[1:]])
+    s_ang = np.vstack([0.0 * ones, c / rho_max * powers[:-1]])
+    return (_side(tgt, value, radial, angular),
+            _side(src.polar, s_val, s_ang, s_ang))
 
 
 def _expand(pairs, place, factor, out=None):

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlartg
 
 from . import kernels as ker
 # min_gap_between stays importable for perfbench/tracing.py, which wraps it
@@ -33,6 +32,9 @@ from .geometry import TWO_PI, min_gap_between  # noqa: F401
 D_DIM = 2  # all operations are two-dimensional
 GMRES_TOL = 1e-10      # GMRES stops at this rotated relative residual
 GMRES_MAXITER = 500    # Krylov dimension of the single restart-free cycle
+# LAPACK's safe range for `_dlartg` and the bounds of its unscaled branch
+SAFMIN, SAFMAX = 2.0 ** -1022, 2.0 ** 1022
+RTMIN, RTMAX = math.sqrt(SAFMIN), math.sqrt(SAFMAX / 2)
 
 
 class SolverFailure(RuntimeError):
@@ -90,6 +92,29 @@ class BoundaryFields:
     residual_pressure: float
 
 
+def _dlartg(f, g):
+    """(c, s, r) with [c s; -s c] [f; g] = [r; 0]: LAPACK's dlartg (3.10 and
+    later, after E. Anderson, "Algorithm 978: Safe Scaling in the Level 1
+    BLAS", ACM TOMS 44(1), 2017), operation for operation, so each value is
+    the same float.  Pairs inside (RTMIN, RTMAX) go unscaled; the others
+    are scaled by max(|f|, |g|) clipped to [SAFMIN, SAFMAX].
+    """
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    f1, g1 = abs(f), abs(g)
+    if RTMIN < f1 < RTMAX and RTMIN < g1 < RTMAX:
+        d = math.sqrt(f * f + g * g)
+        r = math.copysign(d, f)
+        return f1 / d, g / r, r
+    u = min(SAFMAX, max(SAFMIN, f1, g1))
+    fs, gs = f / u, g / u
+    d = math.sqrt(fs * fs + gs * gs)
+    r = math.copysign(d, f)
+    return abs(fs) / d, gs / r, r * u
+
+
 def gmres(matrix, rhs):
     """Restart-free GMRES from x0 = 0; returns (x, iterations).
 
@@ -123,7 +148,7 @@ def gmres(matrix, rhs):
         for k, (c, s) in enumerate(rot):
             col[k], col[k + 1] = c * col[k] + s * col[k + 1], \
                 -s * col[k] + c * col[k + 1]
-        c, s, col[j] = dlartg(col[j], col[j + 1])
+        c, s, col[j] = _dlartg(col[j], col[j + 1])
         rot.append((c, s))
         r_cols.append(col[:j + 1])
         g.append(-s * g[j])
@@ -291,9 +316,10 @@ def sigma_bounds_violation(fields, params):
 
 class FieldSolver:
     """Per-run solver caching the static inner-boundary self blocks (of the
-    Helmholtz double layer only its row sums), one system buffer, which each
-    solve's two systems fill in turn, and the latest interface's self
-    geometry."""
+    Helmholtz double layer only its row sums), the inner boundary's part of
+    the separable cross factors (`kernels.CrossSource`), one system buffer,
+    which each solve's two systems fill in turn, and the latest interface's
+    self geometry."""
 
     def __init__(self, gamma0, params):
         self.gamma0 = gamma0
@@ -302,13 +328,17 @@ class FieldSolver:
         s00, d00 = ker.helmholtz_self_blocks(inner)
         self._helm_blocks = s00, d00 @ np.ones(gamma0.n)
         self._lap_blocks = ker.laplace_self_blocks(inner)
+        self._source = ker.CrossSource(gamma0)
         self._system = np.empty((0, 0))
         self._own = None
 
     def interface_geometry(self, gamma):
         """Gamma's `SelfGeometry`, built once per samples object: a caller
-        that reads its gap before `solve(gamma)` shares it with the solve."""
+        that reads its gap before `solve(gamma)` shares it with the solve.
+        The previous interface's geometry is dropped before the build, so
+        the two are never held at once."""
         if self._own is None or self._own.bnd is not gamma:
+            self._own = None
             self._own = ker.self_geometry(gamma)
         return self._own
 
@@ -317,7 +347,7 @@ class FieldSolver:
         if self._system.shape != (size, size):
             self._system = np.empty((size, size))
         pairs = (self.interface_geometry(gamma),
-                 ker.cross_geometry(self.gamma0, gamma))
+                 ker.cross_geometry(self._source, gamma))
         dsig, sig, it_n, res_n = solve_nutrient(self.params, self._helm_blocks,
                                                 pairs, self._system)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,

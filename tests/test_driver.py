@@ -554,15 +554,17 @@ class TestCli:
         assert half + cont[2:] == straight
 
 
-def test_cli_import_loads_no_interpolate_or_sparse():
+def test_cli_import_loads_no_interpolate_sparse_or_linalg():
     # scipy.interpolate pulls in scipy.sparse, which costs the command line
-    # about a quarter second of import time and 20 MB of memory
+    # about a quarter second of import time and 20 MB of memory;
+    # scipy.linalg's LAPACK wrappers cost about 6 MB
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                  if p]))
     code = ("import sys, tumorbim.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.interpolate', 'scipy.sparse'))))")
+            "if m.startswith(('scipy.interpolate', 'scipy.sparse', "
+            "'scipy.linalg'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"

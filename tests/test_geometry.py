@@ -1,14 +1,18 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dgtsv
 
 from tumorbim import geometry as geo
 from tumorbim.config import load_config
 
 import oracles
+from conftest import assert_same_floats
 from oracles import (equal_arclength_newton, polar_arclength, polar_area,
                      polar_curvature, read_snapshot, trig_interp)
 
@@ -306,6 +310,31 @@ class TestAreaAndDiagnostics:
 
 
 @st.composite
+def tridiagonal_systems(draw):
+    """(dl, d, du, b) of a tridiagonal system of order 2 to 40 with two
+    right-hand sides; entries of either sign from subnormal to 1e3 and
+    zero, so that about half the rows pivot and some pivots vanish."""
+    n = draw(st.integers(2, 40))
+    entries = st.floats(-1e3, 1e3)
+    dl, du = (draw(arrays(float, n - 1, elements=entries)) for _ in range(2))
+    d = draw(arrays(float, n, elements=entries))
+    return dl, d, du, draw(arrays(float, (n, 2), elements=entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system=tridiagonal_systems())
+# n = 2 with a row swap; a zero first pivot, which returns b untouched
+@example(system=(np.array([3.0]), np.array([1.0, 2.0]), np.array([-1.0]),
+                 np.array([[1.0, -0.0], [2.0, -1.0]])))
+@example(system=(np.array([0.0, 1.0]), np.array([0.0, 2.0, 1.0]),
+                 np.array([1.0, 1.0]), np.ones((3, 2))))
+def test_dgtsv_matches_lapack(system):
+    # scipy's LAPACK is the oracle, bit for bit, partly eliminated
+    # right-hand sides after a zero pivot included
+    assert_same_floats(geo._dgtsv(*system), dgtsv(*system)[3])
+
+
+@st.composite
 def star_rules(draw):
     """(alpha, r) of a random radial rule r = R (1 + sum eps_k cos(k a + c_k))
     with sum |eps_k| <= 0.3 at N nodes, N from 4 to 1024."""
@@ -345,8 +374,12 @@ class TestPeriodicSpline:
         points = knots[0] + 3 * TWO_PI * (np.arange(m) / m - 1 / 3)
         points = np.concatenate([points, knots])
         want = oracles.periodic_cubic_spline(knots, values, points)
-        got = geo.periodic_spline(knots, values, points)
+        with mock.patch.object(geo, "_dgtsv", wraps=geo._dgtsv) as solve:
+            got = geo.periodic_spline(knots, values, points)
         assert np.array_equal(got, want)
+        # the slopes' own tridiagonal system, solved as LAPACK solves it
+        system = solve.call_args.args
+        assert_same_floats(geo._dgtsv(*system), dgtsv(*system)[3])
 
     @settings(max_examples=60, deadline=None)
     @given(rule=star_rules(), mode=st.integers(2, 5))

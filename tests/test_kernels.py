@@ -1,4 +1,3 @@
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +9,7 @@ from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 
+from conftest import pair_array_peak
 from oracles import (DOUBLE, HELMHOLTZ, LAPLACE, SINGLE, eval_at_points,
                      richardson_limit)
 
@@ -209,7 +209,8 @@ class TestGaussAndJumpIdentities:
         inner = circle(128, radius=0.4)
         # one cross geometry serves both directions
         _, d_in_to_out, _, d_out_to_in = cross_matrices(
-            ker.laplace_cross_blocks(ker.cross_geometry(inner, outer)), 128, 128)
+            ker.laplace_cross_blocks(
+                ker.cross_geometry(ker.CrossSource(inner), outer)), 128, 128)
         inside = d_out_to_in @ np.ones(128)
         outside = d_in_to_out @ np.ones(128)
         assert np.max(np.abs(inside + 1.0)) < 1e-12
@@ -367,7 +368,8 @@ def test_far_pairs_are_the_triangle_pairs_not_near(n):
     sep = np.abs(idx[:, None] - idx[None, :])
     near = np.minimum(sep, n - sep) <= max(4, n // 16)
     tri = ker._triangle(n)
-    assert np.array_equal(tri.far, np.flatnonzero(~near.ravel()[tri.flat]))
+    assert np.array_equal(np.flatnonzero(tri.far),
+                          np.flatnonzero(~near.ravel()[tri.flat]))
 
 
 @pytest.mark.parametrize("blocks", [ker.helmholtz_self_blocks,
@@ -391,18 +393,9 @@ def test_helmholtz_self_pass_peak_memory():
     # n(n + 1)/2 node pairs at any time (it held 5 when each bracket
     # allocated its own operands)
     n = 512
-    geom = ker.self_geometry(wavy(n))
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        blocks = ker.helmholtz_self_blocks(geom)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    pair_arrays = (peak - sum(b.nbytes for b in blocks)) / geom.r.nbytes
+    blocks, peak = pair_array_peak(n, lambda: ker.self_geometry(wavy(n)),
+                                   ker.helmholtz_self_blocks)
+    pair_arrays = peak - sum(b.nbytes for b in blocks) / (4 * n * (n + 1))
     assert pair_arrays <= 2.5, f"peak holds {pair_arrays:.2f} pair arrays"
 
 
@@ -483,7 +476,7 @@ def test_self_blocks_match_kress_reference(preset, n):
 def test_cross_matrix_rejects_touching():
     bnd = wavy(64)
     with pytest.raises(ValueError):
-        ker.cross_geometry(bnd, bnd)
+        ker.cross_geometry(ker.CrossSource(bnd), bnd)
 
 
 def test_cross_blocks_serve_both_directions():
@@ -543,9 +536,30 @@ def test_separable_blocks_match_dense(preset, n, monkeypatch):
     # fig11 at N = 64 is past the rank rule, so admit every convergent pair
     monkeypatch.setattr(ker, "SEPARABLE_RANK_SHARE", np.inf)
     g0, g = preset_pair(preset, n)
-    separable = ker.cross_geometry(g0, g)
+    separable = ker.cross_geometry(ker.CrossSource(g0), g)
     assert separable.expansion is not None and separable.r is None
     assert_blocks_match(separable, ker.dense_cross_geometry(g0, g))
+
+
+def test_cross_source_side_follows_the_order():
+    # one CrossSource serves targets of different expansion orders: each
+    # pair's blocks equal, bit for bit, those of a fresh source, and the
+    # source's side is rebuilt only when the order changes
+    g0, g = preset_pair("fig7", 64)
+    source = ker.CrossSource(g0)
+    expansions = []
+    for scale in (1.0, 0.7, 0.7, 1.0):
+        tgt = geo.PlanarCurveSamples.from_xy(scale * g.x, scale * g.y)
+        geom = ker.cross_geometry(source, tgt)
+        fresh = ker.cross_geometry(ker.CrossSource(g0), tgt)
+        expansions.append(geom.expansion)
+        for blocks in CROSS_BLOCKS:
+            for got, want in zip(blocks(geom), blocks(fresh)):
+                assert np.array_equal(got, want)
+    orders = [exp.order for exp in expansions]
+    assert orders[0] == orders[3] != orders[1] == orders[2]
+    assert expansions[2].src is expansions[1].src
+    assert expansions[3].src is not expansions[0].src
 
 
 def test_separable_small_core_at_admission_edge():
@@ -560,7 +574,7 @@ def test_separable_small_core_at_admission_edge():
     scale = 0.1 / ratio / np.min(shape)
     g = geo.PlanarCurveSamples.from_xy(scale * shape * np.cos(a),
                                        scale * shape * np.sin(a))
-    separable = ker.cross_geometry(g0, g)
+    separable = ker.cross_geometry(ker.CrossSource(g0), g)
     exp = separable.expansion
     assert exp is not None and exp.order == top
     assert kv(top, 0.1 / ratio) == np.inf
@@ -574,28 +588,30 @@ def test_separable_small_core_at_admission_edge():
 def test_separable_path_choice():
     for preset in ("fig7", "fig11"):
         g0, g = preset_pair(preset, 512)
-        assert ker.cross_geometry(g0, g).expansion is not None
+        assert ker.cross_geometry(ker.CrossSource(g0), g).expansion is not None
         # swapped: the source encloses the target
-        swapped = ker.cross_geometry(g, g0)
+        swapped = ker.cross_geometry(ker.CrossSource(g), g0)
         assert swapped.expansion is None and swapped.r is not None
     # small N: fig11 needs M = 59, far past the rank rule at N = 64
-    assert ker.cross_geometry(*preset_pair("fig11", 64)).expansion is None
+    g0, g = preset_pair("fig11", 64)
+    assert ker.cross_geometry(ker.CrossSource(g0), g).expansion is None
     # near contact: a core reaching past the interface's inner radius
     outer = wavy(256)
-    near = ker.cross_geometry(circle(256, radius=2.45), outer)
+    near = ker.cross_geometry(ker.CrossSource(circle(256, radius=2.45)), outer)
     assert near.expansion is None and np.min(near.r) > 0.0
     # touching boundaries fall through to the dense path, which rejects them
     with pytest.raises(ValueError):
-        ker.cross_geometry(circle(64, radius=2.0), circle(64, radius=2.0))
+        ker.cross_geometry(ker.CrossSource(circle(64, radius=2.0)),
+                           circle(64, radius=2.0))
 
 
 def test_separable_blocks_serve_both_directions():
     # the reverse blocks of one separable geometry match the forward blocks
     # of the swapped pair, which takes the dense path
     outer, inner = wavy(128), circle(64, radius=0.2)
-    separable = ker.cross_geometry(inner, outer)
+    separable = ker.cross_geometry(ker.CrossSource(inner), outer)
     assert separable.expansion is not None
-    swapped = ker.cross_geometry(outer, inner)
+    swapped = ker.cross_geometry(ker.CrossSource(outer), inner)
     assert swapped.expansion is None
     for blocks in CROSS_BLOCKS:
         both = cross_matrices(blocks(separable), 64, 128)
@@ -609,7 +625,7 @@ def test_cross_blocks_combine_and_apply(radius):
     # `into` writes single S + double D of one direction and `dot` applies
     # it to a vector, on both paths
     outer, inner = wavy(128), circle(64, radius=radius)
-    geom = ker.cross_geometry(inner, outer)
+    geom = ker.cross_geometry(ker.CrossSource(inner), outer)
     assert (geom.expansion is None) == (radius == 2.0)
     vectors = np.cos(inner.alpha), np.sin(2 * outer.alpha)
     for blocks in CROSS_BLOCKS:

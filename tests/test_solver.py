@@ -2,6 +2,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg.lapack import dlartg
 from scipy.sparse.linalg import gmres as scipy_gmres
 from scipy.special import i0, i1, iv, k0, k1, kv
 
@@ -10,6 +13,7 @@ from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 from tumorbim import solver as sol
 
+from conftest import assert_same_floats, pair_array_peak
 from oracles import annulus_nutrient_coeffs, interior_value_nutrient
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -28,7 +32,7 @@ def system_buffer(g0, g):
 
 def pair_geometries(g0, g):
     """The (Gamma-Gamma, Gamma0-Gamma) geometries of one solve."""
-    return ker.self_geometry(g), ker.cross_geometry(g0, g)
+    return ker.self_geometry(g), ker.cross_geometry(ker.CrossSource(g0), g)
 
 
 def helmholtz_inner(g0):
@@ -224,6 +228,33 @@ def test_gmres_counts_do_not_grow_with_n(preset):
     assert counts == counts[:1] * 3, counts
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(f=FINITE, g=FINITE)
+# zeros of either sign; subnormals; the edges of the unscaled branch
+# (sqrt(SAFMIN) = 2^-511 and sqrt(SAFMAX/2) = 2^510.5) and pairs just
+# inside and outside them that the two branches round apart; both near
+# overflow
+@example(f=0.0, g=0.0)
+@example(f=-0.0, g=-0.0)
+@example(f=0.0, g=-2.0)
+@example(f=-3.0, g=0.0)
+@example(f=5e-324, g=-5e-324)
+@example(f=-2.0 ** -1022, g=1e-310)
+@example(f=2.0 ** -511, g=1.0)
+@example(f=1.0, g=float(np.nextafter(2.0 ** -511, 1.0)))
+@example(f=sol.RTMAX, g=-1.0)
+@example(f=-1.0, g=float(np.nextafter(sol.RTMAX, 0.0)))
+@example(f=1.5163218936906134e-154, g=2.7047974563401067e-154)
+@example(f=-5.991068068991035e+153, g=-5.270109723503117e+153)
+@example(f=1.7e308, g=-1.7e308)
+def test_dlartg_matches_lapack(f, g):
+    # scipy's LAPACK is the oracle: c, s and r bit for bit
+    assert_same_floats(sol._dlartg(f, g), dlartg(f, g))
+
+
 class TestGmres:
     @pytest.mark.parametrize("preset", ["fig7", "fig11"])
     def test_matches_scipy(self, monkeypatch, preset):
@@ -397,6 +428,27 @@ def test_solve_reuses_interface_geometry(monkeypatch):
     again = geo.initial_interface(2.5, 0.1, 2, n).samples()
     solver.solve(again)
     assert len(built) == 2 and built[1] is again
+
+
+def test_interface_geometry_peak_memory():
+    # the next interface's geometry is built after the previous one is
+    # dropped, and its build forms r^2 in place: at most 4 arrays of the
+    # n(n + 1)/2 node pairs above what was held before (8.1 when the
+    # previous geometry was held through a build of 8 pair arrays)
+    n = 512
+    g0 = geo.radial_boundary(0.5, 0.1, 3, 16)
+    first, second = (geo.initial_interface(r, 0.1, 2, n).samples()
+                     for r in (2.5, 2.6))
+
+    def build():
+        solver = sol.FieldSolver(g0, sol.Params(**FIG7))
+        solver.interface_geometry(first)
+        return solver
+
+    own, peak = pair_array_peak(n, build,
+                                lambda solver: solver.interface_geometry(second))
+    assert own.bnd is second
+    assert peak <= 4.0, f"peak holds {peak:.2f} pair arrays"
 
 
 def test_reused_buffer_keeps_no_stale_entries():
