@@ -50,11 +50,9 @@ class SimulationConfig:
             value = getattr(self, field.name)
             if field.type is float and not math.isfinite(value):
                 raise ConfigError(f"{field.name} must be finite, got {value}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError(f"N must be a power of 2 >= 8, got {self.n}")
-        n0 = self.n0 or self.n
-        if n0 < 8 or (n0 & (n0 - 1)) != 0:
-            raise ConfigError(f"N0 must be a power of 2 >= 8, got {n0}")
+        for key, n in (("N", self.n), ("N0", self.n_inner)):
+            if n < 8 or (n & (n - 1)) != 0:
+                raise ConfigError(f"{key} must be a power of 2 >= 8, got {n}")
         if self.dt <= 0:
             raise ConfigError("dt must be positive")
         if self.t_final <= 0:
@@ -94,21 +92,15 @@ class SimulationConfig:
         return replace(self, **overrides)
 
 
-# file keys follow the conventional parameter names
-_KEY_TO_FIELD = {
-    "P": "p", "A": "a", "chi": "chi", "beta": "beta", "sigma_n": "sigma_n",
-    "Ginv": "ginv", "R0": "r0", "eps0": "eps0", "k0": "k0",
-    "R_init": "r_init", "eps_init": "eps_init", "k_init": "k_init",
-    "N": "n", "N0": "n0", "dt": "dt", "t_final": "t_final",
-    "shape_mode": "shape_mode", "record_interval": "record_interval",
-    "snapshot_interval": "snapshot_interval", "trace_interval": "trace_interval",
-    "min_gap_factor": "min_gap_factor", "out_dir": "out_dir",
-}
-_INT_FIELDS = {"k0", "k_init", "n", "n0", "shape_mode"}
+# file keys are the field names, except the conventional parameter names
+_FILE_KEYS = {"p": "P", "a": "A", "ginv": "Ginv", "r0": "R0",
+              "r_init": "R_init", "n": "N", "n0": "N0"}
 
 
 def parse_config_text(text):
-    """Parse key = value lines; blank lines, comments and [sections] ignored."""
+    """Parse key = value lines, each value by its field's type; blank lines,
+    comments and [sections] ignored."""
+    schema = {_FILE_KEYS.get(f.name, f.name): f for f in fields(SimulationConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].split(";", 1)[0].strip()
@@ -117,16 +109,11 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEY_TO_FIELD:
+        if key not in schema:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        name = _KEY_TO_FIELD[key]
+        field = schema[key]
         try:
-            if name == "out_dir":
-                values[name] = value
-            elif name in _INT_FIELDS:
-                values[name] = int(value)
-            else:
-                values[name] = float(value)
+            values[field.name] = field.type(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     return values

@@ -195,17 +195,22 @@ class InterfaceState:
             alpha=alpha_grid(n))
 
 
+def _radial_rule(radius, eps, k, n):
+    """Nodes x, y of the radial rule r = R + eps cos(k a) on `alpha_grid(n)`."""
+    a = alpha_grid(n)
+    r = radius + eps * np.cos(k * a)
+    if np.min(r) <= 0:
+        raise ValueError("radial rule produces a self-intersecting boundary")
+    return r * np.cos(a), r * np.sin(a)
+
+
 def radial_boundary(r0, eps0, k0, n):
     """Static inner boundary sampled from the radial rule r = R0 + eps0 cos(k0 a)."""
     if r0 <= 0:
         raise ValueError("inner radius must be positive")
     if eps0 < 0 or k0 < 0 or int(k0) != k0:
         raise ValueError("radial rule needs eps0 >= 0 and integer k0 >= 0")
-    a = alpha_grid(n)
-    r = r0 + eps0 * np.cos(k0 * a)
-    if np.min(r) <= 0:
-        raise ValueError("radial rule produces a self-intersecting boundary")
-    return PlanarCurveSamples.from_xy(r * np.cos(a), r * np.sin(a))
+    return PlanarCurveSamples.from_xy(*_radial_rule(r0, eps0, k0, n))
 
 
 def reconstruct(state):
@@ -260,13 +265,9 @@ def equal_arclength_reparam(x, y, tol=1e-12, max_iter=50):
                           ref_point=(xr[0], yr[0]))
 
 
-def initial_interface(r_init, eps_init=0.0, k_init=0, n=256):
+def initial_interface(r_init, eps_init, k_init, n):
     """Equal-arclength state for the radial rule r = R + eps cos(k alpha)."""
-    a = alpha_grid(n)
-    r = r_init + eps_init * np.cos(k_init * a)
-    if np.min(r) <= 0:
-        raise ValueError("initial radial rule is not a simple curve")
-    return equal_arclength_reparam(r * np.cos(a), r * np.sin(a))
+    return equal_arclength_reparam(*_radial_rule(r_init, eps_init, k_init, n))
 
 
 # ---------------------------------------------------------------------------

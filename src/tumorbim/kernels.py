@@ -197,10 +197,9 @@ class CrossSource:
 
 
 class Expansion(NamedTuple):
-    """Truncation order M, the source's side and the target's polar data of
-    a cross pair whose source lies inside the disc of radius min |target|."""
+    """The source's side of truncation order M and the target's polar data
+    of a cross pair whose source lies inside the disc of radius min |target|."""
 
-    order: int
     src: SourceSide
     tgt: Polar
 
@@ -240,7 +239,7 @@ def _expansion(source, tgt):
     order = max(1, math.floor(math.log(EPS) / math.log(ratio)) + 1)
     if 2 * order + 1 > SEPARABLE_RANK_SHARE * min(source.bnd.n, tgt.n):
         return None
-    return Expansion(order, source.side(order), _polar(tgt, rad, order))
+    return Expansion(source.side(order), _polar(tgt, rad, order))
 
 
 def dense_cross_geometry(src, tgt):
@@ -348,7 +347,7 @@ def _helmholtz_sides(exp):
     source side eps_m I_m(rho) a_m ~ (rho/R_min)^m from ratios
     I_m/I_{m-1} of the backward recurrence, so neither overflows.
     """
-    order, src, tgt = exp.order, exp.src, exp.tgt
+    order, src, tgt = exp.src.order, exp.src, exp.tgt
     rad = tgt.radius
     k0r, k1r = k0(rad), k1(rad)
     at = np.argmin(rad)
@@ -387,7 +386,7 @@ def _helmholtz_sides(exp):
 def _laplace_sides(exp):
     """Sides of -ln|x - y| = -ln R + sum_{m>=1} (rho/R)^m cos m(theta - phi)/m,
     with (rho/R)^m split as (R_min/R)^m (rho/rho_max)^m (rho_max/R_min)^m."""
-    order, src, tgt = exp.order, exp.src, exp.tgt
+    order, src, tgt = exp.src.order, exp.src, exp.tgt
     rad, rho_max, powers = tgt.radius, src.rho_max, src.powers
     r_min = np.min(rad)
     m = np.arange(order + 1)[:, None]

@@ -208,18 +208,13 @@ def dshape_dt(coeffs, config):
     return float(sum(shape_rate_terms(coeffs, config).values()))
 
 
-def critical_apoptosis(coeffs, config):
+def critical_apoptosis(radius, terms, config):
     """Apoptosis level at which the shape factor is stationary.
 
-    Solves dshape_dt = 0 for A at fixed radius.  Raises ZeroDivisionError
-    when the apoptosis bracket vanishes (the curve has a pole there).
+    Solves dshape_dt = 0 for A at fixed radius from the radius's
+    `shape_rate_terms`.  Raises ZeroDivisionError when the apoptosis
+    bracket vanishes (the curve has a pole there).
     """
-    return _critical_apoptosis(coeffs.radius, shape_rate_terms(coeffs, config),
-                               config)
-
-
-def _critical_apoptosis(radius, terms, config):
-    """`critical_apoptosis` from the radius's `shape_rate_terms`."""
     _, bracket = _lam_bracket(radius, config)
     if abs(bracket) < 1e-14:
         raise ZeroDivisionError("apoptosis bracket vanishes: pole in the curve")
@@ -278,7 +273,7 @@ def stability_curve(config, r_values):
         coeffs = coefficients(r, config)
         terms = shape_rate_terms(coeffs, config)
         try:
-            ac = _critical_apoptosis(coeffs.radius, terms, config)
+            ac = critical_apoptosis(r, terms, config)
         except ZeroDivisionError:
             ac = float("nan")
         rows.append((r, ac) + tuple(terms[k] for k in RATE_NAMES))

@@ -32,11 +32,11 @@ def tiny_config(**overrides):
 
 def write_config(path, config):
     """Write `config` as a key = value file that `load_config` reads back."""
-    keys = {f: k for k, f in cfgmod._KEY_TO_FIELD.items()}
     with open(path, "w") as fh:
         fh.write("[simulation]\n")
         for f in fields(config):
-            fh.write(f"{keys[f.name]} = {getattr(config, f.name)}\n")
+            key = cfgmod._FILE_KEYS.get(f.name, f.name)
+            fh.write(f"{key} = {getattr(config, f.name)}\n")
 
 
 class TestConfig:
@@ -448,10 +448,9 @@ class TestCli:
         # 0.45 - 0.1 cos(2 a) dips inside r0 = 0.5, which the simulation
         # config rejects
         path = self.write_cfg(tmp_path)
-        keys = {f: k for k, f in cfgmod._KEY_TO_FIELD.items()}
         with open(path, "a") as fh:
             for name, value in overrides.items():
-                fh.write(f"{keys[name]} = {value}\n")
+                fh.write(f"{cfgmod._FILE_KEYS.get(name, name)} = {value}\n")
         code = main(["linstab", "--config", str(path), "--mode", mode,
                      "--out", str(tmp_path / "curve.tsv")])
         assert code == 4

@@ -556,7 +556,7 @@ def test_cross_source_side_follows_the_order():
         for blocks in CROSS_BLOCKS:
             for got, want in zip(blocks(geom), blocks(fresh)):
                 assert np.array_equal(got, want)
-    orders = [exp.order for exp in expansions]
+    orders = [exp.src.order for exp in expansions]
     assert orders[0] == orders[3] != orders[1] == orders[2]
     assert expansions[2].src is expansions[1].src
     assert expansions[3].src is not expansions[0].src
@@ -576,7 +576,7 @@ def test_separable_small_core_at_admission_edge():
                                        scale * shape * np.sin(a))
     separable = ker.cross_geometry(ker.CrossSource(g0), g)
     exp = separable.expansion
-    assert exp is not None and exp.order == top
+    assert exp is not None and exp.src.order == top
     assert kv(top, 0.1 / ratio) == np.inf
     for sides in (ker._helmholtz_sides(exp), ker._laplace_sides(exp)):
         for factor in (f for side in sides for f in side):

@@ -219,7 +219,8 @@ class TestCriticalApoptosis:
     def test_root_property(self):
         c = cfg(FIG3)
         for r in (1.5, 2.5, 4.0):
-            a_c = lin.critical_apoptosis(lin.coefficients(r, c), c)
+            a_c = lin.critical_apoptosis(
+                r, lin.shape_rate_terms(lin.coefficients(r, c), c), c)
             params_at = sol.Params(p=5, a=a_c, chi=5, beta=0.5,
                                    sigma_n=0.2, ginv=1e-3)
             c_at = cfg(params_at)
@@ -231,7 +232,8 @@ class TestCriticalApoptosis:
             params = sol.Params(p=5, a=0.25, chi=5, beta=beta,
                                 sigma_n=0.2, ginv=1e-3)
             c = cfg(params)
-            a_c[beta] = lin.critical_apoptosis(lin.coefficients(4.0, c), c)
+            a_c[beta] = lin.critical_apoptosis(
+                4.0, lin.shape_rate_terms(lin.coefficients(4.0, c), c), c)
         assert a_c[2.0] > a_c[0.5]
 
     def test_taxis_lowers_critical_apoptosis(self):
@@ -240,7 +242,8 @@ class TestCriticalApoptosis:
             params = sol.Params(p=5, a=0.25, chi=chi, beta=0.5,
                                 sigma_n=0.2, ginv=1e-3)
             c = cfg(params)
-            a_c[chi] = lin.critical_apoptosis(lin.coefficients(4.0, c), c)
+            a_c[chi] = lin.critical_apoptosis(
+                4.0, lin.shape_rate_terms(lin.coefficients(4.0, c), c), c)
         assert a_c[5.0] < a_c[0.0]
 
     def test_stability_curve_table(self):
@@ -257,7 +260,8 @@ class TestCriticalApoptosis:
         radii = np.linspace(0.5, 4.0, 10)
         # the table as built from the per-radius calls, each on a
         # coefficient set of its own
-        want = [(r, lin.critical_apoptosis(lin.coefficients(r, c), c))
+        want = [(r, lin.critical_apoptosis(
+                    r, lin.shape_rate_terms(lin.coefficients(r, c), c), c))
                 + tuple(lin.shape_rate_terms(lin.coefficients(r, c), c)[k]
                         for k in lin.RATE_NAMES)
                 for r in radii]
