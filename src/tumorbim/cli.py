@@ -7,6 +7,7 @@ a checkpoint).  Exit codes: 0 complete, 2 topology-proximity halt,
 """
 
 import argparse
+import math
 import re
 import sys
 
@@ -55,6 +56,17 @@ def _comma_list(kind):
     return parse
 
 
+def _finite_float(text):
+    """argparse type of a finite float: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_finite_float.__name__ = "finite float"
+
+
 def build_parser():
     parser = _Parser(
         prog="tumorbim",
@@ -71,13 +83,13 @@ def build_parser():
     p_lin = sub.add_parser("linstab", help="stability curves and linear ODEs")
     p_lin.add_argument("--config", required=True)
     p_lin.add_argument("--mode", type=int, default=2, help="perturbation mode l")
-    p_lin.add_argument("--r-min", type=float, default=0.5)
-    p_lin.add_argument("--r-max", type=float, default=4.0)
+    p_lin.add_argument("--r-min", type=_finite_float, default=0.5)
+    p_lin.add_argument("--r-max", type=_finite_float, default=4.0)
     p_lin.add_argument("--num", type=int, default=200, help="radius samples")
     p_lin.add_argument("--evolve", action="store_true",
                        help="integrate R(t), delta/R(t) instead of the "
                             "critical-apoptosis curve")
-    p_lin.add_argument("--t-final", type=float, default=None)
+    p_lin.add_argument("--t-final", type=_finite_float, default=None)
     p_lin.add_argument("--dt-ode", type=float, default=1e-3)
     p_lin.add_argument("--out", required=True, help="output file")
 
@@ -116,28 +128,26 @@ def _cmd_run(args):
 
 def _cmd_linstab(args):
     config = load_config(args.config)
+    if args.num < 1:
+        raise ConfigError(f"--num must be >= 1, got {args.num}")
     try:
         lin_cfg = LinearConfig(r0=config.r0, mode=args.mode,
                                params=config.params(), r_init=config.r_init,
                                delta_init=config.eps_init)
+        if args.evolve:
+            t_final = args.t_final if args.t_final is not None else config.t_final
+            pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
+            columns = ("time", "radius", "delta_over_r")
+            rows = list(zip(pred.times, pred.radius, pred.delta_over_r))
+            note = " (halted early)" if pred.halted else ""
+        else:
+            radii = np.linspace(args.r_min, args.r_max, args.num)
+            rows = stability_curve(lin_cfg, radii[radii > config.r0])
+            columns, note = rows.dtype.names, ""
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.evolve:
-        t_final = args.t_final if args.t_final is not None else config.t_final
-        try:
-            pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        write_table(args.out, ("time", "radius", "delta_over_r"),
-                    zip(pred.times, pred.radius, pred.delta_over_r))
-        print(f"wrote {pred.times.size} rows to {args.out}"
-              + (" (halted early)" if pred.halted else ""))
-    else:
-        radii = np.linspace(args.r_min, args.r_max, args.num)
-        radii = radii[radii > config.r0]
-        table = stability_curve(lin_cfg, radii)
-        write_table(args.out, table.dtype.names, table)
-        print(f"wrote {len(table)} rows to {args.out}")
+    write_table(args.out, columns, rows)
+    print(f"wrote {len(rows)} rows to {args.out}{note}")
     return 0
 
 

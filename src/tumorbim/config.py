@@ -66,6 +66,9 @@ class SimulationConfig:
                               "the inner boundary")
         if self.shape_mode < 1:
             raise ConfigError("shape_mode must be >= 1")
+        if self.shape_mode > self.n // 2:
+            raise ConfigError(f"shape_mode must be <= N/2 = {self.n // 2}, "
+                              f"got {self.shape_mode}")
         if self.min_gap_factor <= 0:
             raise ConfigError("min_gap_factor must be positive")
         for name in ("record_interval", "snapshot_interval", "trace_interval"):

@@ -228,8 +228,8 @@ def integrate_linear_odes(config, t_final, dt=1e-3):
     One coefficient set per stage serves both rates.  Integration halts
     early if the radius reaches the inner radius.
     """
-    if not (dt > 0 and t_final >= 0):
-        raise ValueError("need dt > 0 and t_final >= 0")
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf):
+        raise ValueError("need dt > 0 and t_final >= 0, both finite")
 
     def rates(r, s):
         coeffs = coefficients(r, config)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -17,7 +19,8 @@ from tumorbim.cli import main
 
 from oracles import read_record, read_snapshot
 
-PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+PRESET_DIR = REPO / "configs"
 
 TINY = dict(p=5.0, a=0.25, chi=5.0, beta=0.5, sigma_n=0.2, ginv=1e-3,
             r0=0.5, eps0=0.0, k0=0, r_init=2.0, eps_init=0.1, k_init=2,
@@ -69,6 +72,51 @@ class TestConfig:
             tiny_config(r_init=0.4)  # inside the inner boundary
         with pytest.raises(cfgmod.ConfigError):
             tiny_config(sigma_n=2.0)
+
+    # the file keys are the field names, except these conventional names
+    CONVENTIONAL = {"p": "P", "a": "A", "ginv": "Ginv", "r0": "R0",
+                    "r_init": "R_init", "n": "N", "n0": "N0"}
+
+    def test_one_key_per_field(self):
+        # every field is reached by exactly one of the candidate keys, and
+        # "1" parses to the field's own type
+        types = {f.name: f.type for f in fields(cfgmod.SimulationConfig)}
+        candidates = set(self.CONVENTIONAL.values()).union(
+            *({name, name.upper(), name.capitalize()} for name in types))
+        reached = {}
+        for key in sorted(candidates):
+            try:
+                values = cfgmod.parse_config_text(f"{key} = 1\n")
+            except cfgmod.ConfigError as exc:
+                assert "unknown key" in str(exc)
+                continue
+            ((name, value),) = values.items()
+            assert type(value) is types[name] and value == types[name](1)
+            reached.setdefault(name, []).append(key)
+        assert reached == {name: [self.CONVENTIONAL.get(name, name)]
+                           for name in types}
+
+    @pytest.mark.parametrize("key", ["p", "a", "ginv", "r0", "r_init", "n",
+                                     "n0"])
+    def test_renamed_field_names_are_unknown_keys(self, key):
+        with pytest.raises(cfgmod.ConfigError, match="unknown key"):
+            cfgmod.parse_config_text(f"{key} = 1\n")
+
+    def test_integer_key_rejects_float_text(self):
+        with pytest.raises(cfgmod.ConfigError,
+                           match="line 2: bad value for N: '64.0'"):
+            cfgmod.parse_config_text("[simulation]\nN = 64.0\n")
+
+    def test_out_dir_stays_text(self):
+        assert cfgmod.parse_config_text("out_dir = runs/a b 1e3\n") == \
+            {"out_dir": "runs/a b 1e3"}
+        assert cfgmod.parse_config_text("out_dir = 64\n") == {"out_dir": "64"}
+
+    def test_shape_mode_at_most_half_n(self):
+        # the N-node interface carries Fourier modes up to N/2
+        assert tiny_config(n=32, shape_mode=16).shape_mode == 16
+        with pytest.raises(cfgmod.ConfigError, match="shape_mode must be <= N/2"):
+            tiny_config(n=32, shape_mode=17)
 
     def test_overrides(self):
         cfg = tiny_config().with_overrides(dt=5e-4)
@@ -466,6 +514,33 @@ class TestCli:
         assert code == 4
         assert "need dt > 0" in capsys.readouterr().err
 
+    # a linstab flag that is not finite, or a sample count below one, is a
+    # configuration error: nothing is written
+    @pytest.mark.parametrize("flags", [
+        ["--num", "-1"], ["--num", "0"], ["--r-min", "nan"],
+        ["--r-max", "inf"], ["--evolve", "--t-final", "inf"],
+        ["--evolve", "--dt-ode", "inf"]])
+    def test_linstab_bad_flag_exit_code(self, tmp_path, flags):
+        path = self.write_cfg(tmp_path)
+        out = tmp_path / "linstab.tsv"
+        code = main(["linstab", "--config", str(path), "--out", str(out)]
+                    + flags)
+        assert code == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape_mode", ["17", "300"])
+    def test_shape_mode_above_half_n_exit_code(self, tmp_path, capsys,
+                                                shape_mode):
+        # N = 32 carries modes up to 16; mode 300 lies past the resampled
+        # spectrum as well
+        path = self.write_cfg(tmp_path)
+        with open(path, "a") as fh:
+            fh.write(f"shape_mode = {shape_mode}\n")
+        code = main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "shape_mode must be <= N/2 = 16" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line", ["tol = 1e-10", "krasny_floor = 1e-12"])
     def test_retired_key_exit_code(self, tmp_path, capsys, line):
         # the GMRES tolerance and the Krasny floor are constants of the
@@ -567,3 +642,19 @@ def test_cli_import_loads_no_interpolate_sparse_or_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_names_exist():
+    # perfbench's tracer wraps these names where their callers look them
+    # up; a deleted one would otherwise fail only the benchmark's own tests
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tb = {name: importlib.import_module(f"tumorbim.{name}")
+          for name in ("kernels", "solver", "driver", "geometry")}
+    missing = [f"{owner.__name__}.{attr}"
+               for owner, attr, _, _ in tracing.trace_targets(tb)
+               if not (attr in vars(owner) if isinstance(owner, type)
+                       else hasattr(owner, attr))]
+    assert missing == []

@@ -399,6 +399,13 @@ class TestShapeRateAgainstBim:
                                          abs=5e-3)
 
 
+@pytest.mark.parametrize("dt, t_final", [(np.inf, 0.1), (1e-3, np.inf)])
+def test_integrate_rejects_infinite_steps(dt, t_final):
+    c = cfg(FIG7)
+    with pytest.raises(ValueError, match="need dt > 0 and t_final >= 0"):
+        lin.integrate_linear_odes(c, t_final, dt=dt)
+
+
 def test_linear_config_validation():
     with pytest.raises(ValueError):
         lin.LinearConfig(r0=-1, mode=2, params=FIG7)
