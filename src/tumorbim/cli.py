@@ -2,8 +2,9 @@
 
 Verbs: run (simulate), linstab (stability curves / linear trajectories),
 converge (dt or N refinement study), traces (re-emit boundary traces from
-a checkpoint).  Exit codes: 0 complete, 2 topology-proximity halt,
-3 solver failure, 4 configuration or command-line error.
+a checkpoint).  Exit codes are the `driver.RunStatus` values: 0 complete,
+2 topology-proximity halt, 3 solver failure, 4 configuration or
+command-line error.
 """
 
 import argparse
@@ -14,10 +15,9 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .driver import convergence_study, reemit_traces, resume, run, write_table
+from .driver import (RunStatus, convergence_study, reemit_traces, resume, run,
+                     write_table)
 from .linear import LinearConfig, integrate_linear_odes, stability_curve
-
-EXIT_CONFIG_ERROR = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,24 +28,6 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
-
-
-def _add_override_flags(parser):
-    parser.add_argument("--dt", type=float, help="override time step")
-    parser.add_argument("--n", type=int, help="override marker count N")
-    parser.add_argument("--t-final", type=float, help="override final time")
-
-
-def _overrides_from(args):
-    out = {}
-    if args.dt is not None:
-        out["dt"] = args.dt
-    if args.n is not None:
-        out["n"] = args.n
-        out["n0"] = 0
-    if args.t_final is not None:
-        out["t_final"] = args.t_final
-    return out
 
 
 def _comma_list(kind):
@@ -78,7 +60,9 @@ def build_parser():
     p_run.add_argument("--config", help="key = value configuration file")
     p_run.add_argument("--resume", help="checkpoint to continue from")
     p_run.add_argument("--out", help="output directory")
-    _add_override_flags(p_run)
+    p_run.add_argument("--dt", type=float, help="override time step")
+    p_run.add_argument("--n", type=int, help="override marker count N")
+    p_run.add_argument("--t-final", type=float, help="override final time")
 
     p_lin = sub.add_parser("linstab", help="stability curves and linear ODEs")
     p_lin.add_argument("--config", required=True)
@@ -118,12 +102,16 @@ def _cmd_run(args):
     else:
         if not args.config:
             raise ConfigError("run requires --config (or --resume)")
-        config = load_config(args.config, **_overrides_from(args))
+        overrides = dict(dt=args.dt, t_final=args.t_final)
+        if args.n is not None:
+            overrides.update(n=args.n, n0=0)
+        config = load_config(args.config, **{k: v for k, v in overrides.items()
+                                             if v is not None})
         result = run(config, out_dir=args.out)
     print(f"{result.status.name}: {result.message} "
           f"({result.steps_done} steps, {result.wall_time:.1f}s, "
           f"peak GMRES {result.peak_gmres})")
-    return int(result.status)
+    return result.status
 
 
 def _cmd_linstab(args):
@@ -148,7 +136,7 @@ def _cmd_linstab(args):
         raise ConfigError(str(exc)) from exc
     write_table(args.out, columns, rows)
     print(f"wrote {len(rows)} rows to {args.out}{note}")
-    return 0
+    return RunStatus.COMPLETE
 
 
 def _cmd_converge(args):
@@ -159,15 +147,14 @@ def _cmd_converge(args):
     study, results = convergence_study(config, dts=args.dts, ns=args.ns,
                                        jobs=args.jobs, out_root=args.out_root)
     study.write(args.out)
-    worst = max(int(r.status) for r in results)
     print(f"wrote study table to {args.out}")
-    return worst
+    return max(r.status for r in results)
 
 
 def _cmd_traces(args):
     reemit_traces(args.checkpoint, args.out)
     print(f"wrote traces to {args.out}")
-    return 0
+    return RunStatus.COMPLETE
 
 
 def main(argv=None):
@@ -176,14 +163,14 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 0 after --help and 2, the proximity-halt code, after
         # printing a usage error
-        return EXIT_CONFIG_ERROR if exc.code else 0
+        return RunStatus.CONFIG_ERROR if exc.code else RunStatus.COMPLETE
     handlers = {"run": _cmd_run, "linstab": _cmd_linstab,
                 "converge": _cmd_converge, "traces": _cmd_traces}
     try:
         return handlers[args.verb](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return RunStatus.CONFIG_ERROR
 
 
 def entry():

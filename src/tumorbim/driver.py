@@ -24,7 +24,7 @@ from .config import ConfigError, SimulationConfig
 # here; the self gap comes from FieldSolver.interface_geometry
 from .geometry import (InterfaceState, area, initial_interface,  # noqa: F401
                        min_gap_between, min_self_gap, radial_boundary,
-                       shape_diagnostics, write_snapshot)
+                       shape_diagnostics)
 from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
                      normal_velocity, proximity_warning, sigma_bounds_violation)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
@@ -41,6 +41,7 @@ class RunStatus(enum.IntEnum):
     COMPLETE = 0
     PROXIMITY_HALT = 2
     SOLVER_FAILURE = 3
+    CONFIG_ERROR = 4
 
 
 @dataclass
@@ -82,13 +83,25 @@ def write_table(path, columns, rows, comments=()):
             fh.write("\t".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _intervals_to_steps(interval, dt, label):
-    if interval == 0:
-        return 0
-    steps = interval / dt
+def write_snapshot(path, samples, time, s_alpha):
+    """Interface markers at `time`: N, t and s_alpha stamps, then x, y."""
+    write_table(path, ("x", "y"), zip(samples.x, samples.y),
+                [f"N = {samples.n}", f"t = {time:.17g}", f"s_alpha = {s_alpha:.17g}"])
+
+
+def _steps(config, name):
+    """The config's interval `name` in time steps."""
+    interval = getattr(config, name)
+    steps = interval / config.dt
     if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ConfigError(f"{label} = {interval} is not a multiple of dt = {dt}")
+        raise ConfigError(f"{name} = {interval} is not a multiple of dt = {config.dt}")
     return int(round(steps))
+
+
+def _field_solver(config):
+    """The run's solver on its inner boundary."""
+    return FieldSolver(radial_boundary(config.r0, config.eps0, config.k0,
+                                       config.n_inner), config.params())
 
 
 def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
@@ -184,16 +197,12 @@ def load_checkpoint(path):
 
 def _run_loop(config, state, history, start_index, out):
     """Shared body of run() and resume()."""
-    params = config.params()
-    gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
-    solver = FieldSolver(gamma0, params)
-    n_steps = _intervals_to_steps(config.t_final, config.dt, "t_final")
-    rec_every = _intervals_to_steps(config.record_interval, config.dt,
-                                    "record_interval") or 1
-    snap_every = _intervals_to_steps(config.snapshot_interval, config.dt,
-                                     "snapshot_interval")
-    trace_every = _intervals_to_steps(config.trace_interval, config.dt,
-                                      "trace_interval")
+    solver = _field_solver(config)
+    gamma0, params = solver.gamma0, solver.params
+    n_steps = _steps(config, "t_final")
+    rec_every = _steps(config, "record_interval") or 1
+    snap_every = _steps(config, "snapshot_interval")
+    trace_every = _steps(config, "trace_interval")
 
     record = RunRecord()
     status = RunStatus.COMPLETE
@@ -206,7 +215,8 @@ def _run_loop(config, state, history, start_index, out):
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "snapshots").mkdir(exist_ok=True)
-        write_snapshot(out / "gamma0.txt", gamma0)
+        write_snapshot(out / "gamma0.txt", gamma0, 0.0,
+                       float(np.mean(gamma0.s_alpha)))
 
     i = start_index
     while True:
@@ -219,7 +229,8 @@ def _run_loop(config, state, history, start_index, out):
             message = (f"boundary gap {gap:.4e} fell below "
                        f"{config.min_gap_factor} node spacings at t = {state.time:.6g}")
             if out is not None:
-                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", state)
+                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", gamma,
+                               state.time, state.s_alpha)
             break
         try:
             fields = solver.solve(gamma)
@@ -245,7 +256,8 @@ def _run_loop(config, state, history, start_index, out):
                           min_gap=gap, max_v=float(np.max(np.abs(v))))
         if out is not None:
             if i == 0 or i == n_steps or (snap_every and i % snap_every == 0):
-                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", state)
+                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", gamma,
+                               state.time, state.s_alpha)
             if i == n_steps or (trace_every and i % trace_every == 0):
                 emit_traces(out, gamma0, gamma, fields, params, state.time,
                             tag=f"{i:08d}")
@@ -303,11 +315,10 @@ def resume(checkpoint_path, t_final=None, out_dir=None):
 def reemit_traces(checkpoint_path, out_dir):
     """Re-solve the fields at a checkpointed state and write its trace files."""
     config, state, _, step_index = load_checkpoint(checkpoint_path)
-    params = config.params()
-    gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
+    solver = _field_solver(config)
     gamma = state.samples()
-    fields = FieldSolver(gamma0, params).solve(gamma)
-    emit_traces(out_dir, gamma0, gamma, fields, params, state.time,
+    fields = solver.solve(gamma)
+    emit_traces(out_dir, solver.gamma0, gamma, fields, solver.params, state.time,
                 tag=f"{step_index:08d}")
     return fields
 

@@ -451,25 +451,3 @@ def min_self_gap(samples):
     d2[np.minimum(sep, n - sep) <= max(4, n // 16)] = np.inf
     return float(np.sqrt(np.min(d2)))
 
-
-# ---------------------------------------------------------------------------
-# snapshot files
-
-def write_snapshot(path, samples_or_state):
-    """Plain-text snapshot: header (N, time, s_alpha) then N rows of x y;
-    curve samples, which carry no time, are written at time 0."""
-    if isinstance(samples_or_state, InterfaceState):
-        state = samples_or_state
-        x, y = reconstruct(state)
-        t = state.time
-        s = state.s_alpha
-    else:
-        smp = samples_or_state
-        x, y = smp.x, smp.y
-        t = 0.0
-        s = float(np.mean(smp.s_alpha))
-    with open(path, "w") as fh:
-        fh.write(f"{x.size} {t:.17g} {s:.17g}\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.17g} {yi:.17g}\n")
-

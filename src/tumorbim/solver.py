@@ -172,11 +172,10 @@ def gmres(matrix, rhs):
 def _solve_gmres(matrix, rhs, system):
     """`gmres` checked on the true relative residual, which must be at most
     10 GMRES_TOL (NaN fails); returns (x, iterations, residual)."""
-    if not np.any(rhs):
-        return np.zeros_like(rhs), 0, 0.0
     x, iterations = gmres(matrix, rhs)
     r = matrix @ x - rhs
-    residual = math.sqrt(r @ r) / math.sqrt(rhs @ rhs)
+    # no iteration: the rhs is zero, and so are x and r
+    residual = math.sqrt(r @ r) / math.sqrt(rhs @ rhs) if iterations else 0.0
     if not residual <= 10.0 * GMRES_TOL:
         raise SolverFailure(system, residual, iterations)
     return x, iterations, residual

@@ -150,10 +150,14 @@ def min_gap_full(a, b):
 
 
 def read_snapshot(path):
-    """Inverse of `geometry.write_snapshot`; returns (x, y, time, s_alpha)."""
+    """Inverse of `driver.write_snapshot`; returns (x, y, time, s_alpha)."""
     with open(path) as fh:
-        head = fh.readline().split()
-        n, t, s = int(head[0]), float(head[1]), float(head[2])
+        stamps = [fh.readline().split() for _ in range(3)]
+        if ([line[:3] for line in stamps]
+                != [["#", key, "="] for key in ("N", "t", "s_alpha")]
+                or fh.readline().split() != ["x", "y"]):
+            raise ValueError(f"snapshot {path} has no N, t, s_alpha, x y header")
+        n, t, s = (kind(line[3]) for kind, line in zip((int, float, float), stamps))
         data = np.loadtxt(fh, ndmin=2)
     if data.shape != (n, 2):
         raise ValueError(f"snapshot {path} is corrupted: expected {n} rows")

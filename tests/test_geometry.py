@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dgtsv
 
+from tumorbim import driver as drv
 from tumorbim import geometry as geo
 from tumorbim.config import load_config
 
@@ -472,7 +473,7 @@ class TestSnapshotIO:
         state = geo.initial_interface(2.5, 0.1, 2, 64)
         state.time = 0.123456789012345
         path = tmp_path / "snap.txt"
-        geo.write_snapshot(path, state)
+        drv.write_snapshot(path, state.samples(), state.time, state.s_alpha)
         x, y, t, s = read_snapshot(path)
         xs, ys = geo.reconstruct(state)
         assert np.array_equal(x, xs) and np.array_equal(y, ys)
