@@ -98,13 +98,15 @@ def build_parser():
 
 def _cmd_run(args):
     if args.resume:
+        if args.config or args.dt is not None or args.n is not None:
+            raise ConfigError("a resumed run keeps its checkpoint's config: "
+                              "--config, --dt and --n do not apply")
         result = resume(args.resume, t_final=args.t_final, out_dir=args.out)
     else:
         if not args.config:
             raise ConfigError("run requires --config (or --resume)")
-        overrides = dict(dt=args.dt, t_final=args.t_final)
-        if args.n is not None:
-            overrides.update(n=args.n, n0=0)
+        overrides = dict(dt=args.dt, n=args.n, t_final=args.t_final,
+                         n0=None if args.n is None else 0)
         config = load_config(args.config, **{k: v for k, v in overrides.items()
                                              if v is not None})
         result = run(config, out_dir=args.out)
@@ -119,30 +121,40 @@ def _cmd_linstab(args):
     if args.num < 1:
         raise ConfigError(f"--num must be >= 1, got {args.num}")
     try:
-        lin_cfg = LinearConfig(r0=config.r0, mode=args.mode,
-                               params=config.params(), r_init=config.r_init,
-                               delta_init=config.eps_init)
-        if args.evolve:
-            t_final = args.t_final if args.t_final is not None else config.t_final
-            pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
-            columns = ("time", "radius", "delta_over_r")
-            rows = list(zip(pred.times, pred.radius, pred.delta_over_r))
-            note = " (halted early)" if pred.halted else ""
-        else:
-            radii = np.linspace(args.r_min, args.r_max, args.num)
-            rows = stability_curve(lin_cfg, radii[radii > config.r0])
-            columns, note = rows.dtype.names, ""
+        # a float out of range in the model raises, as its own checks do
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            lin_cfg = LinearConfig(r0=config.r0, mode=args.mode,
+                                   params=config.params(), r_init=config.r_init,
+                                   delta_init=config.eps_init)
+            if args.evolve:
+                t_final = args.t_final if args.t_final is not None else config.t_final
+                pred = integrate_linear_odes(lin_cfg, t_final, dt=args.dt_ode)
+                columns = ("time", "radius", "delta_over_r")
+                rows = list(zip(pred.times, pred.radius, pred.delta_over_r))
+                note = " (halted early)" if pred.halted else ""
+            else:
+                span = f"--r-min {args.r_min:g} to --r-max {args.r_max:g}"
+                if not abs(args.r_max - args.r_min) < math.inf:
+                    raise ValueError(f"the span {span} overflows")
+                radii = np.linspace(args.r_min, args.r_max, args.num)
+                radii = radii[radii > config.r0]
+                if radii.size == 0:
+                    raise ValueError(f"no radius from {span} lies above "
+                                     f"R0 = {config.r0:g}")
+                rows = stability_curve(lin_cfg, radii)
+                columns, note = rows.dtype.names, ""
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:
+        raise ConfigError(f"linear model at --mode {args.mode}: {exc}") from exc
     write_table(args.out, columns, rows)
     print(f"wrote {len(rows)} rows to {args.out}{note}")
     return RunStatus.COMPLETE
 
 
 def _cmd_converge(args):
-    overrides = {}
-    if args.record_interval is not None:
-        overrides["record_interval"] = args.record_interval
+    overrides = ({} if args.record_interval is None
+                 else {"record_interval": args.record_interval})
     config = load_config(args.config, **overrides)
     study, results = convergence_study(config, dts=args.dts, ns=args.ns,
                                        jobs=args.jobs, out_root=args.out_root)

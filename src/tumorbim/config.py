@@ -3,6 +3,9 @@
 import math
 from dataclasses import dataclass, fields, replace
 
+import numpy as np
+
+from .bessel import i0
 from .solver import Params
 
 
@@ -53,10 +56,9 @@ class SimulationConfig:
         for key, n in (("N", self.n), ("N0", self.n_inner)):
             if n < 8 or (n & (n - 1)) != 0:
                 raise ConfigError(f"{key} must be a power of 2 >= 8, got {n}")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_final <= 0:
-            raise ConfigError("t_final must be positive")
+        for name in ("dt", "t_final", "min_gap_factor"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.eps0 < 0 or self.k0 < 0:
             raise ConfigError("inner boundary needs eps0 >= 0 and k0 >= 0")
         if self.r0 <= 0 or self.r0 - self.eps0 <= 0:
@@ -69,8 +71,6 @@ class SimulationConfig:
         if self.shape_mode > self.n // 2:
             raise ConfigError(f"shape_mode must be <= N/2 = {self.n // 2}, "
                               f"got {self.shape_mode}")
-        if self.min_gap_factor <= 0:
-            raise ConfigError("min_gap_factor must be positive")
         for name in ("record_interval", "snapshot_interval", "trace_interval"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
@@ -78,6 +78,14 @@ class SimulationConfig:
             self.params()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        try:
+            # I0 at the initial interface's widest self distance; the sum and
+            # the series' square may overflow first
+            with np.errstate(over="raise"):
+                i0(2.0 * (np.float64(self.r_init) + abs(self.eps_init)))
+        except (ValueError, FloatingPointError) as exc:
+            raise ConfigError(f"R_init = {self.r_init:g} with eps_init = "
+                              f"{self.eps_init:g} is too wide: {exc}") from exc
 
     def params(self):
         return Params(p=self.p, a=self.a, chi=self.chi, beta=self.beta,

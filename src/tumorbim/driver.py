@@ -22,9 +22,9 @@ from . import __version__
 from .config import ConfigError, SimulationConfig
 # min_self_gap stays importable for perfbench/tracing.py, which wraps it
 # here; the self gap comes from FieldSolver.interface_geometry
-from .geometry import (InterfaceState, area, initial_interface,  # noqa: F401
-                       min_gap_between, min_self_gap, radial_boundary,
-                       shape_diagnostics)
+from .geometry import (InterfaceState, ReparamError, area,  # noqa: F401
+                       initial_interface, min_gap_between, min_self_gap,
+                       radial_boundary, shape_diagnostics)
 from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
                      normal_velocity, proximity_warning, sigma_bounds_violation)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
@@ -93,15 +93,20 @@ def _steps(config, name):
     """The config's interval `name` in time steps."""
     interval = getattr(config, name)
     steps = interval / config.dt
-    if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    # an overflowing ratio is no whole number of steps either
+    if not steps < np.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
         raise ConfigError(f"{name} = {interval} is not a multiple of dt = {config.dt}")
     return int(round(steps))
 
 
 def _field_solver(config):
-    """The run's solver on its inner boundary."""
-    return FieldSolver(radial_boundary(config.r0, config.eps0, config.k0,
-                                       config.n_inner), config.params())
+    """The run's solver; its static blocks must stay in the float range."""
+    gamma0 = radial_boundary(config.r0, config.eps0, config.k0, config.n_inner)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return FieldSolver(gamma0, config.params())
+    except FloatingPointError as exc:
+        raise ConfigError(f"inner boundary R0 = {config.r0:g}: {exc}") from exc
 
 
 def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
@@ -233,12 +238,14 @@ def _run_loop(config, state, history, start_index, out):
                                state.time, state.s_alpha)
             break
         try:
-            fields = solver.solve(gamma)
-        except SolverFailure as exc:
+            # a float error or an I0 overflow (ValueError) fails the solve
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                fields = solver.solve(gamma)
+                v = normal_velocity(fields, gamma, params)
+        except (SolverFailure, FloatingPointError, ValueError) as exc:
             status = RunStatus.SOLVER_FAILURE
             message = f"step {i}: {exc}"
             break
-        v = normal_velocity(fields, gamma, params)
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
         worst["nutrient"] = max(worst["nutrient"], fields.residual_nutrient)
         worst["pressure"] = max(worst["pressure"], fields.residual_pressure)
@@ -298,8 +305,12 @@ def run(config, out_dir=None):
     """Execute a simulation from t = 0; optionally write artifacts."""
     out = Path(out_dir) if out_dir else (Path(config.out_dir) if config.out_dir
                                          else None)
-    state = initial_interface(config.r_init, config.eps_init, config.k_init,
-                              config.n)
+    rule = (config.r_init, config.eps_init, config.k_init, config.n)
+    try:
+        state = initial_interface(*rule)
+    except ReparamError as exc:
+        raise ConfigError("R_init, eps_init, k_init = {:g}, {:g}, {} at N = {}: "
+                          .format(*rule) + str(exc)) from exc
     return _run_loop(config, state, None, 0, out)
 
 
@@ -347,11 +358,6 @@ class ConvergenceStudy:
                     comments)
 
 
-def _run_for_study(args):
-    config, out_dir = args
-    return run(config, out_dir=out_dir)
-
-
 def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
     """Refinement study against the finest member (listed last).
 
@@ -368,27 +374,21 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
     values = list(dts if dts is not None else ns)
     if len(values) < 2:
         raise ConfigError("need at least two members (reference last)")
-    members = []
-    for v in values:
-        members.append(config.with_overrides(dt=v) if dts is not None
-                       else config.with_overrides(n=int(v), n0=0))
-    out_dirs = [None] * len(members)
-    if out_root is not None:
-        root = Path(out_root)
-        key = "dt" if dts is not None else "N"
-        out_dirs = [root / f"{key}_{v}" for v in values]
-
-    work = list(zip(members, out_dirs))
+    key = "dt" if dts is not None else "N"
+    members = [config.with_overrides(dt=v) if dts is not None
+               else config.with_overrides(n=int(v), n0=0) for v in values]
+    work = [(m, None if out_root is None else Path(out_root) / f"{key}_{v}")
+            for m, v in zip(members, values)]
     if jobs > 1:
         # submit the longest members (steps x N^2) first, so that no worker is
         # left with two long ones; results come back in the given order
         cost = [m.t_final / m.dt * m.n ** 2 for m in members]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {k: pool.submit(_run_for_study, work[k])
+            futures = {k: pool.submit(run, *work[k])
                        for k in sorted(range(len(work)), key=lambda k: -cost[k])}
             results = [futures[k].result() for k in range(len(work))]
     else:
-        results = [_run_for_study(w) for w in work]
+        results = [run(*w) for w in work]
 
     n_rows = min(len(r.record.rows) for r in results)
     halted = [(v, r.message) for v, r in zip(values, results)

@@ -98,7 +98,7 @@ def coefficients(radius, config):
     at R0 from the nutrient flux and apoptosis, Dirichlet at R from
     curvature, nutrient and the apoptosis potential); (D1, D2) solve the
     mode-l problem.  A radius that is NaN, infinite or not above R0 raises
-    ValueError.
+    ValueError, and a zero or non-finite denominator FloatingPointError.
     """
     p = config.params
     r0, ell, r = config.r0, config.mode, radius
@@ -114,7 +114,8 @@ def coefficients(radius, config):
     v = p.beta * i_r[0] + i_r[1]
     den = k_0[0] * v + i_0[0] * u
     if den == 0 or not np.isfinite(den):
-        raise FloatingPointError("radial coefficient denominator degenerate")
+        raise FloatingPointError("radial coefficient denominator degenerate "
+                                 f"at R = {r:.6g}")
     a1 = (p.sigma_n * u + p.beta * k_0[0]) / den
     a2 = (p.sigma_n * v - p.beta * i_0[0]) / den
 
@@ -124,7 +125,8 @@ def coefficients(radius, config):
     den = i_0[ell] * ((ell - br) * k_r[ell] + r * k_r[ell - 1]) \
         + k_0[ell] * ((br - ell) * i_r[ell] + r * i_r[ell - 1])
     if den == 0 or not np.isfinite(den):
-        raise FloatingPointError("perturbation coefficient denominator degenerate")
+        raise FloatingPointError(f"mode {ell} perturbation coefficient "
+                                 f"denominator degenerate at R = {r:.6g}")
     b1 = -k_0[ell] * q_num / den
     b2 = i_0[ell] * q_num / den
 
@@ -228,8 +230,9 @@ def integrate_linear_odes(config, t_final, dt=1e-3):
     One coefficient set per stage serves both rates.  Integration halts
     early if the radius reaches the inner radius.
     """
-    if not (0 < dt < np.inf and 0 <= t_final < np.inf):
-        raise ValueError("need dt > 0 and t_final >= 0, both finite")
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf and t_final / dt < np.inf):
+        raise ValueError("need dt > 0 and t_final >= 0, both finite, and a finite "
+                         f"t_final / dt, got {t_final:g} / {dt:g}")
 
     def rates(r, s):
         coeffs = coefficients(r, config)

@@ -1,14 +1,18 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tumorbim import config as cfgmod
 from tumorbim import driver as drv
@@ -16,6 +20,7 @@ from tumorbim import geometry as geo
 from tumorbim import solver as sol
 from tumorbim import stepping as stp
 from tumorbim.cli import main
+from tumorbim.driver import RunStatus
 
 from oracles import read_record, read_snapshot
 
@@ -566,6 +571,20 @@ class TestCli:
         assert main(argv) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--config", "CFG"], ["--dt", "5e-4"], ["--n", "64"]])
+    def test_resume_keeps_checkpoint_config(self, tmp_path, capsys, flags):
+        # --t-final and --out apply to a resumed run; the rest of the
+        # config is the checkpoint's
+        path = self.write_cfg(tmp_path)
+        main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        flags = [str(path) if f == "CFG" else f for f in flags]
+        code = main(["run", "--resume", str(tmp_path / "o" / "checkpoint.npz"),
+                     "--t-final", "0.04", "--out", str(tmp_path / "r")] + flags)
+        assert code == 4
+        assert "keeps its checkpoint's config" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: tumorbim" in capsys.readouterr().out
@@ -627,6 +646,89 @@ class TestCli:
         assert cont[1] == half[-1]
         assert half + cont[2:] == straight
 
+
+# the exit-code contract: the linstab flags and a bounded run config space
+
+_MODEL_KEYS = ("P", "A", "chi", "beta", "sigma_n", "Ginv", "R0", "eps0", "k0",
+               "R_init", "eps_init", "k_init")
+_reals = st.one_of(st.floats(-5.0, 5.0), st.sampled_from(
+    [0.0, 1e-300, 400.0, 1e308, -1e308, math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _linstab_cases(draw):
+    flags = ["--mode", str(draw(st.integers(-5, 1000)))]
+    if draw(st.booleans()):
+        t_final, dt = draw(_reals), draw(_reals)
+        # a huge finite step count is a long run the user asked for
+        assume(not (dt and 100 < abs(t_final / dt) < math.inf))
+        flags += ["--evolve", "--t-final", repr(t_final), "--dt-ode", repr(dt)]
+    else:
+        flags += ["--r-min", repr(draw(_reals)), "--r-max", repr(draw(_reals)),
+                  "--num", str(draw(st.integers(-2, 20)))]
+    return "linstab", [], flags
+
+
+@st.composite
+def _run_cases(draw):
+    # one step of the default config at N = 8 or 16
+    lines = [f"N = {draw(st.sampled_from([8, 16]))}"]
+    for key in _MODEL_KEYS:
+        if draw(st.booleans()):
+            values = st.integers(-2, 40) if key.startswith("k") else _reals
+            lines.append(f"{key} = {draw(values)!r}")
+    return "run", lines, []
+
+
+@st.composite
+def _resume_cases(draw):
+    flags = []
+    for pair in (("--config", "CFG"), ("--dt", "5e-5"), ("--n", "32"),
+                 ("--t-final", "2e-4")):
+        if draw(st.booleans()):
+            flags += pair
+    return "resume", ["N = 16"], flags
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(_linstab_cases(), _run_cases(), _resume_cases()))
+@example(case=("linstab", [], ["--mode", "200"]))
+@example(case=("linstab", [], ["--mode", "200", "--evolve", "--t-final", "0.01"]))
+@example(case=("linstab", [], ["--r-min", "0.5", "--r-max", "1000", "--num", "3"]))
+@example(case=("linstab", [], ["--r-min", "0.01", "--r-max", "0.05"]))
+@example(case=("linstab", [], ["--evolve", "--t-final", "1e308",
+                               "--dt-ode", "1e-300"]))
+@example(case=("run", ["N = 32", "k_init = 8", "eps_init = 1.25"], []))
+@example(case=("run", ["N = 16", "R_init = 400", "eps_init = 0"], []))
+@example(case=("run", ["N = 16", "t_final = 1e308", "dt = 1e-300"], []))
+@example(case=("resume", ["N = 16"], ["--n", "64", "--dt", "5e-4", "--config",
+                                      "CFG", "--t-final", "4e-3"]))
+def test_cli_exit_code_contract(case):
+    # every command line ends in a RunStatus, never in an exception; exit 0
+    # comes with a table that holds rows; a resumed run takes no config
+    verb, lines, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "case.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in ["t_final = 1e-4"] + lines))
+        if verb == "linstab":
+            table = tmp / "linstab.tsv"
+            argv = ["linstab", "--config", str(PRESET_DIR / "fig7.cfg"),
+                    "--out", str(table)]
+        else:
+            table = tmp / "run" / "record.tsv"
+            argv = ["run", "--config", str(cfg), "--out", str(tmp / "run")]
+        if verb == "resume":
+            assert main(argv) == 0
+            table = tmp / "resumed" / "record.tsv"
+            argv = ["run", "--resume", str(tmp / "run" / "checkpoint.npz"),
+                    "--out", str(table.parent)]
+        code = main(argv + [str(cfg) if f == "CFG" else f for f in flags])
+        assert isinstance(code, RunStatus)
+        if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
+            assert code == RunStatus.CONFIG_ERROR
+        if code == RunStatus.COMPLETE:
+            assert len(table.read_text().splitlines()) > 1
 
 def test_cli_import_loads_no_interpolate_sparse_or_linalg():
     # scipy.interpolate pulls in scipy.sparse, which costs the command line

@@ -486,13 +486,21 @@ def test_nan_interface_fails_the_solve():
             geo.PlanarCurveSamples.from_xy(x, g.y))
 
 
-def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
+@pytest.mark.parametrize("path", ["dense", "separable"])
+def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch, path):
     # the symmetric Gamma-Gamma pair needs I0, I1, K0 on N(N+1)/2 distances
-    # (K1 follows from the Wronskian), the Gamma0-Gamma pair K0, K1 on its
-    # N0 N distances
-    n0, n = 32, 64
-    g0 = geo.radial_boundary(0.5, 0.1, 3, n0)
+    # (K1 follows from the Wronskian); the Gamma0-Gamma pair needs K0, K1 on
+    # its N0 N distances, or on the N radii of Gamma when a small core takes
+    # the separable path
+    if path == "dense":
+        n0, n = 32, 64
+        g0 = geo.radial_boundary(0.5, 0.1, 3, n0)
+    else:
+        n0 = n = 64
+        g0 = geo.radial_boundary(0.1, 0.0, 0, n0)
     g = geo.initial_interface(2.5, 0.1, 2, n).samples()
+    separable = pair_geometries(g0, g)[1].expansion is not None
+    assert separable == (path == "separable")
     solver = sol.FieldSolver(g0, sol.Params(**FIG7))
     counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
 
@@ -506,28 +514,5 @@ def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch):
         monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
     solver.solve(g)
     half = n * (n + 1) // 2
-    assert counts == dict(i0=half, i1=half, k0=half + n0 * n, k1=n0 * n)
-
-
-def test_separable_solve_evaluates_k_on_target_radii(monkeypatch):
-    # a small core takes the separable Gamma0-Gamma path: K0, K1 see the
-    # N radii of Gamma instead of the N0 N distances, and I0, I1 and the
-    # self K0 are unchanged
-    n0 = n = 64
-    g0 = geo.radial_boundary(0.1, 0.0, 0, n0)
-    g = geo.initial_interface(2.5, 0.1, 2, n).samples()
-    assert pair_geometries(g0, g)[1].expansion is not None
-    solver = sol.FieldSolver(g0, sol.Params(**FIG7))
-    counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
-
-    def counting(name, fn):
-        def wrapper(x):
-            counts[name] += np.size(x)
-            return fn(x)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(ker, name, counting(name, getattr(ker, name)))
-    solver.solve(g)
-    half = n * (n + 1) // 2
-    assert counts == dict(i0=half, i1=half, k0=half + n, k1=n)
+    cross = n if separable else n0 * n
+    assert counts == dict(i0=half, i1=half, k0=half + cross, k1=cross)
