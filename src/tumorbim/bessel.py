@@ -37,12 +37,19 @@ def _i_series(n, x):
     with the first term that, at max z, is below eps/10 of the first and past
     the largest (k^2 > max z).  NaN and inf entries propagate; the finite ones
     set the term count.  A finite max |x| whose I_n overflows (above about
-    713.9) raises ValueError: no entry of the array could be trusted.
+    713.9), or whose z does, raises ValueError: no entry of the array could
+    be trusted.
     """
     u = 0.5 * np.asarray(x, dtype=float)
-    w = u * u
+    # a z that leaves the float range raises below instead of warning here
+    with np.errstate(over="ignore"):
+        w = u * u
     z_max = float(np.max(w, initial=0.0))
     if not math.isfinite(z_max):
+        finite = np.isfinite(u)
+        if np.any(np.isinf(w) & finite):
+            top = 2.0 * float(np.max(np.abs(u), where=finite, initial=0.0))
+            raise ValueError(f"I{n}({top:.6g}) overflows")
         z_max = float(np.max(w, where=np.isfinite(w), initial=0.0))
     scale = math.ldexp(1.0, math.frexp(z_max)[1] - 1)
     w *= 1.0 / scale

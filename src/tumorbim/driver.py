@@ -29,7 +29,7 @@ from .solver import (FieldSolver, SolverFailure, hydrostatic_pressure,
                      normal_velocity, proximity_warning, sigma_bounds_violation)
 from .stepping import SolverCollapse, StepperHistory, first_step, step
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 RECORD_COLUMNS = ("time", "area", "r_eff", "delta_over_r",
                   "gmres_nutrient", "gmres_pressure", "min_gap", "max_v")
@@ -127,8 +127,9 @@ def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
                 zip(gamma.alpha, fields.sigma_gamma, -fields.dpbar_dn), stamp)
 
 
-def save_checkpoint(path, config, state, history, step_index):
-    """Binary checkpoint carrying the exact stepper state."""
+def save_checkpoint(path, config, state, history, step_index, solutions):
+    """Binary checkpoint carrying the exact stepper state and the solver's
+    `solutions` that the solve of step `step_index` starts from."""
     cfg_json = json.dumps(config.__dict__, sort_keys=True)
     blobs = dict(version=np.array([CHECKPOINT_VERSION]),
                  theta=state.theta,
@@ -136,6 +137,8 @@ def save_checkpoint(path, config, state, history, step_index):
                  ref=np.asarray(state.ref_point, dtype=float),
                  time=np.array([state.time]),
                  step_index=np.array([step_index]),
+                 solutions=np.reshape(solutions, (len(solutions), 2,
+                                                  config.n_inner + config.n)),
                  config_json=np.array(cfg_json))
     if history is not None:
         blobs.update(hist_m=np.array([history.m]),
@@ -147,10 +150,16 @@ def save_checkpoint(path, config, state, history, step_index):
 
 
 def load_checkpoint(path):
-    """Returns (config, state, history, step_index); validates the contents."""
+    """Returns (config, state, history, step_index, solutions); validates the
+    contents."""
     try:
-        with np.load(path, allow_pickle=False) as blob:
-            data = {k: blob[k] for k in blob.files}
+        # an open file stays ours to close, also when np.load fails on it
+        with open(path, "rb") as fh:
+            blob = np.load(fh, allow_pickle=False)
+            if not isinstance(blob, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            with blob:
+                data = {k: blob[k] for k in blob.files}
     except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
 
@@ -163,9 +172,12 @@ def load_checkpoint(path):
         return data[key].ravel()[0]
 
     for key in ("version", "theta", "s_alpha", "ref", "time", "step_index",
-                "config_json"):
+                "solutions", "config_json"):
         if key not in data:
             raise corrupted(f"missing {key}")
+    for key, value in data.items():
+        if key != "config_json" and value.dtype.kind not in "biufc":
+            raise corrupted(f"{key} holds {value.dtype} values, not numbers")
     version = int(scalar("version"))
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version} is not supported "
@@ -183,6 +195,13 @@ def load_checkpoint(path):
         raise corrupted(f"s_alpha = {s_alpha} is not positive and finite")
     if data["ref"].size != 2:
         raise corrupted(f"ref holds {data['ref'].size} values, not 2")
+    solutions = data["solutions"]
+    size = config.n_inner + config.n
+    if solutions.shape[1:] != (2, size) or len(solutions) > 2:
+        raise corrupted(f"solutions of shape {solutions.shape}, not "
+                        f"(k <= 2, 2, {size})")
+    if not np.all(np.isfinite(solutions)):
+        raise corrupted("solutions have non-finite entries")
     state = InterfaceState(theta=data["theta"], s_alpha=s_alpha,
                            ref_point=tuple(data["ref"]),
                            time=float(scalar("time")))
@@ -197,12 +216,27 @@ def load_checkpoint(path):
                                  v0=float(scalar("hist_v0")),
                                  normal0=data["hist_normal0"],
                                  s_alpha=float(scalar("hist_s")))
-    return config, state, history, int(scalar("step_index"))
+    return (config, state, history, int(scalar("step_index")),
+            tuple(map(tuple, solutions)))
 
 
-def _run_loop(config, state, history, start_index, out):
-    """Shared body of run() and resume()."""
+def _solve_counts(iterations):
+    """Number and mean GMRES counts of a list of (nutrient, pressure) counts."""
+    means = np.mean(iterations, axis=0).tolist() if iterations else [None, None]
+    return dict(count=len(iterations), mean_gmres_nutrient=means[0],
+                mean_gmres_pressure=means[1])
+
+
+def _run_loop(config, state, history, start_index, out, solutions):
+    """Shared body of run() and resume().
+
+    Steps off the record cadence solve warm, from the solver's previous
+    solutions; cadence steps solve from zero, so that recorded GMRES counts
+    are the zero-start ones.  The cadence counts absolute step indices, so a
+    final step off the cadence is warm and so is its row.
+    """
     solver = _field_solver(config)
+    solver.solutions = solutions
     gamma0, params = solver.gamma0, solver.params
     n_steps = _steps(config, "t_final")
     rec_every = _steps(config, "record_interval") or 1
@@ -216,6 +250,7 @@ def _run_loop(config, state, history, start_index, out):
     worst = dict(nutrient=0.0, pressure=0.0)   # largest true residuals
     sigma_violation = 0.0   # largest distance of sigma on Gamma outside [0, 1]
     near_times = []     # times of the near-contact solves
+    iterations = {False: [], True: []}  # GMRES counts of cold and warm solves
     t_start = _time.perf_counter()
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -225,6 +260,8 @@ def _run_loop(config, state, history, start_index, out):
 
     i = start_index
     while True:
+        # what step i's solve starts from, for a checkpoint of step i
+        solutions = solver.solutions
         gamma = state.samples()
         gap0 = min_gap_between(gamma0, gamma)
         gap = min(gap0, solver.interface_geometry(gamma).gap)
@@ -237,6 +274,7 @@ def _run_loop(config, state, history, start_index, out):
                 write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", gamma,
                                state.time, state.s_alpha)
             break
+        solver.warm = i % rec_every != 0
         try:
             # a float error or an I0 overflow (ValueError) fails the solve
             with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -247,6 +285,8 @@ def _run_loop(config, state, history, start_index, out):
             message = f"step {i}: {exc}"
             break
         peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
+        iterations[solver.warm].append((fields.gmres_iters_nutrient,
+                                        fields.gmres_iters_pressure))
         worst["nutrient"] = max(worst["nutrient"], fields.residual_nutrient)
         worst["pressure"] = max(worst["pressure"], fields.residual_pressure)
         sigma_violation = max(sigma_violation,
@@ -271,11 +311,12 @@ def _run_loop(config, state, history, start_index, out):
         if i >= n_steps:
             break
         try:
-            if history is None:
-                state, history = first_step(state, v, config.dt)
-            else:
-                state, history = step(state, v, history, config.dt)
-        except SolverCollapse as exc:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if history is None:
+                    state, history = first_step(state, v, config.dt)
+                else:
+                    state, history = step(state, v, history, config.dt)
+        except (SolverCollapse, FloatingPointError) as exc:
             status = RunStatus.SOLVER_FAILURE
             message = f"step {i}: {exc}"
             break
@@ -287,7 +328,8 @@ def _run_loop(config, state, history, start_index, out):
                        peak_gmres=peak)
     if out is not None:
         record.write(out / "record.tsv")
-        save_checkpoint(out / "checkpoint.npz", config, state, history, i)
+        save_checkpoint(out / "checkpoint.npz", config, state, history, i,
+                        solutions)
         summary = dict(status=int(status), status_name=status.name,
                        message=message, final_time=state.time,
                        steps_done=i, wall_time=wall, peak_gmres=peak,
@@ -296,6 +338,8 @@ def _run_loop(config, state, history, start_index, out):
                        max_sigma_violation=sigma_violation,
                        proximity_steps=len(near_times),
                        first_proximity_time=near_times[0] if near_times else None,
+                       cold_solves=_solve_counts(iterations[False]),
+                       warm_solves=_solve_counts(iterations[True]),
                        version=__version__)
         (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return result
@@ -311,21 +355,22 @@ def run(config, out_dir=None):
     except ReparamError as exc:
         raise ConfigError("R_init, eps_init, k_init = {:g}, {:g}, {} at N = {}: "
                           .format(*rule) + str(exc)) from exc
-    return _run_loop(config, state, None, 0, out)
+    return _run_loop(config, state, None, 0, out, ())
 
 
 def resume(checkpoint_path, t_final=None, out_dir=None):
     """Continue a checkpointed run; reproduces the uninterrupted run exactly."""
-    config, state, history, step_index = load_checkpoint(checkpoint_path)
+    config, state, history, step_index, solutions = load_checkpoint(checkpoint_path)
     if t_final is not None:
         config = replace(config, t_final=t_final)
     out = Path(out_dir) if out_dir else None
-    return _run_loop(config, state, history, step_index, out)
+    return _run_loop(config, state, history, step_index, out, solutions)
 
 
 def reemit_traces(checkpoint_path, out_dir):
-    """Re-solve the fields at a checkpointed state and write its trace files."""
-    config, state, _, step_index = load_checkpoint(checkpoint_path)
+    """Re-solve the fields at a checkpointed state, from zero, and write its
+    trace files."""
+    config, state, _, step_index, _ = load_checkpoint(checkpoint_path)
     solver = _field_solver(config)
     gamma = state.samples()
     fields = solver.solve(gamma)

@@ -272,7 +272,9 @@ def stability_curve(config, r_values):
     named contributions); pole locations carry NaN in a_crit.
     """
     rows = []
-    for r in np.asarray(r_values, dtype=float):
+    # Python floats: numpy scalars would warn of a float error on the way
+    # to the error that `coefficients` raises for it
+    for r in np.asarray(r_values, dtype=float).tolist():
         coeffs = coefficients(r, config)
         terms = shape_rate_terms(coeffs, config)
         try:

@@ -18,6 +18,11 @@ Krylov basis and Givens rotations reduce the Hessenberg matrix.  It stops
 on scipy's rules, so the iteration counts, recorded as a conditioning
 diagnostic, are those scipy's `gmres` reports.  Every solve is then checked
 on its true relative residual, which the solved fields carry.
+
+A `FieldSolver` keeps the solutions of its last two solves.  A warm solve
+starts the nutrient system from their linear extrapolation and the pressure
+system from the last solution; the others start from zero, so their
+iteration counts stay the zero-start conditioning trace.
 """
 
 import math
@@ -115,22 +120,29 @@ def _dlartg(f, g):
     return abs(fs) / d, gs / r, r * u
 
 
-def gmres(matrix, rhs):
-    """Restart-free GMRES from x0 = 0; returns (x, iterations).
+def gmres(matrix, rhs, start=None):
+    """Restart-free GMRES from x0 = `start`, or from zero when it is None;
+    returns (x, iterations).
 
     The Krylov dimension is min(GMRES_MAXITER, n).  The iteration stops once
     the rotated residual |g_{j+1}| <= GMRES_TOL ||rhs||, or on a breakdown
-    h_{j+1,j} <= eps ||A v_j||, where x is exact: scipy's rules.
+    h_{j+1,j} <= eps ||A v_j||, where x is exact.  A start whose residual is
+    already below GMRES_TOL ||rhs|| is returned after no iteration.  These
+    are scipy's rules, with its absolute tolerance for a start.
     """
     n = rhs.size
     bnorm = math.sqrt(rhs @ rhs)
     if bnorm == 0:
         return np.zeros(n), 0
+    r = rhs if start is None else rhs - matrix @ start
+    rnorm = math.sqrt(r @ r)
+    if rnorm < GMRES_TOL * bnorm:
+        return start.copy(), 0
     eps = np.finfo(float).eps
     # a basis per call: np.empty commits only the rows the iterations write
     basis = np.empty((min(GMRES_MAXITER, n) + 1, n))
-    np.multiply(rhs, 1.0 / bnorm, out=basis[0])
-    g = [bnorm]             # rotated right-hand side
+    np.multiply(r, 1.0 / rnorm, out=basis[0])
+    g = [rnorm]             # rotated right-hand side
     rot, r_cols = [], []    # Givens (c, s); columns of the triangular factor
     for j in range(len(basis) - 1):
         w, v = basis[j + 1], basis[:j + 1]
@@ -166,16 +178,21 @@ def gmres(matrix, rhs):
             y[k] /= r_cols[k][k]
             for i in range(k):
                 y[i] -= y[k] * r_cols[k][i]
-    return np.array(y) @ basis[:j + 1], j + 1
+    x = np.array(y) @ basis[:j + 1]
+    if start is not None:
+        x += start
+    return x, j + 1
 
 
-def _solve_gmres(matrix, rhs, system):
-    """`gmres` checked on the true relative residual, which must be at most
-    10 GMRES_TOL (NaN fails); returns (x, iterations, residual)."""
-    x, iterations = gmres(matrix, rhs)
+def _solve_gmres(matrix, rhs, system, start=None):
+    """`gmres` from `start` checked on the true relative residual, which
+    must be at most 10 GMRES_TOL (NaN fails); returns (x, iterations,
+    residual)."""
+    x, iterations = gmres(matrix, rhs, start)
     r = matrix @ x - rhs
-    # no iteration: the rhs is zero, and so are x and r
-    residual = math.sqrt(r @ r) / math.sqrt(rhs @ rhs) if iterations else 0.0
+    bnorm = math.sqrt(rhs @ rhs)
+    # a zero rhs has the solution x = 0, and r is zero too
+    residual = math.sqrt(r @ r) / bnorm if bnorm else 0.0
     if not residual <= 10.0 * GMRES_TOL:
         raise SolverFailure(system, residual, iterations)
     return x, iterations, residual
@@ -226,12 +243,12 @@ def nutrient_system(params, inner, pairs, out):
     return rhs
 
 
-def solve_nutrient(params, inner, pairs, out):
-    """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma); returns them, the
-    iteration count and the true relative residual.  `out` is the
-    (N0 + N)^2 buffer the system is assembled in."""
+def solve_nutrient(params, inner, pairs, out, start=None):
+    """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma), from `start` or
+    zero; returns them, the iteration count and the true relative residual.
+    `out` is the (N0 + N)^2 buffer the system is assembled in."""
     rhs = nutrient_system(params, inner, pairs, out)
-    x, iters, residual = _solve_gmres(out, rhs, "nutrient")
+    x, iters, residual = _solve_gmres(out, rhs, "nutrient", start)
     n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters, residual
 
@@ -276,11 +293,11 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     return rhs
 
 
-def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out):
-    """Solve for (pbar on Gamma0, d pbar/dn on Gamma); returns them, the
-    iteration count and the true relative residual."""
+def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out, start=None):
+    """Solve for (pbar on Gamma0, d pbar/dn on Gamma), from `start` or zero;
+    returns them, the iteration count and the true relative residual."""
     rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet, out)
-    x, iters, residual = _solve_gmres(out, rhs, "pressure")
+    x, iters, residual = _solve_gmres(out, rhs, "pressure", start)
     n0 = pairs[1].src.n
     return x[:n0], x[n0:], iters, residual
 
@@ -318,7 +335,12 @@ class FieldSolver:
     Helmholtz double layer only its row sums), the inner boundary's part of
     the separable cross factors (`kernels.CrossSource`), one system buffer,
     which each solve's two systems fill in turn, and the latest interface's
-    self geometry."""
+    self geometry.
+
+    `solutions` holds the (nutrient, pressure) solution vectors of the last
+    two solves, newest first.  While `warm` is set, `solve` starts from them
+    (see `_starts`); otherwise from zero.
+    """
 
     def __init__(self, gamma0, params):
         self.gamma0 = gamma0
@@ -330,6 +352,8 @@ class FieldSolver:
         self._source = ker.CrossSource(gamma0)
         self._system = np.empty((0, 0))
         self._own = None
+        self.solutions = ()
+        self.warm = False
 
     def interface_geometry(self, gamma):
         """Gamma's `SelfGeometry`, built once per samples object: a caller
@@ -341,18 +365,36 @@ class FieldSolver:
             self._own = ker.self_geometry(gamma)
         return self._own
 
+    def _starts(self):
+        """(nutrient, pressure) starts of a warm solve, None for zero: the
+        linear extrapolation 2 x_1 - x_2 of the last two nutrient solutions
+        (the last one alone after one solve), and the last pressure solution.
+        The pressure start is not extrapolated: on a circular Gamma0 the
+        pressure system is singular, GMRES leaves a start's null component
+        as it is, and extrapolation lets that component grow."""
+        if not self.solutions:
+            return None, None
+        nutrient, pressure = self.solutions[0]
+        if len(self.solutions) == 2:
+            nutrient = 2.0 * nutrient - self.solutions[1][0]
+        return nutrient, pressure
+
     def solve(self, gamma):
         size = self.gamma0.n + gamma.n
         if self._system.shape != (size, size):
             self._system = np.empty((size, size))
         pairs = (self.interface_geometry(gamma),
                  ker.cross_geometry(self._source, gamma))
+        start_n, start_p = self._starts() if self.warm else (None, None)
         dsig, sig, it_n, res_n = solve_nutrient(self.params, self._helm_blocks,
-                                                pairs, self._system)
+                                                pairs, self._system, start_n)
         g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
                                 gamma.curvature)
         pbar0, dpdn, it_p, res_p = solve_pressure(self._lap_blocks, pairs,
-                                                  g_n, g_d, self._system)
+                                                  g_n, g_d, self._system,
+                                                  start_p)
+        self.solutions = ((np.concatenate((dsig, sig)),
+                           np.concatenate((pbar0, dpdn))),) + self.solutions[:1]
         return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
                               pbar_gamma0=pbar0, dpbar_dn=dpdn,
                               gmres_iters_nutrient=it_n,

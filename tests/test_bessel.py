@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,3 +157,13 @@ def test_series_rejects_overflow(series, reference):
     # up to 700 the series still holds, to the rounding of z ~ (x/2) eps
     x = np.array([1.0, 300.0, 500.0, 700.0])
     assert np.max(np.abs(series(x) - reference(x)) / reference(x)) <= 1e-13
+
+
+@pytest.mark.parametrize("series, reference", SERIES)
+def test_series_rejects_overflowing_square(series, reference):
+    # above x = 2.7e154, z = (x/2)^2 leaves the float range before I_n does:
+    # the same error, and no overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            series(np.array([3e154]))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -263,6 +264,18 @@ class TestRun:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["status_name"] == "SOLVER_FAILURE"
 
+    def test_step_float_error_maps_to_solver_failure(self, monkeypatch):
+        # a velocity that overflows the stepper's arithmetic ends the run at
+        # that step, without a float warning or a NaN carried into a solve
+        monkeypatch.setattr(drv, "normal_velocity",
+                            lambda fields, gamma, params: np.full(gamma.n, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = drv.run(tiny_config())
+        assert res.status is drv.RunStatus.SOLVER_FAILURE
+        assert res.steps_done == 0
+        assert res.message.startswith("step 0: ")
+
     def test_record_cadence(self):
         cfg = tiny_config(record_interval=5e-3, t_final=0.02)
         res = drv.run(cfg)
@@ -287,6 +300,20 @@ class TestCheckpointResume:
         xs, ys = geo.reconstruct(straight.state)
         xc, yc = geo.reconstruct(cont.state)
         assert np.array_equal(xs, xc) and np.array_equal(ys, yc)
+
+    def test_resume_off_the_cadence_matches_straight_run(self, tmp_path):
+        # records every 5 steps; the first part stops at step 12, which
+        # solves warm, and its checkpoint holds the solutions that step 12's
+        # solve started from, so the resumed run repeats it bit for bit
+        cfg = tiny_config(record_interval=5e-3, t_final=0.03)
+        straight = drv.run(cfg)
+        part = drv.run(cfg.with_overrides(t_final=0.012), out_dir=tmp_path)
+        cont = drv.resume(tmp_path / "checkpoint.npz", t_final=0.03)
+        assert part.steps_done == 12 and len(part.record.rows) == 4
+        assert part.record.rows[:3] + cont.record.rows == straight.record.rows
+        for name in ("theta", "s_alpha", "ref_point", "time"):
+            assert np.array_equal(getattr(cont.state, name),
+                                  getattr(straight.state, name))
 
     def test_missing_fields_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
@@ -690,8 +717,60 @@ def _resume_cases(draw):
     return "resume", ["N = 16"], flags
 
 
+# comma-list entries of a converge study: one-step members of the one-step
+# config, at N = 8 or 16 (listed twice, to draw them more often), and
+# entries that are no such member
+_DTS = ("1e-4", "1e-4", "2e-4", "1e308", "0", "-1e-4", "nan", "inf", "x", "")
+_NS = ("8", "16", "16", "4", "12", "0", "-8", "8.0", "x", "")
+
+
+@st.composite
+def _converge_cases(draw):
+    family, entries = draw(st.sampled_from((("--dts", _DTS), ("--ns", _NS))))
+    values = draw(st.lists(st.sampled_from(entries), min_size=1, max_size=3))
+    flags = [family, ",".join(values),
+             "--record-interval", draw(st.sampled_from(("1e-4", "0", "nan"))),
+             "--jobs", draw(st.sampled_from(("1", "2")))]
+    return "converge", [f"N = {draw(st.sampled_from([8, 16]))}"], flags
+
+
+@st.composite
+def _traces_cases(draw):
+    # the damage done to a one-step run's checkpoint: none left, its bytes
+    # cut to a fraction (1.0 leaves it whole), another format version, text
+    # in place of one of its arrays, or a plain .npy array in its place
+    damage = draw(st.one_of(
+        st.sampled_from([("missing", None), ("array", None)]),
+        st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+        st.tuples(st.just("version"), st.integers(-2, 9)),
+        st.tuples(st.just("text"), st.sampled_from(
+            ["theta", "s_alpha", "time", "step_index", "solutions"]))))
+    return "traces", ["N = 16"], damage
+
+
+def _damaged(path, damage, value):
+    """A path to `path`'s checkpoint with `damage` done (see `_traces_cases`)."""
+    out = path.with_name("damaged.npz")
+    if damage == "cut":
+        data = path.read_bytes()
+        out.write_bytes(data[:int(value * len(data))])
+    elif damage in ("version", "text"):
+        with np.load(path) as blob:
+            arrays = {key: blob[key] for key in blob.files}
+        if damage == "version":
+            arrays["version"] = np.array([value])
+        else:
+            arrays[value] = np.array(["x"])
+        np.savez(out, **arrays)
+    elif damage == "array":
+        with open(out, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    return str(out)
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=st.one_of(_linstab_cases(), _run_cases(), _resume_cases()))
+@given(case=st.one_of(_linstab_cases(), _run_cases(), _resume_cases(),
+                      _converge_cases(), _traces_cases()))
 @example(case=("linstab", [], ["--mode", "200"]))
 @example(case=("linstab", [], ["--mode", "200", "--evolve", "--t-final", "0.01"]))
 @example(case=("linstab", [], ["--r-min", "0.5", "--r-max", "1000", "--num", "3"]))
@@ -703,6 +782,9 @@ def _resume_cases(draw):
 @example(case=("run", ["N = 16", "t_final = 1e308", "dt = 1e-300"], []))
 @example(case=("resume", ["N = 16"], ["--n", "64", "--dt", "5e-4", "--config",
                                       "CFG", "--t-final", "4e-3"]))
+@example(case=("traces", ["N = 16"], ("cut", 0.5)))
+@example(case=("traces", ["N = 16"], ("array", None)))
+@example(case=("traces", ["N = 16"], ("text", "theta")))
 def test_cli_exit_code_contract(case):
     # every command line ends in a RunStatus, never in an exception; exit 0
     # comes with a table that holds rows; a resumed run takes no config
@@ -715,6 +797,9 @@ def test_cli_exit_code_contract(case):
             table = tmp / "linstab.tsv"
             argv = ["linstab", "--config", str(PRESET_DIR / "fig7.cfg"),
                     "--out", str(table)]
+        elif verb == "converge":
+            table = tmp / "study.tsv"
+            argv = ["converge", "--config", str(cfg), "--out", str(table)]
         else:
             table = tmp / "run" / "record.tsv"
             argv = ["run", "--config", str(cfg), "--out", str(tmp / "run")]
@@ -723,12 +808,21 @@ def test_cli_exit_code_contract(case):
             table = tmp / "resumed" / "record.tsv"
             argv = ["run", "--resume", str(tmp / "run" / "checkpoint.npz"),
                     "--out", str(table.parent)]
+        if verb == "traces":
+            assert main(argv) == 0
+            table = tmp / "traces" / "traces" / "gamma_00000001.txt"
+            argv = ["traces", "--checkpoint",
+                    _damaged(tmp / "run" / "checkpoint.npz", *flags),
+                    "--out", str(tmp / "traces")]
+            flags = []
         code = main(argv + [str(cfg) if f == "CFG" else f for f in flags])
         assert isinstance(code, RunStatus)
         if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
             assert code == RunStatus.CONFIG_ERROR
         if code == RunStatus.COMPLETE:
-            assert len(table.read_text().splitlines()) > 1
+            rows = [line for line in table.read_text().splitlines()
+                    if not line.startswith("#")]
+            assert len(rows) > 1
 
 def test_cli_import_loads_no_interpolate_sparse_or_linalg():
     # scipy.interpolate pulls in scipy.sparse, which costs the command line

@@ -25,6 +25,11 @@ takes the dense one), at the size the headline runs use.
 
 The `tests/data/golden_linear_*` files pin the linear model's `linstab`
 output, a fig3 stability curve and a fig2 trajectory, byte for byte.
+
+The golden slices record every step, so every solve in them starts from
+zero.  `test_warm_starts_between_records` reruns them with a record every
+10 steps, so that the steps between records start from the previous
+solutions, and bounds their rows against the golden rows at the same times.
 """
 
 import json
@@ -35,6 +40,7 @@ import pytest
 
 from tumorbim import config as cfgmod
 from tumorbim import driver as drv
+from tumorbim import solver as sol
 from tumorbim.cli import main
 
 from conftest import record_acceptance
@@ -74,13 +80,14 @@ CONVERGED_TOLERANCE = {
 }
 
 
-def run_slice(preset, n, steps, out):
+def run_slice(preset, n, steps, out, record_every=0):
     """Run `steps` steps of a preset at N = N0 = n into `out`, recording
-    every step and writing the traces only at the end."""
+    every `record_every`-th step (every step for 0) and writing the traces
+    only at the end."""
     cfg = cfgmod.load_config(ROOT / "configs" / f"{preset}.cfg")
     cfg = cfg.with_overrides(n=n, n0=n, t_final=steps * cfg.dt,
-                             record_interval=0.0, snapshot_interval=0.0,
-                             trace_interval=0.0)
+                             record_interval=record_every * cfg.dt,
+                             snapshot_interval=0.0, trace_interval=0.0)
     result = drv.run(cfg, out_dir=out)
     assert result.status == drv.RunStatus.COMPLETE, result.message
 
@@ -165,6 +172,66 @@ def test_converged_record(golden_slice):
                       f"N = 256): {'FAIL' if bad else 'PASS'} max error "
                       + ", ".join(errors))
     assert not bad, f"{preset} strayed from the converged record: {bad}"
+
+
+# column -> (kind, tolerance) of the warm-start slices against the golden
+# rows; fig11's N = 64 pressure count sits on the stopping line, so a count
+# may move by one
+WARM_TOLERANCE = {
+    "time": ("abs", 0.0),
+    "area": ("rel", 1e-12),
+    "r_eff": ("rel", 1e-12),
+    "delta_over_r": ("abs", 1e-12),
+    "gmres_nutrient": ("abs", 1.0),
+    "gmres_pressure": ("abs", 1.0),
+    "min_gap": ("rel", 1e-10),
+    "max_v": ("rel", 1e-7),
+}
+
+
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+def test_warm_starts_between_records(preset, tmp_path):
+    # the golden slice with a record every 10 steps: the 45 steps off the
+    # cadence start from the previous solutions, the recorded ones from zero
+    run_slice(preset, 64, 50, tmp_path, record_every=10)
+    golden = read_record(DATA / f"golden_{preset}_record.tsv")
+    golden.rows = golden.rows[::10]
+    drift, bad = column_errors(read_record(tmp_path / "record.tsv"), golden,
+                               WARM_TOLERANCE)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    cold, warm = summary["cold_solves"], summary["warm_solves"]
+    means = [(kind["mean_gmres_nutrient"], kind["mean_gmres_pressure"])
+             for kind in (cold, warm)]
+    fewer = means[1][0] <= 2.0 and means[1][1] < means[0][1]
+    record_acceptance(
+        f"warm starts {preset} (50 steps, N = 64, a record every 10): "
+        f"{'FAIL' if bad or not fewer else 'PASS'} GMRES per cold solve "
+        f"{means[0][0]:.1f} + {means[0][1]:.1f}, per warm solve "
+        f"{means[1][0]:.2f} + {means[1][1]:.2f}; max drift " + ", ".join(drift))
+    assert not bad, f"{preset} warm-start rows strayed from the golden rows: {bad}"
+    assert (cold["count"], warm["count"]) == (6, 45)
+    assert fewer, means
+
+
+def test_warm_pressure_start_keeps_null_mode_small(monkeypatch, tmp_path):
+    # on fig7's circular Gamma0 the pressure system is singular, with null
+    # vector (-1)^j on Gamma0, and GMRES leaves a start's null component as
+    # it is.  Over 799 warm steps the last-solution start holds that share of
+    # pbar on Gamma0 to 8.3e-13; an extrapolated start lets it reach 1.8e-11
+    shares, solve = [], sol.FieldSolver.solve
+
+    def measured(self, gamma):
+        fields = solve(self, gamma)
+        if self.warm:
+            p = fields.pbar_gamma0
+            sign = (-1.0) ** np.arange(p.size)
+            shares.append(abs(sign @ p) / (np.sqrt(p.size) * np.linalg.norm(p)))
+        return fields
+
+    monkeypatch.setattr(sol.FieldSolver, "solve", measured)
+    run_slice("fig7", 64, 800, tmp_path, record_every=800)
+    assert len(shares) == 799
+    assert max(shares) <= 5e-12, max(shares)
 
 
 # golden file -> linstab arguments that write it

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import iv, kv
@@ -485,3 +487,12 @@ def test_full_run_tracks_linear_trajectory(tmp_path):
                       f"<= 2.4e-05, |d(delta/R)| {gap_s:.2e} <= 7.1e-08")
     assert gap_r <= 2.4e-5
     assert gap_s <= 7.1e-8
+
+
+def test_stability_curve_raises_without_warning():
+    # at mode 200 the perturbation denominator is degenerate for R0 = 0.1:
+    # a library caller gets the model's own error and no float warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match="mode 200 perturbation"):
+            lin.stability_curve(cfg(mode=200), np.linspace(0.5, 4.0, 20))

@@ -205,7 +205,7 @@ def preset_systems(monkeypatch, preset, n=64):
     `sol.gmres`: nutrient, then pressure."""
     systems, gmres = [], sol.gmres
 
-    def capture(matrix, rhs):
+    def capture(matrix, rhs, start=None):
         systems.append((matrix.copy(), rhs.copy()))
         return gmres(matrix, rhs)
 
@@ -270,6 +270,33 @@ class TestGmres:
             assert iterations == len(steps)
             assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("preset", ["fig7", "fig11"])
+    def test_start_matches_scipy(self, monkeypatch, rng, preset):
+        # from a start 1e-6 off the solution, scipy's gmres with x0 is the
+        # oracle as above; the solution itself as start already meets the
+        # tolerance, so both take no iteration, and the solve reports the
+        # start's true residual
+        matrix, rhs = preset_systems(monkeypatch, preset)[0]
+        solution, _ = sol.gmres(matrix, rhs)
+        noise = rng.standard_normal(rhs.size)
+        start = solution + 1e-6 * np.linalg.norm(solution) \
+            * noise / np.linalg.norm(noise)
+        for x0 in (start, solution):
+            steps = []
+            want, _ = scipy_gmres(matrix, rhs, x0=x0.copy(), rtol=sol.GMRES_TOL,
+                                  atol=0.0, restart=sol.GMRES_MAXITER,
+                                  maxiter=1, callback=steps.append,
+                                  callback_type="pr_norm")
+            x, iterations = sol.gmres(matrix, rhs, x0)
+            assert iterations == len(steps)
+            assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+        assert iterations == 0 and np.array_equal(x, solution)
+        _, iterations, residual = sol._solve_gmres(matrix, rhs, "nutrient",
+                                                   solution)
+        true = np.linalg.norm(matrix @ solution - rhs) / np.linalg.norm(rhs)
+        assert iterations == 0
+        assert 0.0 < residual == pytest.approx(true, rel=1e-12)
+
     def test_identity_breaks_down_after_one_iteration(self, rng):
         rhs = rng.standard_normal(50)
         x, iterations = sol.gmres(np.eye(50), rhs)
@@ -297,7 +324,7 @@ class TestGmres:
         rhs = np.ones(4)
         x = rhs.copy()
         x[0] += residual * np.linalg.norm(rhs)
-        monkeypatch.setattr(sol, "gmres", lambda matrix, b: (x, 7))
+        monkeypatch.setattr(sol, "gmres", lambda matrix, b, start=None: (x, 7))
         if fails:
             with pytest.raises(sol.SolverFailure) as failure:
                 sol._solve_gmres(np.eye(4), rhs, "test")
@@ -309,7 +336,7 @@ class TestGmres:
     def test_fields_carry_the_true_residuals(self, monkeypatch):
         solves, gmres = [], sol.gmres
 
-        def checked(matrix, rhs):
+        def checked(matrix, rhs, start=None):
             x, iterations = gmres(matrix, rhs)
             solves.append(np.linalg.norm(matrix @ x - rhs) / np.linalg.norm(rhs))
             return x, iterations
