@@ -137,8 +137,7 @@ def save_checkpoint(path, config, state, history, step_index, solutions):
                  ref=np.asarray(state.ref_point, dtype=float),
                  time=np.array([state.time]),
                  step_index=np.array([step_index]),
-                 solutions=np.reshape(solutions, (len(solutions), 2,
-                                                  config.n_inner + config.n)),
+                 solutions=solutions,
                  config_json=np.array(cfg_json))
     if history is not None:
         blobs.update(hist_m=np.array([history.m]),
@@ -216,8 +215,7 @@ def load_checkpoint(path):
                                  v0=float(scalar("hist_v0")),
                                  normal0=data["hist_normal0"],
                                  s_alpha=float(scalar("hist_s")))
-    return (config, state, history, int(scalar("step_index")),
-            tuple(map(tuple, solutions)))
+    return config, state, history, int(scalar("step_index")), solutions
 
 
 def _solve_counts(iterations):
@@ -230,10 +228,10 @@ def _solve_counts(iterations):
 def _run_loop(config, state, history, start_index, out, solutions):
     """Shared body of run() and resume().
 
-    Steps off the record cadence solve warm, from the solver's previous
-    solutions; cadence steps solve from zero, so that recorded GMRES counts
-    are the zero-start ones.  The cadence counts absolute step indices, so a
-    final step off the cadence is warm and so is its row.
+    The recorded steps, those on the record cadence and the final one, solve
+    from zero, so that every row's GMRES counts and the final trace files
+    are the zero-start ones; the others solve warm, from the solver's
+    previous solutions.
     """
     solver = _field_solver(config)
     solver.solutions = solutions
@@ -253,8 +251,7 @@ def _run_loop(config, state, history, start_index, out, solutions):
     iterations = {False: [], True: []}  # GMRES counts of cold and warm solves
     t_start = _time.perf_counter()
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "snapshots").mkdir(exist_ok=True)
+        (out / "snapshots").mkdir(parents=True, exist_ok=True)
         write_snapshot(out / "gamma0.txt", gamma0, 0.0,
                        float(np.mean(gamma0.s_alpha)))
 
@@ -266,57 +263,57 @@ def _run_loop(config, state, history, start_index, out, solutions):
         gap0 = min_gap_between(gamma0, gamma)
         gap = min(gap0, solver.interface_geometry(gamma).gap)
         spacing = 2.0 * np.pi * state.s_alpha / state.n
-        if gap < config.min_gap_factor * spacing:
+        halt = gap < config.min_gap_factor * spacing
+        if halt:
             status = RunStatus.PROXIMITY_HALT
             message = (f"boundary gap {gap:.4e} fell below "
                        f"{config.min_gap_factor} node spacings at t = {state.time:.6g}")
-            if out is not None:
-                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", gamma,
-                               state.time, state.s_alpha)
-            break
-        solver.warm = i % rec_every != 0
+        recorded = i % rec_every == 0 or i == n_steps
+        solver.warm = not recorded
         try:
-            # a float error or an I0 overflow (ValueError) fails the solve
+            # a float error or an I0 overflow (ValueError) anywhere in the
+            # step fails it; a halting step writes only its snapshot
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                fields = solver.solve(gamma)
-                v = normal_velocity(fields, gamma, params)
-        except (SolverFailure, FloatingPointError, ValueError) as exc:
-            status = RunStatus.SOLVER_FAILURE
-            message = f"step {i}: {exc}"
-            break
-        peak = max(peak, fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
-        iterations[solver.warm].append((fields.gmres_iters_nutrient,
-                                        fields.gmres_iters_pressure))
-        worst["nutrient"] = max(worst["nutrient"], fields.residual_nutrient)
-        worst["pressure"] = max(worst["pressure"], fields.residual_pressure)
-        sigma_violation = max(sigma_violation,
-                              sigma_bounds_violation(fields, params))
-        if proximity_warning(gap0, gamma):
-            near_times.append(state.time)
-
-        if i % rec_every == 0 or i == n_steps:
-            r_eff, delta_over_r, _ = shape_diagnostics(gamma, config.shape_mode)
-            record.append(time=state.time, area=area(gamma), r_eff=r_eff,
-                          delta_over_r=delta_over_r,
-                          gmres_nutrient=fields.gmres_iters_nutrient,
-                          gmres_pressure=fields.gmres_iters_pressure,
-                          min_gap=gap, max_v=float(np.max(np.abs(v))))
-        if out is not None:
-            if i == 0 or i == n_steps or (snap_every and i % snap_every == 0):
-                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt", gamma,
-                               state.time, state.s_alpha)
-            if i == n_steps or (trace_every and i % trace_every == 0):
-                emit_traces(out, gamma0, gamma, fields, params, state.time,
-                            tag=f"{i:08d}")
-        if i >= n_steps:
-            break
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                if not halt:
+                    fields = solver.solve(gamma)
+                    v = normal_velocity(fields, gamma, params)
+                    peak = max(peak, fields.gmres_iters_nutrient,
+                               fields.gmres_iters_pressure)
+                    iterations[solver.warm].append(
+                        (fields.gmres_iters_nutrient, fields.gmres_iters_pressure))
+                    worst["nutrient"] = max(worst["nutrient"],
+                                            fields.residual_nutrient)
+                    worst["pressure"] = max(worst["pressure"],
+                                            fields.residual_pressure)
+                    sigma_violation = max(sigma_violation,
+                                          sigma_bounds_violation(fields, params))
+                    if proximity_warning(gap0, gamma):
+                        near_times.append(state.time)
+                    if recorded:
+                        r_eff, delta_over_r, _ = shape_diagnostics(
+                            gamma, config.shape_mode)
+                        record.append(time=state.time, area=area(gamma),
+                                      r_eff=r_eff, delta_over_r=delta_over_r,
+                                      gmres_nutrient=fields.gmres_iters_nutrient,
+                                      gmres_pressure=fields.gmres_iters_pressure,
+                                      min_gap=gap, max_v=float(np.max(np.abs(v))))
+                    if out is not None and (i == n_steps or
+                                            (trace_every and i % trace_every == 0)):
+                        emit_traces(out, gamma0, gamma, fields, params,
+                                    state.time, tag=f"{i:08d}")
+                # after the solve: perfbench's setup_s ends at the first solve
+                if out is not None and (halt or i == 0 or i == n_steps
+                                        or (snap_every and i % snap_every == 0)):
+                    write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt",
+                                   gamma, state.time, state.s_alpha)
+                if halt or i >= n_steps:
+                    break
                 if history is None:
                     state, history = first_step(state, v, config.dt)
                 else:
                     state, history = step(state, v, history, config.dt)
-        except (SolverCollapse, FloatingPointError) as exc:
+        except (SolverFailure, SolverCollapse, FloatingPointError,
+                ValueError) as exc:
             status = RunStatus.SOLVER_FAILURE
             message = f"step {i}: {exc}"
             break
@@ -355,7 +352,8 @@ def run(config, out_dir=None):
     except ReparamError as exc:
         raise ConfigError("R_init, eps_init, k_init = {:g}, {:g}, {} at N = {}: "
                           .format(*rule) + str(exc)) from exc
-    return _run_loop(config, state, None, 0, out, ())
+    return _run_loop(config, state, None, 0, out,
+                     np.empty((0, 2, config.n_inner + config.n)))
 
 
 def resume(checkpoint_path, t_final=None, out_dir=None):

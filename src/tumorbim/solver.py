@@ -244,13 +244,11 @@ def nutrient_system(params, inner, pairs, out):
 
 
 def solve_nutrient(params, inner, pairs, out, start=None):
-    """Solve for (d sigma/dn0 on Gamma0, sigma on Gamma), from `start` or
-    zero; returns them, the iteration count and the true relative residual.
+    """Solve for x = (d sigma/dn0 on Gamma0, sigma on Gamma), from `start`
+    or zero; returns x, the iteration count and the true relative residual.
     `out` is the (N0 + N)^2 buffer the system is assembled in."""
     rhs = nutrient_system(params, inner, pairs, out)
-    x, iters, residual = _solve_gmres(out, rhs, "nutrient", start)
-    n0 = pairs[1].src.n
-    return x[:n0], x[n0:], iters, residual
+    return _solve_gmres(out, rhs, "nutrient", start)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +292,10 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
 
 
 def solve_pressure(inner, pairs, g_neumann, g_dirichlet, out, start=None):
-    """Solve for (pbar on Gamma0, d pbar/dn on Gamma), from `start` or zero;
-    returns them, the iteration count and the true relative residual."""
+    """Solve for x = (pbar on Gamma0, d pbar/dn on Gamma), from `start` or
+    zero; returns x, the iteration count and the true relative residual."""
     rhs = pressure_system(inner, pairs, g_neumann, g_dirichlet, out)
-    x, iters, residual = _solve_gmres(out, rhs, "pressure", start)
-    n0 = pairs[1].src.n
-    return x[:n0], x[n0:], iters, residual
+    return _solve_gmres(out, rhs, "pressure", start)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +333,10 @@ class FieldSolver:
     which each solve's two systems fill in turn, and the latest interface's
     self geometry.
 
-    `solutions` holds the (nutrient, pressure) solution vectors of the last
-    two solves, newest first.  While `warm` is set, `solve` starts from them
-    (see `_starts`); otherwise from zero.
+    `solutions` is the (k <= 2, 2, N0 + N) array of the (nutrient, pressure)
+    solution vectors of the last k solves, newest first, as a checkpoint
+    stores it (empty before the first solve).  While `warm` is set, `solve`
+    starts from them (see `_starts`); otherwise from zero.
     """
 
     def __init__(self, gamma0, params):
@@ -372,7 +369,7 @@ class FieldSolver:
         The pressure start is not extrapolated: on a circular Gamma0 the
         pressure system is singular, GMRES leaves a start's null component
         as it is, and extrapolation lets that component grow."""
-        if not self.solutions:
+        if len(self.solutions) == 0:
             return None, None
         nutrient, pressure = self.solutions[0]
         if len(self.solutions) == 2:
@@ -380,23 +377,22 @@ class FieldSolver:
         return nutrient, pressure
 
     def solve(self, gamma):
-        size = self.gamma0.n + gamma.n
+        n0 = self.gamma0.n
+        size = n0 + gamma.n
         if self._system.shape != (size, size):
             self._system = np.empty((size, size))
         pairs = (self.interface_geometry(gamma),
                  ker.cross_geometry(self._source, gamma))
         start_n, start_p = self._starts() if self.warm else (None, None)
-        dsig, sig, it_n, res_n = solve_nutrient(self.params, self._helm_blocks,
-                                                pairs, self._system, start_n)
-        g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, dsig, sig,
-                                gamma.curvature)
-        pbar0, dpdn, it_p, res_p = solve_pressure(self._lap_blocks, pairs,
-                                                  g_n, g_d, self._system,
-                                                  start_p)
-        self.solutions = ((np.concatenate((dsig, sig)),
-                           np.concatenate((pbar0, dpdn))),) + self.solutions[:1]
-        return BoundaryFields(dsigma_dn0=dsig, sigma_gamma=sig,
-                              pbar_gamma0=pbar0, dpbar_dn=dpdn,
+        x_n, it_n, res_n = solve_nutrient(self.params, self._helm_blocks,
+                                          pairs, self._system, start_n)
+        g_n, g_d = pressure_rhs(self.gamma0, gamma, self.params, x_n[:n0],
+                                x_n[n0:], gamma.curvature)
+        x_p, it_p, res_p = solve_pressure(self._lap_blocks, pairs, g_n, g_d,
+                                          self._system, start_p)
+        self.solutions = np.array([(x_n, x_p), *self.solutions[:1]])
+        return BoundaryFields(dsigma_dn0=x_n[:n0], sigma_gamma=x_n[n0:],
+                              pbar_gamma0=x_p[:n0], dpbar_dn=x_p[n0:],
                               gmres_iters_nutrient=it_n,
                               gmres_iters_pressure=it_p,
                               residual_nutrient=res_n, residual_pressure=res_p)

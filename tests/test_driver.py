@@ -276,6 +276,17 @@ class TestRun:
         assert res.steps_done == 0
         assert res.message.startswith("step 0: ")
 
+    def test_diagnostics_float_error_maps_to_solver_failure(self, monkeypatch):
+        # one float-error guard covers the whole step, the record row's
+        # diagnostics too
+        def overflowing(gamma, mode):
+            return np.float64(1e308) * 10.0, 0.0, 0.0
+
+        monkeypatch.setattr(drv, "shape_diagnostics", overflowing)
+        res = drv.run(tiny_config())
+        assert res.status is drv.RunStatus.SOLVER_FAILURE
+        assert res.message.startswith("step 0: ")
+
     def test_record_cadence(self):
         cfg = tiny_config(record_interval=5e-3, t_final=0.02)
         res = drv.run(cfg)
@@ -461,11 +472,23 @@ class TestTraceEmission:
             assert np.ptp(data[:, 2]) < 1e-8
 
     def test_reemit_from_checkpoint(self, tmp_path):
-        cfg = tiny_config()
-        drv.run(cfg, out_dir=tmp_path / "run")
-        drv.reemit_traces(tmp_path / "run" / "checkpoint.npz", tmp_path / "re")
-        files = list((tmp_path / "re" / "traces").iterdir())
-        assert len(files) == 2
+        # a record every 5 steps; the final step, on the cadence (15) or off
+        # it (13), solves from zero, so re-solving its checkpoint reproduces
+        # the final trace files and the last row's GMRES counts
+        for t_final in (0.015, 0.013):
+            run_dir, re_dir = tmp_path / f"run{t_final}", tmp_path / f"re{t_final}"
+            res = drv.run(tiny_config(record_interval=5e-3, t_final=t_final),
+                          out_dir=run_dir)
+            fields = drv.reemit_traces(run_dir / "checkpoint.npz", re_dir)
+            files = sorted(p.name for p in (re_dir / "traces").iterdir())
+            assert files == sorted(p.name for p in (run_dir / "traces").iterdir())
+            assert len(files) == 2
+            for name in files:
+                assert (re_dir / "traces" / name).read_bytes() \
+                    == (run_dir / "traces" / name).read_bytes(), (t_final, name)
+            assert (res.record.column("gmres_nutrient")[-1],
+                    res.record.column("gmres_pressure")[-1]) \
+                == (fields.gmres_iters_nutrient, fields.gmres_iters_pressure)
 
 
 class TestCli:

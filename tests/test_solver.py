@@ -43,15 +43,17 @@ def helmholtz_inner(g0):
 
 def solve_nutrient(g0, g, params):
     """(d sigma/dn0, sigma, iterations) of one nutrient solve."""
-    return sol.solve_nutrient(params, helmholtz_inner(g0),
-                              pair_geometries(g0, g), system_buffer(g0, g))[:3]
+    x, iters, _ = sol.solve_nutrient(params, helmholtz_inner(g0),
+                                     pair_geometries(g0, g), system_buffer(g0, g))
+    return x[:g0.n], x[g0.n:], iters
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
     """(pbar on Gamma0, d pbar/dn, iterations) of one pressure solve."""
     inner = ker.laplace_self_blocks(ker.self_geometry(g0))
-    return sol.solve_pressure(inner, pair_geometries(g0, g), g_neumann,
-                              g_dirichlet, system_buffer(g0, g))[:3]
+    x, iters, _ = sol.solve_pressure(inner, pair_geometries(g0, g), g_neumann,
+                                     g_dirichlet, system_buffer(g0, g))
+    return x[:g0.n], x[g0.n:], iters
 
 
 class TestParams:
