@@ -4,7 +4,7 @@ Verbs: run (simulate), linstab (stability curves / linear trajectories),
 converge (dt or N refinement study), traces (re-emit boundary traces from
 a checkpoint).  Exit codes are the `driver.RunStatus` values: 0 complete,
 2 topology-proximity halt, 3 solver failure, 4 configuration or
-command-line error.
+command-line error, or an output path that cannot be written.
 """
 
 import argparse
@@ -182,6 +182,11 @@ def main(argv=None):
         return handlers[args.verb](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return RunStatus.CONFIG_ERROR
+    except OSError as exc:
+        # an output path that cannot be written, such as a file in place of
+        # a directory
+        print(f"file error: {exc}", file=sys.stderr)
         return RunStatus.CONFIG_ERROR
 
 

@@ -89,14 +89,21 @@ def write_snapshot(path, samples, time, s_alpha):
                 [f"N = {samples.n}", f"t = {time:.17g}", f"s_alpha = {s_alpha:.17g}"])
 
 
+def _whole(ratio):
+    """`ratio` as an int, or None where it is no whole number to within
+    1e-9 relative (an overflowing or NaN ratio is none either)."""
+    if not abs(ratio) < np.inf or abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        return None
+    return int(round(ratio))
+
+
 def _steps(config, name):
     """The config's interval `name` in time steps."""
     interval = getattr(config, name)
-    steps = interval / config.dt
-    # an overflowing ratio is no whole number of steps either
-    if not steps < np.inf or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+    steps = _whole(interval / config.dt)
+    if steps is None:
         raise ConfigError(f"{name} = {interval} is not a multiple of dt = {config.dt}")
-    return int(round(steps))
+    return steps
 
 
 def _field_solver(config):
@@ -177,6 +184,8 @@ def load_checkpoint(path):
     for key, value in data.items():
         if key != "config_json" and value.dtype.kind not in "biufc":
             raise corrupted(f"{key} holds {value.dtype} values, not numbers")
+        if key in ("version", "step_index") and value.dtype.kind not in "iu":
+            raise corrupted(f"{key} holds {value.dtype} values, not integers")
     version = int(scalar("version"))
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version} is not supported "
@@ -201,9 +210,12 @@ def load_checkpoint(path):
                         f"(k <= 2, 2, {size})")
     if not np.all(np.isfinite(solutions)):
         raise corrupted("solutions have non-finite entries")
+    time, step_index = float(scalar("time")), int(scalar("step_index"))
+    if step_index < 0 or _whole(time / config.dt) != step_index:
+        raise corrupted(f"step_index = {step_index} is not the step count "
+                        f"t / dt = {time / config.dt:.6g}")
     state = InterfaceState(theta=data["theta"], s_alpha=s_alpha,
-                           ref_point=tuple(data["ref"]),
-                           time=float(scalar("time")))
+                           ref_point=tuple(data["ref"]), time=time)
     history = None
     hist_keys = ("hist_m", "hist_nhat", "hist_v0", "hist_normal0", "hist_s")
     missing = [k for k in hist_keys if k not in data]
@@ -215,7 +227,7 @@ def load_checkpoint(path):
                                  v0=float(scalar("hist_v0")),
                                  normal0=data["hist_normal0"],
                                  s_alpha=float(scalar("hist_s")))
-    return config, state, history, int(scalar("step_index")), solutions
+    return config, state, history, step_index, solutions
 
 
 def _solve_counts(iterations):

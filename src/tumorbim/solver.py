@@ -270,16 +270,16 @@ def pressure_rhs(gamma0, gamma, params, dsigma_dn0, sigma_gamma, kappa):
 
 
 def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
-    """Block matrix (into `out`) and right-hand side of the pressure solve
-    (Laplace `inner` blocks, otherwise as for `nutrient_system`)."""
+    """Block matrix (into `out`) and right-hand side of the pressure solve;
+    `inner` holds Gamma0's Laplace single layer S00 and its static block
+    D00 - I/2, otherwise as for `nutrient_system`."""
     own, cross = pairs
     n0 = cross.src.n
-    s00, d00 = inner
+    s00, d00_half = inner
     d_gg = ker.laplace_self_blocks(own, single=out[n0:, n0:])[1]
     blocks = ker.laplace_cross_blocks(cross)
 
-    out[:n0, :n0] = d00
-    out[np.diag_indices(n0)] -= 0.5
+    out[:n0, :n0] = d00_half
     blocks.into(out[:n0, n0:], reverse=True, single=1.0, double=0.0)
     blocks.into(out[n0:, :n0], reverse=False, single=0.0, double=1.0)
 
@@ -328,10 +328,10 @@ def sigma_bounds_violation(fields, params):
 
 class FieldSolver:
     """Per-run solver caching the static inner-boundary self blocks (of the
-    Helmholtz double layer only its row sums), the inner boundary's part of
-    the separable cross factors (`kernels.CrossSource`), one system buffer,
-    which each solve's two systems fill in turn, and the latest interface's
-    self geometry.
+    Helmholtz double layer only its row sums, of the Laplace one D00 - I/2),
+    the inner boundary's part of the separable cross factors
+    (`kernels.CrossSource`), one system buffer, which each solve's two
+    systems fill in turn, and the latest interface's self geometry.
 
     `solutions` is the (k <= 2, 2, N0 + N) array of the (nutrient, pressure)
     solution vectors of the last k solves, newest first, as a checkpoint
@@ -345,7 +345,9 @@ class FieldSolver:
         inner = ker.self_geometry(gamma0)
         s00, d00 = ker.helmholtz_self_blocks(inner)
         self._helm_blocks = s00, d00 @ np.ones(gamma0.n)
-        self._lap_blocks = ker.laplace_self_blocks(inner)
+        s00, d00 = ker.laplace_self_blocks(inner)
+        d00[np.diag_indices(gamma0.n)] -= 0.5
+        self._lap_blocks = s00, d00
         self._source = ker.CrossSource(gamma0)
         self._system = np.empty((0, 0))
         self._own = None

@@ -635,6 +635,31 @@ class TestCli:
         assert "keeps its checkpoint's config" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "configs/fig7.cfg", "--n", "16", "--t-final", "1e-4",
+         "--out", "afile"],
+        ["linstab", "--config", "configs/fig7.cfg", "--num", "3",
+         "--out", "afile/x.tsv"],
+        ["converge", "--config", "TINY", "--ns", "8,16", "--out", "afile/s.tsv"],
+        ["converge", "--config", "TINY", "--ns", "8,16", "--jobs", "2",
+         "--out", "s.tsv", "--out-root", "afile/r"],
+        ["traces", "--checkpoint", "CHECKPOINT", "--out", "afile"],
+    ], ids=["run", "linstab", "converge", "converge-jobs", "traces"])
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch,
+                                         argv):
+        # a regular file where a verb writes a directory or a file's parent
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        write_config(tmp_path / "tiny.cfg",
+                     tiny_config(t_final=2e-3, record_interval=1e-3))
+        if "CHECKPOINT" in argv:
+            assert main(["run", "--config", "tiny.cfg", "--out", "o"]) == 0
+        names = {"configs/fig7.cfg": str(PRESET_DIR / "fig7.cfg"),
+                 "TINY": "tiny.cfg", "CHECKPOINT": "o/checkpoint.npz"}
+        capsys.readouterr()
+        assert main([names.get(a, a) for a in argv]) == RunStatus.CONFIG_ERROR
+        assert "afile" in capsys.readouterr().err
+
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: tumorbim" in capsys.readouterr().out
@@ -761,13 +786,16 @@ def _converge_cases(draw):
 def _traces_cases(draw):
     # the damage done to a one-step run's checkpoint: none left, its bytes
     # cut to a fraction (1.0 leaves it whole), another format version, text
-    # in place of one of its arrays, or a plain .npy array in its place
+    # in place of one of its arrays, a (key, number) that no integer key
+    # holds, or a plain .npy array in its place
     damage = draw(st.one_of(
         st.sampled_from([("missing", None), ("array", None)]),
         st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
         st.tuples(st.just("version"), st.integers(-2, 9)),
         st.tuples(st.just("text"), st.sampled_from(
-            ["theta", "s_alpha", "time", "step_index", "solutions"]))))
+            ["theta", "s_alpha", "time", "step_index", "solutions"])),
+        st.tuples(st.just("number"), st.sampled_from(
+            [("step_index", 2.5), ("step_index", -3), ("version", 3.7)]))))
     return "traces", ["N = 16"], damage
 
 
@@ -777,11 +805,13 @@ def _damaged(path, damage, value):
     if damage == "cut":
         data = path.read_bytes()
         out.write_bytes(data[:int(value * len(data))])
-    elif damage in ("version", "text"):
+    elif damage in ("version", "text", "number"):
         with np.load(path) as blob:
             arrays = {key: blob[key] for key in blob.files}
         if damage == "version":
             arrays["version"] = np.array([value])
+        elif damage == "number":
+            arrays[value[0]] = np.array([value[1]])
         else:
             arrays[value] = np.array(["x"])
         np.savez(out, **arrays)
@@ -808,6 +838,9 @@ def _damaged(path, damage, value):
 @example(case=("traces", ["N = 16"], ("cut", 0.5)))
 @example(case=("traces", ["N = 16"], ("array", None)))
 @example(case=("traces", ["N = 16"], ("text", "theta")))
+@example(case=("traces", ["N = 16"], ("number", ("step_index", 2.5))))
+@example(case=("traces", ["N = 16"], ("number", ("step_index", -3))))
+@example(case=("traces", ["N = 16"], ("number", ("version", 3.7))))
 def test_cli_exit_code_contract(case):
     # every command line ends in a RunStatus, never in an exception; exit 0
     # comes with a table that holds rows; a resumed run takes no config
@@ -831,9 +864,11 @@ def test_cli_exit_code_contract(case):
             table = tmp / "resumed" / "record.tsv"
             argv = ["run", "--resume", str(tmp / "run" / "checkpoint.npz"),
                     "--out", str(table.parent)]
+        damage = None
         if verb == "traces":
             assert main(argv) == 0
             table = tmp / "traces" / "traces" / "gamma_00000001.txt"
+            damage = flags[0]
             argv = ["traces", "--checkpoint",
                     _damaged(tmp / "run" / "checkpoint.npz", *flags),
                     "--out", str(tmp / "traces")]
@@ -841,6 +876,8 @@ def test_cli_exit_code_contract(case):
         code = main(argv + [str(cfg) if f == "CFG" else f for f in flags])
         assert isinstance(code, RunStatus)
         if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
+            assert code == RunStatus.CONFIG_ERROR
+        if damage == "number":
             assert code == RunStatus.CONFIG_ERROR
         if code == RunStatus.COMPLETE:
             rows = [line for line in table.read_text().splitlines()

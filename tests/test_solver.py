@@ -50,9 +50,10 @@ def solve_nutrient(g0, g, params):
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
     """(pbar on Gamma0, d pbar/dn, iterations) of one pressure solve."""
-    inner = ker.laplace_self_blocks(ker.self_geometry(g0))
-    x, iters, _ = sol.solve_pressure(inner, pair_geometries(g0, g), g_neumann,
-                                     g_dirichlet, system_buffer(g0, g))
+    s00, d00 = ker.laplace_self_blocks(ker.self_geometry(g0))
+    d00[np.diag_indices(g0.n)] -= 0.5
+    x, iters, _ = sol.solve_pressure((s00, d00), pair_geometries(g0, g),
+                                     g_neumann, g_dirichlet, system_buffer(g0, g))
     return x[:g0.n], x[g0.n:], iters
 
 
