@@ -31,6 +31,21 @@ from .stepping import SolverCollapse, StepperHistory, first_step, step
 
 CHECKPOINT_VERSION = 3
 
+# The version-3 checkpoint: each array's dtype kind, its shape in N, N0 and
+# the k <= 2 solutions that FieldSolver keeps, and whether its entries must
+# be positive (the metrics).  The hist_* arrays hold the StepperHistory
+# fields in order, all or none.
+CHECKPOINT_LAYOUT = {
+    "version": (int, (1,), False), "theta": (float, ("N",), False),
+    "s_alpha": (float, (1,), True), "ref": (float, (2,), False),
+    "time": (float, (1,), False), "step_index": (int, (1,), False),
+    "solutions": (float, ("k <= 2", 2, "N0 + N"), False),
+    "config_json": (str, (), False),
+    "hist_m": (float, (1,), False), "hist_nhat": (complex, ("N/2 + 1",), False),
+    "hist_v0": (float, (1,), False), "hist_normal0": (float, (2,), False),
+    "hist_s": (float, (1,), True)}
+_HISTORY_KEYS = tuple(key for key in CHECKPOINT_LAYOUT if key.startswith("hist_"))
+
 RECORD_COLUMNS = ("time", "area", "r_eff", "delta_over_r",
                   "gmres_nutrient", "gmres_pressure", "min_gap", "max_v")
 
@@ -135,29 +150,23 @@ def emit_traces(out_dir, gamma0, gamma, fields, params, t, tag):
 
 
 def save_checkpoint(path, config, state, history, step_index, solutions):
-    """Binary checkpoint carrying the exact stepper state and the solver's
-    `solutions` that the solve of step `step_index` starts from."""
-    cfg_json = json.dumps(config.__dict__, sort_keys=True)
-    blobs = dict(version=np.array([CHECKPOINT_VERSION]),
-                 theta=state.theta,
-                 s_alpha=np.array([state.s_alpha]),
-                 ref=np.asarray(state.ref_point, dtype=float),
-                 time=np.array([state.time]),
-                 step_index=np.array([step_index]),
-                 solutions=solutions,
-                 config_json=np.array(cfg_json))
+    """Binary checkpoint, laid out as CHECKPOINT_LAYOUT, carrying the exact
+    stepper state and the solver's `solutions` that the solve of step
+    `step_index` starts from."""
+    values = dict(version=CHECKPOINT_VERSION, theta=state.theta,
+                  s_alpha=state.s_alpha, ref=state.ref_point, time=state.time,
+                  step_index=step_index, solutions=solutions,
+                  config_json=json.dumps(config.__dict__, sort_keys=True))
     if history is not None:
-        blobs.update(hist_m=np.array([history.m]),
-                     hist_nhat=history.n_hat,
-                     hist_v0=np.array([history.v0]),
-                     hist_normal0=history.normal0,
-                     hist_s=np.array([history.s_alpha]))
-    np.savez(path, **blobs)
+        values.update(zip(_HISTORY_KEYS, vars(history).values()))
+    np.savez(path, **{key: np.array(values[key], dtype=kind, ndmin=len(shape))
+                      for key, (kind, shape, _) in CHECKPOINT_LAYOUT.items()
+                      if key in values})
 
 
 def load_checkpoint(path):
-    """Returns (config, state, history, step_index, solutions); validates the
-    contents."""
+    """Returns (config, state, history, step_index, solutions); every array
+    must fit its row of CHECKPOINT_LAYOUT."""
     try:
         # an open file stays ours to close, also when np.load fails on it
         with open(path, "rb") as fh:
@@ -172,62 +181,52 @@ def load_checkpoint(path):
     def corrupted(what):
         return ConfigError(f"checkpoint {path} is corrupted: {what}")
 
-    def scalar(key):
-        if data[key].size != 1:
-            raise corrupted(f"{key} holds {data[key].size} values, not 1")
-        return data[key].ravel()[0]
+    def text(shape):
+        return str(shape[0]) if len(shape) == 1 else f"({', '.join(map(str, shape))})"
 
-    for key in ("version", "theta", "s_alpha", "ref", "time", "step_index",
-                "solutions", "config_json"):
+    sizes = {}   # the layout's shape symbols, once the config is read
+
+    def checked(key):
+        """data[key], or its one value, once it fits its layout row."""
         if key not in data:
-            raise corrupted(f"missing {key}")
-    for key, value in data.items():
-        if key != "config_json" and value.dtype.kind not in "biufc":
-            raise corrupted(f"{key} holds {value.dtype} values, not numbers")
-        if key in ("version", "step_index") and value.dtype.kind not in "iu":
-            raise corrupted(f"{key} holds {value.dtype} values, not integers")
-    version = int(scalar("version"))
+            raise corrupted(("history without " if key in _HISTORY_KEYS
+                             else "missing ") + key)
+        kind, shape, positive = CHECKPOINT_LAYOUT[key]
+        value, want = data[key], tuple(sizes.get(d, d) for d in shape)
+        if value.dtype.kind != np.dtype(kind).kind:
+            raise corrupted(f"{key} holds {value.dtype} values, not {kind.__name__}")
+        if value.ndim != len(want) or not all(
+                n == m or m == "k <= 2" and n <= 2 for n, m in zip(value.shape, want)):
+            raise corrupted(f"{key} holds {text(value.shape)} values, not {text(want)}")
+        if positive and not 0.0 < value.item() < np.inf:
+            raise corrupted(f"{key} = {value.item()} is not positive and finite")
+        if kind is not str and not np.all(np.isfinite(value)):
+            raise corrupted(f"{key} has non-finite entries")
+        return value.item() if shape in ((), (1,)) else value
+
+    version = checked("version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"checkpoint version {version} is not supported "
                           f"(expected {CHECKPOINT_VERSION})")
+    cfg_json = checked("config_json")
     try:
-        config = SimulationConfig(**json.loads(str(data["config_json"])))
+        config = SimulationConfig(**json.loads(cfg_json))
     except (TypeError, ValueError) as exc:
         raise corrupted(f"bad config: {exc}") from exc
-    if data["theta"].size != config.n:
-        raise ConfigError("checkpoint is corrupted: node count mismatch")
-    if not np.all(np.isfinite(data["theta"])):
-        raise corrupted("theta has non-finite entries")
-    s_alpha = float(scalar("s_alpha"))
-    if not 0.0 < s_alpha < np.inf:
-        raise corrupted(f"s_alpha = {s_alpha} is not positive and finite")
-    if data["ref"].size != 2:
-        raise corrupted(f"ref holds {data['ref'].size} values, not 2")
-    solutions = data["solutions"]
-    size = config.n_inner + config.n
-    if solutions.shape[1:] != (2, size) or len(solutions) > 2:
-        raise corrupted(f"solutions of shape {solutions.shape}, not "
-                        f"(k <= 2, 2, {size})")
-    if not np.all(np.isfinite(solutions)):
-        raise corrupted("solutions have non-finite entries")
-    time, step_index = float(scalar("time")), int(scalar("step_index"))
+    sizes.update({"N": config.n, "N0 + N": config.n_inner + config.n,
+                  "N/2 + 1": config.n // 2 + 1})
+    has_history = any(key in data for key in _HISTORY_KEYS)   # all or none
+    arrays = {key: checked(key) for key in CHECKPOINT_LAYOUT
+              if has_history or key not in _HISTORY_KEYS}
+    time, step_index = arrays["time"], arrays["step_index"]
     if step_index < 0 or _whole(time / config.dt) != step_index:
         raise corrupted(f"step_index = {step_index} is not the step count "
                         f"t / dt = {time / config.dt:.6g}")
-    state = InterfaceState(theta=data["theta"], s_alpha=s_alpha,
-                           ref_point=tuple(data["ref"]), time=time)
-    history = None
-    hist_keys = ("hist_m", "hist_nhat", "hist_v0", "hist_normal0", "hist_s")
-    missing = [k for k in hist_keys if k not in data]
-    if len(missing) < len(hist_keys):
-        if missing:
-            raise corrupted(f"history without {', '.join(missing)}")
-        history = StepperHistory(m=float(scalar("hist_m")),
-                                 n_hat=data["hist_nhat"],
-                                 v0=float(scalar("hist_v0")),
-                                 normal0=data["hist_normal0"],
-                                 s_alpha=float(scalar("hist_s")))
-    return config, state, history, step_index, solutions
+    state = InterfaceState(theta=arrays["theta"], s_alpha=arrays["s_alpha"],
+                           ref_point=tuple(arrays["ref"]), time=time)
+    history = (StepperHistory(*(arrays[key] for key in _HISTORY_KEYS))
+               if has_history else None)
+    return config, state, history, step_index, arrays["solutions"]
 
 
 def _solve_counts(iterations):

@@ -401,6 +401,39 @@ class TestCheckpointResume:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("key, damage", [
+        ("hist_s", lambda a: -a), ("hist_s", lambda a: 0.0 * a),
+        ("hist_nhat", lambda a: a[:3]), ("hist_normal0", lambda a: np.zeros(3)),
+        ("hist_nhat", lambda a: np.full_like(a, np.nan)),
+        ("hist_m", lambda a: np.full_like(a, np.nan)),
+        ("ref", lambda a: np.full_like(a, np.nan)),
+        ("ref", lambda a: np.array([np.inf, 0.0])),
+        ("theta", lambda a: a.astype(complex)),
+        ("time", lambda a: a.astype(complex)),
+        ("solutions", lambda a: a.astype(complex)),
+    ], ids=["negative-hist_s", "zero-hist_s", "hist_nhat-3", "hist_normal0-3",
+            "nan-hist_nhat", "nan-hist_m", "nan-ref", "inf-ref", "complex-theta",
+            "complex-time", "complex-solutions"])
+    def test_damaged_checkpoint_array_exit_code(self, tmp_path, capsys, key,
+                                                damage):
+        # every array is checked before either verb that reads a checkpoint
+        # uses it, the history too, which `traces` does not use
+        drv.run(tiny_config(t_final=0.004, record_interval=2e-3),
+                out_dir=tmp_path / "run")
+        data = dict(np.load(tmp_path / "run" / "checkpoint.npz",
+                            allow_pickle=False))
+        data[key] = damage(data[key])
+        path = str(tmp_path / "damaged.npz")
+        np.savez(path, **data)
+        capsys.readouterr()
+        assert main(["run", "--resume", path, "--t-final", "0.01",
+                     "--out", str(tmp_path / "r")]) == 4
+        assert f"checkpoint {path} is corrupted: {key}" in capsys.readouterr().err
+        assert main(["traces", "--checkpoint", path,
+                     "--out", str(tmp_path / "tr")]) == 4
+        assert f"checkpoint {path} is corrupted: {key}" in capsys.readouterr().err
+
+
 class TestConvergenceStudy:
     def test_identical_members_zero_error(self):
         cfg = tiny_config(record_interval=5e-3)
