@@ -11,6 +11,7 @@ import argparse
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -156,6 +157,10 @@ def _cmd_converge(args):
     overrides = ({} if args.record_interval is None
                  else {"record_interval": args.record_interval})
     config = load_config(args.config, **overrides)
+    # an output path that cannot be written fails before any member runs
+    open(args.out, "a").close()
+    if args.out_root:
+        Path(args.out_root).mkdir(parents=True, exist_ok=True)
     study, results = convergence_study(config, dts=args.dts, ns=args.ns,
                                        jobs=args.jobs, out_root=args.out_root)
     study.write(args.out)

@@ -372,6 +372,9 @@ def resume(checkpoint_path, t_final=None, out_dir=None):
     config, state, history, step_index, solutions = load_checkpoint(checkpoint_path)
     if t_final is not None:
         config = replace(config, t_final=t_final)
+    if _steps(config, "t_final") < step_index:
+        raise ConfigError(f"t_final = {config.t_final:g} is before the "
+                          f"checkpoint's t = {state.time:g}")
     out = Path(out_dir) if out_dir else None
     return _run_loop(config, state, history, step_index, out, solutions)
 

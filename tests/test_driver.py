@@ -386,52 +386,41 @@ class TestCheckpointResume:
         (dict(ref=np.zeros(3)), "ref holds 3 values, not 2"),
         (dict(theta=np.full(32, np.nan)), "theta has non-finite entries"),
         (dict(hist_nhat=None), "history without hist_nhat"),
+        # the history, the values of ref and complex dtypes
+        (dict(hist_s=np.array([-1.0])), "hist_s = -1.0 is not positive"),
+        (dict(hist_s=np.array([0.0])), "hist_s = 0.0 is not positive"),
+        (dict(hist_nhat=np.zeros(3, complex)), "hist_nhat holds 3 values, not 17"),
+        (dict(hist_normal0=np.zeros(3)), "hist_normal0 holds 3 values, not 2"),
+        (dict(hist_nhat=np.full(17, complex(np.nan))),
+         "hist_nhat has non-finite entries"),
+        (dict(hist_m=np.array([np.nan])), "hist_m has non-finite entries"),
+        (dict(ref=np.full(2, np.nan)), "ref has non-finite entries"),
+        (dict(ref=np.array([np.inf, 0.0])), "ref has non-finite entries"),
+        (dict(theta=np.zeros(32, complex)), "theta holds complex128 values"),
+        (dict(time=np.array([0.02 + 0j])), "time holds complex128 values"),
+        (dict(solutions=np.zeros((2, 2, 64), complex)),
+         "solutions holds complex128 values"),
     ], ids=["empty-version", "empty-s_alpha", "zero-s_alpha", "negative-s_alpha",
-            "inf-s_alpha", "ref-3", "nan-theta", "history-part"])
+            "inf-s_alpha", "ref-3", "nan-theta", "history-part",
+            "negative-hist_s", "zero-hist_s", "hist_nhat-3", "hist_normal0-3",
+            "nan-hist_nhat", "nan-hist_m", "nan-ref", "inf-ref", "complex-theta",
+            "complex-time", "complex-solutions"])
     def test_bad_checkpoint_array_exit_code(self, tmp_path, capsys, changes,
                                             message):
+        # both verbs that read a checkpoint check every array of it, also
+        # the history, which `traces` does not use
         drv.run(tiny_config(), out_dir=tmp_path / "run")
         data = dict(np.load(tmp_path / "run" / "checkpoint.npz",
                             allow_pickle=False))
         data.update(changes)
         path = str(tmp_path / "tampered.npz")
         np.savez(path, **{k: v for k, v in data.items() if v is not None})
-        capsys.readouterr()
-        assert main(["run", "--resume", path]) == 4
-        assert message in capsys.readouterr().err
-
-
-    @pytest.mark.parametrize("key, damage", [
-        ("hist_s", lambda a: -a), ("hist_s", lambda a: 0.0 * a),
-        ("hist_nhat", lambda a: a[:3]), ("hist_normal0", lambda a: np.zeros(3)),
-        ("hist_nhat", lambda a: np.full_like(a, np.nan)),
-        ("hist_m", lambda a: np.full_like(a, np.nan)),
-        ("ref", lambda a: np.full_like(a, np.nan)),
-        ("ref", lambda a: np.array([np.inf, 0.0])),
-        ("theta", lambda a: a.astype(complex)),
-        ("time", lambda a: a.astype(complex)),
-        ("solutions", lambda a: a.astype(complex)),
-    ], ids=["negative-hist_s", "zero-hist_s", "hist_nhat-3", "hist_normal0-3",
-            "nan-hist_nhat", "nan-hist_m", "nan-ref", "inf-ref", "complex-theta",
-            "complex-time", "complex-solutions"])
-    def test_damaged_checkpoint_array_exit_code(self, tmp_path, capsys, key,
-                                                damage):
-        # every array is checked before either verb that reads a checkpoint
-        # uses it, the history too, which `traces` does not use
-        drv.run(tiny_config(t_final=0.004, record_interval=2e-3),
-                out_dir=tmp_path / "run")
-        data = dict(np.load(tmp_path / "run" / "checkpoint.npz",
-                            allow_pickle=False))
-        data[key] = damage(data[key])
-        path = str(tmp_path / "damaged.npz")
-        np.savez(path, **data)
-        capsys.readouterr()
-        assert main(["run", "--resume", path, "--t-final", "0.01",
-                     "--out", str(tmp_path / "r")]) == 4
-        assert f"checkpoint {path} is corrupted: {key}" in capsys.readouterr().err
-        assert main(["traces", "--checkpoint", path,
-                     "--out", str(tmp_path / "tr")]) == 4
-        assert f"checkpoint {path} is corrupted: {key}" in capsys.readouterr().err
+        for argv in (["run", "--resume", path],
+                     ["traces", "--checkpoint", path, "--out", str(tmp_path / "tr")]):
+            capsys.readouterr()
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert f"checkpoint {path} is corrupted: " in err and message in err
 
 
 class TestConvergenceStudy:
@@ -673,14 +662,16 @@ class TestCli:
          "--out", "afile"],
         ["linstab", "--config", "configs/fig7.cfg", "--num", "3",
          "--out", "afile/x.tsv"],
-        ["converge", "--config", "TINY", "--ns", "8,16", "--out", "afile/s.tsv"],
+        ["converge", "--config", "TINY", "--ns", "8,16", "--out", "afile/s.tsv",
+         "--out-root", "r"],
         ["converge", "--config", "TINY", "--ns", "8,16", "--jobs", "2",
          "--out", "s.tsv", "--out-root", "afile/r"],
         ["traces", "--checkpoint", "CHECKPOINT", "--out", "afile"],
     ], ids=["run", "linstab", "converge", "converge-jobs", "traces"])
     def test_unwritable_output_exit_code(self, tmp_path, capsys, monkeypatch,
                                          argv):
-        # a regular file where a verb writes a directory or a file's parent
+        # a regular file where a verb writes a directory or a file's parent;
+        # a study checks its outputs before its first member runs
         monkeypatch.chdir(tmp_path)
         (tmp_path / "afile").write_text("")
         write_config(tmp_path / "tiny.cfg",
@@ -692,6 +683,24 @@ class TestCli:
         capsys.readouterr()
         assert main([names.get(a, a) for a in argv]) == RunStatus.CONFIG_ERROR
         assert "afile" in capsys.readouterr().err
+        assert list(tmp_path.glob("r/*")) == []
+
+    def test_resume_before_checkpoint_time_exit_code(self, tmp_path, capsys):
+        # a resumed run cannot end before its checkpoint; one that ends at it
+        # records the checkpointed step alone
+        drv.run(tiny_config(t_final=0.004, record_interval=2e-3),
+                out_dir=tmp_path / "o")
+        path = str(tmp_path / "o" / "checkpoint.npz")
+        capsys.readouterr()
+        assert main(["run", "--resume", path, "--t-final", "0.002",
+                     "--out", str(tmp_path / "early")]) == 4
+        assert "t_final = 0.002 is before the checkpoint's t = 0.004" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "early").exists()
+        assert main(["run", "--resume", path, "--t-final", "0.004",
+                     "--out", str(tmp_path / "same")]) == 0
+        assert read_record(tmp_path / "same" / "record.tsv").column("time") \
+            .tolist() == [0.004]
 
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
@@ -815,48 +824,69 @@ def _converge_cases(draw):
     return "converge", [f"N = {draw(st.sampled_from([8, 16]))}"], flags
 
 
+# checkpoint arrays; those that a float array may replace, and the damage
+# done to one of them: text, NaN entries, complex values or three entries
+_CHECKPOINT_KEYS = ("version", "theta", "s_alpha", "ref", "time", "step_index",
+                    "solutions", "config_json", "hist_m", "hist_nhat",
+                    "hist_v0", "hist_normal0", "hist_s")
+_REAL_KEYS = tuple(k for k in _CHECKPOINT_KEYS
+                   if k not in ("config_json", "hist_nhat"))
+_ARRAY_DAMAGES = {"text": lambda a: np.array(["x"]),
+                  "nan": lambda a: np.full(a.shape, np.nan),
+                  "complex": lambda a: a.astype(complex),
+                  "three": lambda a: np.resize(a, 3)}
+
+
 @st.composite
-def _traces_cases(draw):
-    # the damage done to a one-step run's checkpoint: none left, its bytes
-    # cut to a fraction (1.0 leaves it whole), another format version, text
-    # in place of one of its arrays, a (key, number) that no integer key
-    # holds, or a plain .npy array in its place
+def _checkpoint_cases(draw):
+    # the damage done to a two-step run's checkpoint before `traces` and
+    # `run --resume` read it: none left, its bytes cut to a fraction (1.0
+    # leaves it whole), another format version, an array damage, a (key,
+    # values) that the key may not hold, a plain .npy array in its place, or
+    # a resume --t-final before the checkpoint's time
     damage = draw(st.one_of(
-        st.sampled_from([("missing", None), ("array", None)]),
+        st.sampled_from([("missing", None), ("array", None),
+                         ("t_final", "1e-4")]),
         st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
         st.tuples(st.just("version"), st.integers(-2, 9)),
-        st.tuples(st.just("text"), st.sampled_from(
-            ["theta", "s_alpha", "time", "step_index", "solutions"])),
+        st.tuples(st.sampled_from(["text", "nan", "three"]),
+                  st.sampled_from(_CHECKPOINT_KEYS)),
+        st.tuples(st.just("complex"), st.sampled_from(_REAL_KEYS)),
         st.tuples(st.just("number"), st.sampled_from(
-            [("step_index", 2.5), ("step_index", -3), ("version", 3.7)]))))
-    return "traces", ["N = 16"], damage
+            [("step_index", 2.5), ("step_index", -3), ("version", 3.7),
+             ("s_alpha", 0.0), ("hist_s", -1.0), ("hist_s", 0.0),
+             ("ref", (np.inf, 0.0)), ("time", np.nan)]))))
+    return "checkpoint", ["N = 16"], damage
 
 
 def _damaged(path, damage, value):
-    """A path to `path`'s checkpoint with `damage` done (see `_traces_cases`)."""
+    """A path to `path`'s checkpoint with `damage` done (see
+    `_checkpoint_cases`)."""
     out = path.with_name("damaged.npz")
     if damage == "cut":
         data = path.read_bytes()
         out.write_bytes(data[:int(value * len(data))])
-    elif damage in ("version", "text", "number"):
+    elif damage in ("version", "number", *_ARRAY_DAMAGES):
         with np.load(path) as blob:
             arrays = {key: blob[key] for key in blob.files}
         if damage == "version":
             arrays["version"] = np.array([value])
         elif damage == "number":
-            arrays[value[0]] = np.array([value[1]])
+            arrays[value[0]] = np.array(value[1], ndmin=1)
         else:
-            arrays[value] = np.array(["x"])
+            arrays[value] = _ARRAY_DAMAGES[damage](arrays[value])
         np.savez(out, **arrays)
     elif damage == "array":
         with open(out, "wb") as fh:
             np.save(fh, np.zeros(3))
+    elif damage == "t_final":
+        return str(path)
     return str(out)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=st.one_of(_linstab_cases(), _run_cases(), _resume_cases(),
-                      _converge_cases(), _traces_cases()))
+                      _converge_cases(), _checkpoint_cases()))
 @example(case=("linstab", [], ["--mode", "200"]))
 @example(case=("linstab", [], ["--mode", "200", "--evolve", "--t-final", "0.01"]))
 @example(case=("linstab", [], ["--r-min", "0.5", "--r-max", "1000", "--num", "3"]))
@@ -868,15 +898,27 @@ def _damaged(path, damage, value):
 @example(case=("run", ["N = 16", "t_final = 1e308", "dt = 1e-300"], []))
 @example(case=("resume", ["N = 16"], ["--n", "64", "--dt", "5e-4", "--config",
                                       "CFG", "--t-final", "4e-3"]))
-@example(case=("traces", ["N = 16"], ("cut", 0.5)))
-@example(case=("traces", ["N = 16"], ("array", None)))
-@example(case=("traces", ["N = 16"], ("text", "theta")))
-@example(case=("traces", ["N = 16"], ("number", ("step_index", 2.5))))
-@example(case=("traces", ["N = 16"], ("number", ("step_index", -3))))
-@example(case=("traces", ["N = 16"], ("number", ("version", 3.7))))
+@example(case=("checkpoint", ["N = 16"], ("cut", 0.5)))
+@example(case=("checkpoint", ["N = 16"], ("array", None)))
+@example(case=("checkpoint", ["N = 16"], ("text", "theta")))
+@example(case=("checkpoint", ["N = 16"], ("number", ("step_index", 2.5))))
+@example(case=("checkpoint", ["N = 16"], ("number", ("step_index", -3))))
+@example(case=("checkpoint", ["N = 16"], ("number", ("version", 3.7))))
+@example(case=("checkpoint", ["N = 16"], ("number", ("hist_s", -1.0))))
+@example(case=("checkpoint", ["N = 16"], ("three", "hist_nhat")))
+@example(case=("checkpoint", ["N = 16"], ("three", "hist_normal0")))
+@example(case=("checkpoint", ["N = 16"], ("nan", "hist_nhat")))
+@example(case=("checkpoint", ["N = 16"], ("nan", "hist_m")))
+@example(case=("checkpoint", ["N = 16"], ("nan", "ref")))
+@example(case=("checkpoint", ["N = 16"], ("number", ("ref", (np.inf, 0.0)))))
+@example(case=("checkpoint", ["N = 16"], ("complex", "theta")))
+@example(case=("checkpoint", ["N = 16"], ("complex", "time")))
+@example(case=("checkpoint", ["N = 16"], ("complex", "solutions")))
+@example(case=("checkpoint", ["N = 16"], ("t_final", "1e-4")))
 def test_cli_exit_code_contract(case):
     # every command line ends in a RunStatus, never in an exception; exit 0
-    # comes with a table that holds rows; a resumed run takes no config
+    # comes with a table that holds rows; a resumed run takes no config; a
+    # damaged checkpoint exits 4 from both verbs that read it
     verb, lines, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -897,25 +939,33 @@ def test_cli_exit_code_contract(case):
             table = tmp / "resumed" / "record.tsv"
             argv = ["run", "--resume", str(tmp / "run" / "checkpoint.npz"),
                     "--out", str(table.parent)]
-        damage = None
-        if verb == "traces":
-            assert main(argv) == 0
-            table = tmp / "traces" / "traces" / "gamma_00000001.txt"
-            damage = flags[0]
-            argv = ["traces", "--checkpoint",
-                    _damaged(tmp / "run" / "checkpoint.npz", *flags),
-                    "--out", str(tmp / "traces")]
-            flags = []
-        code = main(argv + [str(cfg) if f == "CFG" else f for f in flags])
-        assert isinstance(code, RunStatus)
-        if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
-            assert code == RunStatus.CONFIG_ERROR
-        if damage == "number":
-            assert code == RunStatus.CONFIG_ERROR
-        if code == RunStatus.COMPLETE:
-            rows = [line for line in table.read_text().splitlines()
-                    if not line.startswith("#")]
-            assert len(rows) > 1
+        if verb == "checkpoint":
+            # two steps, so that a step before the checkpoint's exists
+            assert main(argv + ["--t-final", "2e-4"]) == 0
+            damage, value = flags
+            path = _damaged(tmp / "run" / "checkpoint.npz", damage, value)
+            t_final = value if damage == "t_final" else "2e-4"
+            commands = [
+                (["traces", "--checkpoint", path, "--out", str(tmp / "traces")],
+                 tmp / "traces" / "traces" / "gamma_00000002.txt"),
+                (["run", "--resume", path, "--t-final", t_final,
+                  "--out", str(tmp / "resumed")], tmp / "resumed" / "record.tsv")]
+        else:
+            commands = [(argv + [str(cfg) if f == "CFG" else f for f in flags],
+                         table)]
+        for argv, table in commands:
+            code = main(argv)
+            assert isinstance(code, RunStatus)
+            if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
+                assert code == RunStatus.CONFIG_ERROR
+            if verb == "checkpoint" and (damage in ("number", *_ARRAY_DAMAGES)
+                                         or damage == "t_final" and "--resume" in argv):
+                assert code == RunStatus.CONFIG_ERROR
+            if code == RunStatus.COMPLETE:
+                rows = [line for line in table.read_text().splitlines()
+                        if not line.startswith("#")]
+                assert len(rows) > 1
+
 
 def test_cli_import_loads_no_interpolate_sparse_or_linalg():
     # scipy.interpolate pulls in scipy.sparse, which costs the command line
