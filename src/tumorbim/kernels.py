@@ -10,19 +10,19 @@ block is one symmetric bracket of the kernel's smooth factors with h and W
 expanded once and scaled by the source metric or the double-layer
 numerators; the diagonals carry the analytic limits.  A single layer may be
 written straight into a block of the caller's system matrix.  The
-Helmholtz self blocks take I0 and I1 from the power series in `bessel`, K0
-from scipy and K1 from the Wronskian I0 K1 + I1 K0 = 1/r.  The Laplace
-double layer has only a removable singularity and is integrated by the
-alternating-point trapezoidal rule.
+Helmholtz self blocks take I0, I1 and K0 from one tiled pass of
+`bessel.i0_i1_k0` over the pairs and K1 from the Wronskian
+I0 K1 + I1 K0 = 1/r.  The Laplace double layer has only a removable
+singularity and is integrated by the alternating-point trapezoidal rule.
 Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
 the source boundary lies well inside the disc |x| < min |target|, they are
 low-rank factors from the kernels' expansions about the origin (Graf's
-addition theorem for K0, DLMF 10.44(ii), from scipy's K0, K1 on the target
-radii and i0e on the source radii; the multipole series of the log
-kernel), and a system block is one GEMM of them written into its slice.
-The source's share of the factors is built once per source and order
-(`CrossSource`).  Otherwise the blocks are dense matrices from scipy's K0,
-K1 on the distances.
+addition theorem for K0, DLMF 10.44(ii), from K0, K1 on the target radii
+and I0 on the source radii; the multipole series of the log kernel), and
+a system block is one GEMM of them written into its slice.  The source's
+share of the factors is built once per source and order (`CrossSource`).
+Otherwise the blocks are dense matrices from K0, K1 on the distances.
+Every Bessel value comes from `bessel`, which needs numpy alone.
 
 Fundamental solutions: Phi = (1/2pi) ln(1/r) for Laplace and
 G = (1/2pi) K0(r) for the modified Helmholtz operator (Laplacian - 1).
@@ -35,7 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bessel import i0, i0e, i1, k0, k1
+# i1 is no longer called here; perfbench's tracer wraps it in this module
+from .bessel import i0, i0_i1_k0, i1, k0, k1  # noqa: F401
 from .geometry import TWO_PI, PlanarCurveSamples
 
 
@@ -148,8 +149,8 @@ class Polar(NamedTuple):
 
 class SourceSide(NamedTuple):
     """The source's part of the order-M expansions that no target changes:
-    its `polar` data, the largest node radius `rho_max`, `i0` = I0(rho) as
-    i0e(rho) e^rho, `ratios` I_m(rho)/I_{m-1}(rho) for m = 1..M+1 and
+    its `polar` data, the largest node radius `rho_max`, `i0` = I0(rho),
+    `ratios` I_m(rho)/I_{m-1}(rho) for m = 1..M+1 and
     `powers` (rho/rho_max)^m for m = 0..M (one row per order)."""
 
     order: int
@@ -192,7 +193,7 @@ class CrossSource:
         np.cumprod(np.broadcast_to(rho / rho_max, (order, rho.size)), axis=0,
                    out=powers[1:])
         self._side = SourceSide(order, _polar(self.bnd, rho, order), rho_max,
-                                i0e(rho) * np.exp(rho), ratios, powers)
+                                i0(rho), ratios, powers)
         return self._side
 
 
@@ -437,7 +438,7 @@ def helmholtz_self_blocks(geom, single=None):
     w = tri.weight
     h = TWO_PI / bnd.n
     scale = bnd.s_alpha / TWO_PI
-    i0r, i1r, k0r = i0(r), i1(r), k0(r)
+    i0r, i1r, k0r = i0_i1_k0(r)
     # I1 K0 < 1/r = I0 K1 + I1 K0: the subtraction loses at most one bit
     inv_r = 1.0 / r
     k1r = i1r * k0r

@@ -1,4 +1,7 @@
+import importlib.util
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +120,20 @@ def test_series_matches_scipy(series, reference, top):
     assert np.max(np.abs(series(x) - want) / want) <= 4e-15
 
 
+@pytest.mark.parametrize("kind, n", [("i0", 0), ("i1", 1)])
+def test_series_term_count(kind, n):
+    # I_n's sum ends with the first term below eps/10 of its first, past the
+    # largest (k^2 > max z); S's longer sum (H_k times I0's terms) must not
+    # lengthen it, or I0 and I1 would lose the bits of their own pass
+    for z_max in np.geomspace(1e-6, 1e4, 2001):
+        scale = math.ldexp(1.0, math.frexp(z_max)[1] - 1)
+        bound, k = 1.0, 0
+        while not (bound < 0.1 * np.finfo(float).eps and k * k > z_max):
+            k += 1
+            bound *= z_max / (k * (k + n))
+        assert len(bessel._coefficients(kind, z_max, scale)) == k + 1, z_max
+
+
 def test_series_at_origin_and_parity():
     assert bessel.i0(0.0) == 1.0 and bessel.i1(0.0) == 0.0
     x = np.linspace(0.0, 12.0, 97)
@@ -167,3 +184,82 @@ def test_series_rejects_overflowing_square(series, reference):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflows"):
             series(np.array([3e154]))
+
+
+# the array K0, K1: the series up to R_C, the far polynomials above; scipy
+# is the oracle.  The near branch's subtraction loses about eps e^{2x}, so
+# the error peaks just below R_C: at most 6.3e-15 for K0 and 3.6e-15 for K1
+# on a grid of step 2.5e-7 there
+
+K_FUNCTIONS = [(bessel.k0, special.k0), (bessel.k1, special.k1)]
+K_BOUND = 8e-15
+NEAR_R_C = np.linspace(bessel.R_C - 0.1, bessel.R_C + 0.1, 40001)
+
+
+@pytest.mark.parametrize("func, reference", K_FUNCTIONS)
+def test_k_matches_scipy(func, reference):
+    x = np.concatenate([np.geomspace(1e-8, 60.0, 20001), NEAR_R_C,
+                        [bessel.R_C, np.nextafter(bessel.R_C, np.inf)]])
+    assert np.sum(x <= bessel.R_C) > 1000 and np.sum(x > bessel.R_C) > 1000
+    assert np.max(np.abs(func(x) / reference(x) - 1.0)) <= K_BOUND
+
+
+def test_self_pairs_pass_matches_series_and_scipy():
+    # over several tiles and both sides of R_C: I0 and I1 bit for bit the
+    # array series, K0 within the array K0's bound
+    r = np.random.default_rng(7).uniform(1e-3, 5.2, 3 * bessel.TILE + 11)
+    i0r, i1r, k0r = bessel.i0_i1_k0(r)
+    assert np.array_equal(i0r, bessel.i0(r)) and np.array_equal(i1r, bessel.i1(r))
+    assert np.max(np.abs(k0r / special.k0(r) - 1.0)) <= K_BOUND
+
+
+def test_k_at_origin_is_inf():
+    # ln 0 and 1/0 raise no warning (the suite makes any warning an error),
+    # and K1's 1/x - I1 K0 is not left as inf - 0 inf = NaN
+    for func, _ in K_FUNCTIONS:
+        assert list(func(np.array([0.0, 1.0])) == np.inf) == [True, False]
+    assert bessel.i0_i1_k0(np.array([0.0, 1.0]))[2][0] == np.inf
+    for n in (0, 1, 7):
+        assert bessel_k(n, 0.0) == np.inf
+
+
+def test_k_propagates_nan_and_inf():
+    # NaN stays NaN and K(inf) = 0; the series' term count comes from the
+    # finite entries, so its loop ends with them or with none at all
+    x = np.array([1.5, np.nan, np.inf, 3.0, np.nan])
+    for func, reference in K_FUNCTIONS:
+        got = func(x)
+        assert np.isnan(got[[1, 4]]).all() and got[2] == 0.0
+        assert got[[0, 3]] == pytest.approx(reference(x[[0, 3]]), rel=K_BOUND)
+        assert np.isnan(func(np.array([np.nan, np.nan]))).all()
+    i0r, i1r, k0r = bessel.i0_i1_k0(x)
+    assert np.isnan(k0r[[1, 4]]).all() and k0r[2] == 0.0
+    assert (i0r[2], i1r[2]) == (np.inf, np.inf)
+    assert k0r[[0, 3]] == pytest.approx(special.k0(x[[0, 3]]), rel=K_BOUND)
+    assert all(np.isnan(row).all()
+               for row in bessel.i0_i1_k0(np.array([np.nan, np.nan])))
+    for n in (0, 1, 4):
+        assert all(np.isnan(bessel_ik(n, np.nan)))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_scalar_pair_matches_scipy(n):
+    # measured at most 5.6e-15 (K0 just below R_C)
+    x = np.concatenate([np.geomspace(1e-6, 60.0, 401), NEAR_R_C[::100]])
+    got = np.array([bessel_ik(n, v) for v in x])
+    assert np.max(np.abs(got[:, 0] / special.iv(n, x) - 1.0)) <= 1e-14
+    assert np.max(np.abs(got[:, 1] / special.kv(n, x) - 1.0)) <= 1e-14
+
+
+def test_far_polynomials_match_their_script(capsys):
+    # the committed coefficients are those the script writes
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parent.parent / "tools" / "make_bessel_coefficients.py"
+    spec = importlib.util.spec_from_file_location("make_bessel_coefficients", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    written = {}
+    exec(capsys.readouterr().out, written)
+    assert script.R_C == bessel.R_C
+    assert (written["FAR_K0"], written["FAR_K1"]) == (bessel.FAR_K0, bessel.FAR_K1)

@@ -967,17 +967,16 @@ def test_cli_exit_code_contract(case):
                 assert len(rows) > 1
 
 
-def test_cli_import_loads_no_interpolate_sparse_or_linalg():
-    # scipy.interpolate pulls in scipy.sparse, which costs the command line
-    # about a quarter second of import time and 20 MB of memory;
-    # scipy.linalg's LAPACK wrappers cost about 6 MB
+def test_cli_and_linear_import_no_scipy():
+    # the package runs on numpy alone: scipy.special costs about 24 MB of
+    # memory, scipy.interpolate pulls in scipy.sparse (20 MB and a quarter
+    # second of import time) and scipy.linalg's LAPACK wrappers about 6 MB
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                  if p]))
-    code = ("import sys, tumorbim.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.interpolate', 'scipy.sparse', "
-            "'scipy.linalg'))))")
+    code = ("import sys, tumorbim.linear, tumorbim.cli; print(sorted(m for m "
+            "in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -400,9 +400,11 @@ def test_helmholtz_self_pass_peak_memory():
 
 
 def full_matrix_self_blocks(bnd):
-    """The Helmholtz self blocks' brackets with the I0, I1 series, scipy's K0
-    and the Wronskian K1 = (1/r - I1 K0)/I0 evaluated on every node pair,
-    with the self distances set to 1, in the builders' operation order:
+    """The Helmholtz self blocks' brackets with I0, I1 and K0 from one
+    `bessel.i0_i1_k0` pass over every node pair (whose largest distance, and
+    so its term count, is the upper triangle's) and the Wronskian
+    K1 = (1/r - I1 K0)/I0, with the self distances set to 1, in the
+    builders' operation order:
     W = h L - Q with L from the node offsets, (h K0 + I0 W) m/2pi and
     ((h K1 - I1 W)/r) P with P the double-layer numerators, and the
     diagonals q_0 G1 + h G2."""
@@ -416,7 +418,7 @@ def full_matrix_self_blocks(bnd):
     np.fill_diagonal(ls, 0.0)
     w = h * ls - kress_matrix(n)
     scale = bnd.s_alpha / TWO_PI
-    i0s, i1s, k0s = bessel.i0(safe), bessel.i1(safe), k0(safe)
+    i0s, i1s, k0s = (a.reshape(n, n) for a in bessel.i0_i1_k0(safe.ravel()))
     inv = 1.0 / safe
     k1s = (inv - i1s * k0s) / i0s
     single = (h * k0s + i0s * w) * scale

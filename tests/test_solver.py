@@ -518,10 +518,11 @@ def test_nan_interface_fails_the_solve():
 
 @pytest.mark.parametrize("path", ["dense", "separable"])
 def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch, path):
-    # the symmetric Gamma-Gamma pair needs I0, I1, K0 on N(N+1)/2 distances
-    # (K1 follows from the Wronskian); the Gamma0-Gamma pair needs K0, K1 on
-    # its N0 N distances, or on the N radii of Gamma when a small core takes
-    # the separable path
+    # the symmetric Gamma-Gamma pair needs I0, I1, K0 on N(N+1)/2 distances,
+    # all three from one i0_i1_k0 pass (K1 follows from the Wronskian); the
+    # Gamma0-Gamma pair needs K0, K1 on its N0 N distances, or, when a small
+    # core takes the separable path, on the N radii of Gamma and I0 on the
+    # N0 radii of Gamma0
     if path == "dense":
         n0, n = 32, 64
         g0 = geo.radial_boundary(0.5, 0.1, 3, n0)
@@ -532,7 +533,7 @@ def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch, path):
     separable = pair_geometries(g0, g)[1].expansion is not None
     assert separable == (path == "separable")
     solver = sol.FieldSolver(g0, sol.Params(**FIG7))
-    counts = dict.fromkeys(("i0", "i1", "k0", "k1"), 0)
+    counts = dict.fromkeys(("i0_i1_k0", "i0", "i1", "k0", "k1"), 0)
 
     def counting(name, fn):
         def wrapper(x):
@@ -545,4 +546,5 @@ def test_solve_evaluates_bessel_on_self_upper_triangle(monkeypatch, path):
     solver.solve(g)
     half = n * (n + 1) // 2
     cross = n if separable else n0 * n
-    assert counts == dict(i0=half, i1=half, k0=half + cross, k1=cross)
+    assert counts == dict(i0_i1_k0=half, i0=n0 if separable else 0, i1=0,
+                          k0=cross, k1=cross)
