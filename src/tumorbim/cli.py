@@ -11,13 +11,12 @@ import argparse
 import math
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, load_config
-from .driver import (RunStatus, convergence_study, reemit_traces, resume, run,
-                     write_table)
+from .driver import (RunStatus, StepFailure, convergence_study, reemit_traces,
+                     resume, run, write_table)
 from .linear import LinearConfig, integrate_linear_odes, stability_curve
 
 
@@ -157,19 +156,19 @@ def _cmd_converge(args):
     overrides = ({} if args.record_interval is None
                  else {"record_interval": args.record_interval})
     config = load_config(args.config, **overrides)
-    # an output path that cannot be written fails before any member runs
-    open(args.out, "a").close()
-    if args.out_root:
-        Path(args.out_root).mkdir(parents=True, exist_ok=True)
-    study, results = convergence_study(config, dts=args.dts, ns=args.ns,
-                                       jobs=args.jobs, out_root=args.out_root)
-    study.write(args.out)
+    _, results = convergence_study(config, dts=args.dts, ns=args.ns,
+                                   jobs=args.jobs, out_root=args.out_root,
+                                   out=args.out)
     print(f"wrote study table to {args.out}")
     return max(r.status for r in results)
 
 
 def _cmd_traces(args):
-    reemit_traces(args.checkpoint, args.out)
+    try:
+        reemit_traces(args.checkpoint, args.out)
+    except StepFailure as exc:
+        print(f"{RunStatus.SOLVER_FAILURE.name}: {exc}")
+        return RunStatus.SOLVER_FAILURE
     print(f"wrote traces to {args.out}")
     return RunStatus.COMPLETE
 

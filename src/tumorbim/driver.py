@@ -13,6 +13,7 @@ import json
 import time as _time
 import zipfile
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -112,6 +113,10 @@ def _whole(ratio):
     return int(round(ratio))
 
 
+# the config's intervals that a run counts in time steps
+CADENCES = ("t_final", "record_interval", "snapshot_interval", "trace_interval")
+
+
 def _steps(config, name):
     """The config's interval `name` in time steps."""
     interval = getattr(config, name)
@@ -119,6 +124,23 @@ def _steps(config, name):
     if steps is None:
         raise ConfigError(f"{name} = {interval} is not a multiple of dt = {config.dt}")
     return steps
+
+
+class StepFailure(RuntimeError):
+    """A solve outside the run loop failed as a step would (exit 3)."""
+
+
+@contextmanager
+def _step_guard(failures):
+    """Runs a step's work with float errors raised.  A solver failure, a
+    float error or an I0 overflow (ValueError) ends the block and is
+    appended to `failures`."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except (SolverFailure, SolverCollapse, FloatingPointError,
+            ValueError) as exc:
+        failures.append(exc)
 
 
 def _field_solver(config):
@@ -247,10 +269,9 @@ def _run_loop(config, state, history, start_index, out, solutions):
     solver = _field_solver(config)
     solver.solutions = solutions
     gamma0, params = solver.gamma0, solver.params
-    n_steps = _steps(config, "t_final")
-    rec_every = _steps(config, "record_interval") or 1
-    snap_every = _steps(config, "snapshot_interval")
-    trace_every = _steps(config, "trace_interval")
+    n_steps, rec_every, snap_every, trace_every = (_steps(config, name)
+                                                   for name in CADENCES)
+    rec_every = rec_every or 1
 
     record = RunRecord()
     status = RunStatus.COMPLETE
@@ -281,52 +302,50 @@ def _run_loop(config, state, history, start_index, out, solutions):
                        f"{config.min_gap_factor} node spacings at t = {state.time:.6g}")
         recorded = i % rec_every == 0 or i == n_steps
         solver.warm = not recorded
-        try:
-            # a float error or an I0 overflow (ValueError) anywhere in the
-            # step fails it; a halting step writes only its snapshot
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                if not halt:
-                    fields = solver.solve(gamma)
-                    v = normal_velocity(fields, gamma, params)
-                    peak = max(peak, fields.gmres_iters_nutrient,
-                               fields.gmres_iters_pressure)
-                    iterations[solver.warm].append(
-                        (fields.gmres_iters_nutrient, fields.gmres_iters_pressure))
-                    worst["nutrient"] = max(worst["nutrient"],
-                                            fields.residual_nutrient)
-                    worst["pressure"] = max(worst["pressure"],
-                                            fields.residual_pressure)
-                    sigma_violation = max(sigma_violation,
-                                          sigma_bounds_violation(fields, params))
-                    if proximity_warning(gap0, gamma):
-                        near_times.append(state.time)
-                    if recorded:
-                        r_eff, delta_over_r, _ = shape_diagnostics(
-                            gamma, config.shape_mode)
-                        record.append(time=state.time, area=area(gamma),
-                                      r_eff=r_eff, delta_over_r=delta_over_r,
-                                      gmres_nutrient=fields.gmres_iters_nutrient,
-                                      gmres_pressure=fields.gmres_iters_pressure,
-                                      min_gap=gap, max_v=float(np.max(np.abs(v))))
-                    if out is not None and (i == n_steps or
-                                            (trace_every and i % trace_every == 0)):
-                        emit_traces(out, gamma0, gamma, fields, params,
-                                    state.time, tag=f"{i:08d}")
-                # after the solve: perfbench's setup_s ends at the first solve
-                if out is not None and (halt or i == 0 or i == n_steps
-                                        or (snap_every and i % snap_every == 0)):
-                    write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt",
-                                   gamma, state.time, state.s_alpha)
-                if halt or i >= n_steps:
-                    break
-                if history is None:
-                    state, history = first_step(state, v, config.dt)
-                else:
-                    state, history = step(state, v, history, config.dt)
-        except (SolverFailure, SolverCollapse, FloatingPointError,
-                ValueError) as exc:
+        failed = []
+        # a halting step writes only its snapshot
+        with _step_guard(failed):
+            if not halt:
+                fields = solver.solve(gamma)
+                v = normal_velocity(fields, gamma, params)
+                peak = max(peak, fields.gmres_iters_nutrient,
+                           fields.gmres_iters_pressure)
+                iterations[solver.warm].append(
+                    (fields.gmres_iters_nutrient, fields.gmres_iters_pressure))
+                worst["nutrient"] = max(worst["nutrient"],
+                                        fields.residual_nutrient)
+                worst["pressure"] = max(worst["pressure"],
+                                        fields.residual_pressure)
+                sigma_violation = max(sigma_violation,
+                                      sigma_bounds_violation(fields, params))
+                if proximity_warning(gap0, gamma):
+                    near_times.append(state.time)
+                if recorded:
+                    r_eff, delta_over_r, _ = shape_diagnostics(
+                        gamma, config.shape_mode)
+                    record.append(time=state.time, area=area(gamma),
+                                  r_eff=r_eff, delta_over_r=delta_over_r,
+                                  gmres_nutrient=fields.gmres_iters_nutrient,
+                                  gmres_pressure=fields.gmres_iters_pressure,
+                                  min_gap=gap, max_v=float(np.max(np.abs(v))))
+                if out is not None and (i == n_steps or
+                                        (trace_every and i % trace_every == 0)):
+                    emit_traces(out, gamma0, gamma, fields, params,
+                                state.time, tag=f"{i:08d}")
+            # after the solve: perfbench's setup_s ends at the first solve
+            if out is not None and (halt or i == 0 or i == n_steps
+                                    or (snap_every and i % snap_every == 0)):
+                write_snapshot(out / "snapshots" / f"snap_{i:08d}.txt",
+                               gamma, state.time, state.s_alpha)
+            if halt or i >= n_steps:
+                break
+            if history is None:
+                state, history = first_step(state, v, config.dt)
+            else:
+                state, history = step(state, v, history, config.dt)
+        if failed:
             status = RunStatus.SOLVER_FAILURE
-            message = f"step {i}: {exc}"
+            message = f"step {i}: {failed[0]}"
             break
         i += 1
 
@@ -381,11 +400,16 @@ def resume(checkpoint_path, t_final=None, out_dir=None):
 
 def reemit_traces(checkpoint_path, out_dir):
     """Re-solve the fields at a checkpointed state, from zero, and write its
-    trace files."""
+    trace files.  A solve that fails as a run's step would raises
+    StepFailure."""
     config, state, _, step_index, _ = load_checkpoint(checkpoint_path)
     solver = _field_solver(config)
     gamma = state.samples()
-    fields = solver.solve(gamma)
+    failed = []
+    with _step_guard(failed):
+        fields = solver.solve(gamma)
+    if failed:
+        raise StepFailure(f"step {step_index}: {failed[0]}") from failed[0]
     emit_traces(out_dir, solver.gamma0, gamma, fields, solver.params, state.time,
                 tag=f"{step_index:08d}")
     return fields
@@ -415,14 +439,19 @@ class ConvergenceStudy:
                     comments)
 
 
-def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
+def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None,
+                      out=None):
     """Refinement study against the finest member (listed last).
 
     Exactly one of `dts` or `ns` selects the refinement family.  All
     members share the record cadence, so rows align by index; errors are
     |area_n(t) - area_ref(t)| and the rates between consecutive members
     are log2(e_n / e_{n+1}).  Members that stop before t_final are listed in
-    the study's `halted`; the rows end with the shortest record.
+    the study's `halted`; the rows end with the shortest record.  The study
+    table goes to `out` if given.  It and `out_root` are made once every
+    member's config and step counts are valid and before the first member
+    runs, so a config error leaves neither and an unwritable one fails at
+    once.
     """
     if (dts is None) == (ns is None):
         raise ConfigError("specify exactly one of dts or ns")
@@ -434,6 +463,13 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
     key = "dt" if dts is not None else "N"
     members = [config.with_overrides(dt=v) if dts is not None
                else config.with_overrides(n=int(v), n0=0) for v in values]
+    for member in members:
+        for name in CADENCES:
+            _steps(member, name)
+    if out is not None:
+        open(out, "a").close()
+    if out_root is not None:
+        Path(out_root).mkdir(parents=True, exist_ok=True)
     work = [(m, None if out_root is None else Path(out_root) / f"{key}_{v}")
             for m, v in zip(members, values)]
     if jobs > 1:
@@ -455,5 +491,8 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None):
     errors = np.array([np.abs(a - areas[-1]) for a in areas[:-1]])
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = np.log2(errors[:-1] / errors[1:])
-    return ConvergenceStudy(labels=values, times=times, errors=errors,
-                            rates=rates, halted=halted), results
+    study = ConvergenceStudy(labels=values, times=times, errors=errors,
+                             rates=rates, halted=halted)
+    if out is not None:
+        study.write(out)
+    return study, results

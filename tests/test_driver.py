@@ -702,6 +702,34 @@ class TestCli:
         assert read_record(tmp_path / "same" / "record.tsv").column("time") \
             .tolist() == [0.004]
 
+    def test_traces_solver_failure_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        # a re-solve that fails exits 3 from traces, as the step that fails
+        # in run --resume does, and writes no trace file
+        drv.run(tiny_config(t_final=0.004, record_interval=2e-3),
+                out_dir=tmp_path / "o")
+        path = str(tmp_path / "o" / "checkpoint.npz")
+        monkeypatch.setattr(sol, "GMRES_MAXITER", 1)
+        capsys.readouterr()
+        assert main(["traces", "--checkpoint", path,
+                     "--out", str(tmp_path / "t")]) == RunStatus.SOLVER_FAILURE
+        assert "SOLVER_FAILURE: step 4: " in capsys.readouterr().out
+        assert not (tmp_path / "t").exists()
+        assert main(["run", "--resume", path, "--t-final", "0.006",
+                     "--out", str(tmp_path / "r")]) == RunStatus.SOLVER_FAILURE
+
+    @pytest.mark.parametrize("dts", ["0,1e-3", "3e-3,1e-3"])
+    def test_converge_config_error_leaves_no_outputs(self, tmp_path, dts):
+        # a member that is no valid config (dt = 0), or whose dt does not
+        # divide t_final, exits 4 before the table and the member root exist
+        cfg = tmp_path / "tiny.cfg"
+        write_config(cfg, tiny_config(t_final=0.004, record_interval=2e-3))
+        table, root = tmp_path / "s.tsv", tmp_path / "r"
+        assert main(["converge", "--config", str(cfg), "--dts", dts,
+                     "--out", str(table), "--out-root", str(root)]) \
+            == RunStatus.CONFIG_ERROR
+        assert not table.exists() and not root.exists()
+
     def test_help_exit_code(self, capsys):
         assert main(["--help"]) == 0
         assert "usage: tumorbim" in capsys.readouterr().out
@@ -842,11 +870,12 @@ def _checkpoint_cases(draw):
     # the damage done to a two-step run's checkpoint before `traces` and
     # `run --resume` read it: none left, its bytes cut to a fraction (1.0
     # leaves it whole), another format version, an array damage, a (key,
-    # values) that the key may not hold, a plain .npy array in its place, or
-    # a resume --t-final before the checkpoint's time
+    # values) that the key may not hold, a plain .npy array in its place, a
+    # resume --t-final before the checkpoint's time, or a GMRES limit that
+    # fails every solve from the checkpoint
     damage = draw(st.one_of(
         st.sampled_from([("missing", None), ("array", None),
-                         ("t_final", "1e-4")]),
+                         ("t_final", "1e-4"), ("maxiter", 1)]),
         st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
         st.tuples(st.just("version"), st.integers(-2, 9)),
         st.tuples(st.sampled_from(["text", "nan", "three"]),
@@ -879,7 +908,7 @@ def _damaged(path, damage, value):
     elif damage == "array":
         with open(out, "wb") as fh:
             np.save(fh, np.zeros(3))
-    elif damage == "t_final":
+    elif damage in ("t_final", "maxiter"):
         return str(path)
     return str(out)
 
@@ -915,10 +944,15 @@ def _damaged(path, damage, value):
 @example(case=("checkpoint", ["N = 16"], ("complex", "time")))
 @example(case=("checkpoint", ["N = 16"], ("complex", "solutions")))
 @example(case=("checkpoint", ["N = 16"], ("t_final", "1e-4")))
+@example(case=("checkpoint", ["N = 16"], ("maxiter", 1)))
+@example(case=("converge", ["N = 16"], ["--dts", "0,1e-4", "--record-interval",
+                                        "1e-4", "--jobs", "1"]))
 def test_cli_exit_code_contract(case):
     # every command line ends in a RunStatus, never in an exception; exit 0
     # comes with a table that holds rows; a resumed run takes no config; a
-    # damaged checkpoint exits 4 from both verbs that read it
+    # damaged checkpoint exits 4 from both verbs that read it, and one that
+    # fails to solve exits 3 from both; a study that exits 4 leaves no
+    # outputs
     verb, lines, flags = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -930,7 +964,8 @@ def test_cli_exit_code_contract(case):
                     "--out", str(table)]
         elif verb == "converge":
             table = tmp / "study.tsv"
-            argv = ["converge", "--config", str(cfg), "--out", str(table)]
+            argv = ["converge", "--config", str(cfg), "--out", str(table),
+                    "--out-root", str(tmp / "members")]
         else:
             table = tmp / "run" / "record.tsv"
             argv = ["run", "--config", str(cfg), "--out", str(tmp / "run")]
@@ -954,8 +989,16 @@ def test_cli_exit_code_contract(case):
             commands = [(argv + [str(cfg) if f == "CFG" else f for f in flags],
                          table)]
         for argv, table in commands:
-            code = main(argv)
+            if verb == "checkpoint" and damage == "maxiter":
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(sol, "GMRES_MAXITER", value)
+                    code = main(argv)
+                assert code == RunStatus.SOLVER_FAILURE
+            else:
+                code = main(argv)
             assert isinstance(code, RunStatus)
+            if verb == "converge" and code == RunStatus.CONFIG_ERROR:
+                assert not table.exists() and not (tmp / "members").exists()
             if verb == "resume" and {"--config", "--dt", "--n"} & set(flags):
                 assert code == RunStatus.CONFIG_ERROR
             if verb == "checkpoint" and (damage in ("number", *_ARRAY_DAMAGES)
