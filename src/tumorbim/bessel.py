@@ -86,9 +86,8 @@ FAR_K1 = (
     -1.1931668393112158e-10,
     7.52479548635394e-11,
 )
-# the far polynomials as 0-d arrays, which numpy adds to an array faster
-# than floats
-FAR = {0: tuple(map(np.array, FAR_K0)), 1: tuple(map(np.array, FAR_K1))}
+# the far polynomials of K0 and K1 as `_horner` takes them
+FAR = (list(map(np.array, FAR_K0)), list(map(np.array, FAR_K1)))
 
 
 def _scale(x):
@@ -107,8 +106,8 @@ def _scale(x):
 
 
 def _coefficients(kind, z_max, scale):
-    """Horner coefficients t_0..t_K in w of I0 ("i0"), I1/(x/2) ("i1") or
-    S ("s").  The sum ends with the first term that, at max z, is below
+    """Horner coefficients t_0..t_K in w, as 0-d arrays, of I0 ("i0"),
+    I1/(x/2) ("i1") or S ("s").  The sum ends with the first term that, at max z, is below
     eps/10 of I_n's first and past the largest (k^2 > max z); t_1 is always
     kept, so NaN and inf reach the result.  An I_n that overflows at max z
     (above about 713.9) raises ValueError."""
@@ -125,7 +124,7 @@ def _coefficients(kind, z_max, scale):
         if kind == "s":
             weight = harmonic[-1]
     if kind == "s":
-        return [h * t for h, t in zip(harmonic, coef)]
+        return [np.array(h * t) for h, t in zip(harmonic, coef)]
     # I_n at max z; an infinite bound means that it overflows too
     peak = 0.0
     for t in reversed(coef):
@@ -134,14 +133,13 @@ def _coefficients(kind, z_max, scale):
         peak *= math.sqrt(z_max)
     if math.isinf(bound) or math.isinf(peak):
         raise ValueError(f"I{n}({2.0 * math.sqrt(z_max):.6g}) overflows")
-    return coef
+    return list(map(np.array, coef))
 
 
 def _horner(coef, w, out=None):
     """sum_k coef[k] w^k, into `out` if given, highest power first.  The
-    coefficients go in as 0-d arrays, which numpy adds to an array faster
-    than floats."""
-    coef = list(map(np.array, coef))
+    coefficients are 0-d arrays, which numpy adds to an array faster than
+    floats."""
     out = np.multiply(coef[-1], w, out=out)
     for t in reversed(coef[1:-1]):
         out += t
@@ -201,13 +199,9 @@ def _k0_near(x, i0x, s):
 def _k_far(x, order):
     """e^{-x} x^{-1/2} p(2 R_C/x - 1) by Horner's rule, with p the far
     polynomial of K0 or K1 (`order`); x = inf gives 0 and NaN stays NaN."""
-    coef = FAR[order]
     t = (2.0 * R_C) / x
     t -= 1.0
-    acc = np.full_like(t, coef[-1])
-    for c in coef[-2::-1]:
-        acc *= t
-        acc += c
+    acc = _horner(FAR[order], t)
     acc *= np.exp(-x)
     acc /= np.sqrt(x)
     return acc
