@@ -21,6 +21,7 @@ model one scalar I_n, K_n pair: I_n from its series, K_n by the upward
 recurrence from K0, K1.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -107,24 +108,26 @@ def _scale(x):
 
 def _coefficients(kind, z_max, scale):
     """Horner coefficients t_0..t_K in w, as 0-d arrays, of I0 ("i0"),
-    I1/(x/2) ("i1") or S ("s").  The sum ends with the first term that, at max z, is below
-    eps/10 of I_n's first and past the largest (k^2 > max z); t_1 is always
-    kept, so NaN and inf reach the result.  An I_n that overflows at max z
-    (above about 713.9) raises ValueError."""
+    I1/(x/2) ("i1") or S ("s").  The sum ends with the first term that, at
+    max z, is below eps/10 of I_n's first and past the largest
+    (k^2 > max z); S's terms are H_k times I0's, so its bound carries H_k.
+    t_1 is always kept, so NaN and inf reach the result.  An I_n that
+    overflows at max z (above about 713.9) raises ValueError."""
     n = 1 if kind == "i1" else 0
-    coef, bound, k, harmonic, weight = [1.0], 1.0, 0, [0.0], 1.0
+    coef, bound, k, harmonic = [1.0], 1.0, 0, 0.0
     tol = 0.1 * EPS
-    # S's terms are H_k times I0's, so its bound carries H_k; an infinite
-    # bound means that I_n(max |x|) overflows
-    while not ((bound * weight < tol and k * k > z_max) or math.isinf(bound)):
+    # an infinite bound means that I_n(max |x|) overflows
+    while not ((bound * max(harmonic, 1.0) < tol and k * k > z_max)
+               or math.isinf(bound)):
         k += 1
         bound *= z_max / (k * (k + n))
         coef.append(coef[-1] * scale / (k * (k + n)))
-        harmonic.append(harmonic[-1] + 1.0 / k)
         if kind == "s":
-            weight = harmonic[-1]
+            harmonic += 1.0 / k
     if kind == "s":
-        return [np.array(h * t) for h, t in zip(harmonic, coef)]
+        harmonic = itertools.accumulate(1.0 / j for j in range(1, k + 1))
+        return [np.array(0.0)] + [np.array(h * t) for h, t in
+                                  zip(harmonic, coef[1:])]
     # I_n at max z; an infinite bound means that it overflows too
     peak = 0.0
     for t in reversed(coef):
