@@ -23,6 +23,7 @@ recurrence from K0, K1.
 
 import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,29 +115,40 @@ def _coefficients(kind, z_max, scale):
     t_1 is always kept, so NaN and inf reach the result.  An I_n that
     overflows at max z (above about 713.9) raises ValueError."""
     n = 1 if kind == "i1" else 0
-    coef, bound, k, harmonic = [1.0], 1.0, 0, 0.0
+    bound, k, harmonic = 1.0, 0, 0.0
     tol = 0.1 * EPS
     # an infinite bound means that I_n(max |x|) overflows
     while not ((bound * max(harmonic, 1.0) < tol and k * k > z_max)
                or math.isinf(bound)):
         k += 1
         bound *= z_max / (k * (k + n))
-        coef.append(coef[-1] * scale / (k * (k + n)))
         if kind == "s":
             harmonic += 1.0 / k
+    coef, terms = _terms(kind, scale, k)
+    # I_n < e^x cannot overflow below x = 709, z = 1.2e5; above, sum I_n at
+    # max z, which overflows where the bound does or where the terms add up
+    # past the float range
+    if kind != "s" and (math.isinf(bound) or z_max > 1.2e5):
+        peak = 0.0
+        for t in reversed(coef):
+            peak = peak * (z_max / scale) + t
+        if math.isinf(bound) or math.isinf(peak * math.sqrt(z_max) ** n):
+            raise ValueError(f"I{n}({2.0 * math.sqrt(z_max):.6g}) overflows")
+    return terms
+
+
+@lru_cache(maxsize=64)
+def _terms(kind, scale, count):
+    """(floats, 0-d arrays) of t_0..t_count, which depend on the scale s
+    and the count alone: t_k = t_{k-1} s/(k (k+n)), times H_k for S."""
+    n = 1 if kind == "i1" else 0
+    coef = [1.0]
+    for k in range(1, count + 1):
+        coef.append(coef[-1] * scale / (k * (k + n)))
     if kind == "s":
-        harmonic = itertools.accumulate(1.0 / j for j in range(1, k + 1))
-        return [np.array(0.0)] + [np.array(h * t) for h, t in
-                                  zip(harmonic, coef[1:])]
-    # I_n at max z; an infinite bound means that it overflows too
-    peak = 0.0
-    for t in reversed(coef):
-        peak = peak * (z_max / scale) + t
-    if n:
-        peak *= math.sqrt(z_max)
-    if math.isinf(bound) or math.isinf(peak):
-        raise ValueError(f"I{n}({2.0 * math.sqrt(z_max):.6g}) overflows")
-    return list(map(np.array, coef))
+        harmonic = itertools.accumulate(1.0 / j for j in range(1, count + 1))
+        coef = [0.0] + [h * t for h, t in zip(harmonic, coef[1:])]
+    return tuple(coef), tuple(map(np.array, coef))
 
 
 def _horner(coef, w, out=None):
