@@ -148,7 +148,11 @@ def _terms(kind, scale, count):
     if kind == "s":
         harmonic = itertools.accumulate(1.0 / j for j in range(1, count + 1))
         coef = [0.0] + [h * t for h, t in zip(harmonic, coef[1:])]
-    return tuple(coef), tuple(map(np.array, coef))
+    terms = tuple(map(np.array, coef))
+    for t in terms:
+        # every caller shares them
+        t.flags.writeable = False
+    return tuple(coef), terms
 
 
 def _horner(coef, w, out=None):
