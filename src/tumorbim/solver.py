@@ -20,9 +20,8 @@ diagnostic, are those scipy's `gmres` reports.  Every solve is then checked
 on its true relative residual, which the solved fields carry.
 
 A `FieldSolver` keeps the solutions of its last two solves.  A warm solve
-starts the nutrient system from their linear extrapolation and the pressure
-system from the last solution; the others start from zero, so their
-iteration counts stay the zero-start conditioning trace.
+starts both systems from their linear extrapolation; the others start from
+zero, so their iteration counts stay the zero-start conditioning trace.
 """
 
 import math
@@ -37,9 +36,6 @@ from .geometry import TWO_PI, min_gap_between  # noqa: F401
 D_DIM = 2  # all operations are two-dimensional
 GMRES_TOL = 1e-10      # GMRES stops at this rotated relative residual
 GMRES_MAXITER = 500    # Krylov dimension of the single restart-free cycle
-# LAPACK's safe range for `_dlartg` and the bounds of its unscaled branch
-SAFMIN, SAFMAX = 2.0 ** -1022, 2.0 ** 1022
-RTMIN, RTMAX = math.sqrt(SAFMIN), math.sqrt(SAFMAX / 2)
 
 
 class SolverFailure(RuntimeError):
@@ -97,27 +93,13 @@ class BoundaryFields:
     residual_pressure: float
 
 
-def _dlartg(f, g):
-    """(c, s, r) with [c s; -s c] [f; g] = [r; 0]: LAPACK's dlartg (3.10 and
-    later, after E. Anderson, "Algorithm 978: Safe Scaling in the Level 1
-    BLAS", ACM TOMS 44(1), 2017), operation for operation, so each value is
-    the same float.  Pairs inside (RTMIN, RTMAX) go unscaled; the others
-    are scaled by max(|f|, |g|) clipped to [SAFMIN, SAFMAX].
-    """
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, math.copysign(1.0, g), abs(g)
-    f1, g1 = abs(f), abs(g)
-    if RTMIN < f1 < RTMAX and RTMIN < g1 < RTMAX:
-        d = math.sqrt(f * f + g * g)
-        r = math.copysign(d, f)
-        return f1 / d, g / r, r
-    u = min(SAFMAX, max(SAFMIN, f1, g1))
-    fs, gs = f / u, g / u
-    d = math.sqrt(fs * fs + gs * gs)
-    r = math.copysign(d, f)
-    return abs(fs) / d, gs / r, r * u
+def _rotation(f, g):
+    """(c, s, r) with [c s; -s c] [f; g] = [r; 0] and r of the sign of f;
+    `math.hypot` forms |r| without overflow or underflow."""
+    r = math.copysign(math.hypot(f, g), f)
+    if r == 0.0:
+        return 1.0, 0.0, 0.0
+    return f / r, g / r, r
 
 
 def gmres(matrix, rhs, start=None):
@@ -160,7 +142,7 @@ def gmres(matrix, rhs, start=None):
         for k, (c, s) in enumerate(rot):
             col[k], col[k + 1] = c * col[k] + s * col[k + 1], \
                 -s * col[k] + c * col[k + 1]
-        c, s, col[j] = _dlartg(col[j], col[j + 1])
+        c, s, col[j] = _rotation(col[j], col[j + 1])
         rot.append((c, s))
         r_cols.append(col[:j + 1])
         g.append(-s * g[j])
@@ -328,10 +310,17 @@ def sigma_bounds_violation(fields, params):
 
 class FieldSolver:
     """Per-run solver caching the static inner-boundary self blocks (of the
-    Helmholtz double layer only its row sums, of the Laplace one D00 - I/2),
-    the inner boundary's part of the separable cross factors
-    (`kernels.CrossSource`), one system buffer, which each solve's two
-    systems fill in turn, and the latest interface's self geometry.
+    Helmholtz double layer only its row sums, of the Laplace one the
+    pressure system's block D00 - I/2 - v v^T/2), the inner boundary's part
+    of the separable cross factors (`kernels.CrossSource`), one system
+    buffer, which each solve's two systems fill in turn, and the latest
+    interface's self geometry.
+
+    v = (-1)^j / sqrt(N0) is the alternating-point rule's odd/even mode on
+    Gamma0, a null vector of D00 - I/2 on a circle and near one otherwise,
+    and not a field of the annulus problem, which has none.  Subtracting
+    v v^T/2 makes the pressure system non-singular; its solution is the
+    one without a (-1)^j component on Gamma0.
 
     `solutions` is the (k <= 2, 2, N0 + N) array of the (nutrient, pressure)
     solution vectors of the last k solves, newest first, as a checkpoint
@@ -347,6 +336,12 @@ class FieldSolver:
         self._helm_blocks = s00, d00 @ np.ones(gamma0.n)
         s00, d00 = ker.laplace_self_blocks(inner)
         d00[np.diag_indices(gamma0.n)] -= 0.5
+        # - v v^T/2 in place: -(-1)^(i+j) / (2 N0) on the even/odd sub-grids
+        half = 0.5 / gamma0.n
+        d00[::2, ::2] -= half
+        d00[1::2, 1::2] -= half
+        d00[::2, 1::2] += half
+        d00[1::2, ::2] += half
         self._lap_blocks = s00, d00
         self._source = ker.CrossSource(gamma0)
         self._system = np.empty((0, 0))
@@ -366,17 +361,13 @@ class FieldSolver:
 
     def _starts(self):
         """(nutrient, pressure) starts of a warm solve, None for zero: the
-        linear extrapolation 2 x_1 - x_2 of the last two nutrient solutions
-        (the last one alone after one solve), and the last pressure solution.
-        The pressure start is not extrapolated: on a circular Gamma0 the
-        pressure system is singular, GMRES leaves a start's null component
-        as it is, and extrapolation lets that component grow."""
+        linear extrapolation 2 x_1 - x_2 of the last two solutions (the last
+        one alone after one solve)."""
         if len(self.solutions) == 0:
             return None, None
-        nutrient, pressure = self.solutions[0]
-        if len(self.solutions) == 2:
-            nutrient = 2.0 * nutrient - self.solutions[1][0]
-        return nutrient, pressure
+        if len(self.solutions) == 1:
+            return self.solutions[0]
+        return 2.0 * self.solutions[0] - self.solutions[1]
 
     def solve(self, gamma):
         n0 = self.gamma0.n

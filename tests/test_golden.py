@@ -202,7 +202,8 @@ def test_warm_starts_between_records(preset, tmp_path):
     cold, warm = summary["cold_solves"], summary["warm_solves"]
     means = [(kind["mean_gmres_nutrient"], kind["mean_gmres_pressure"])
              for kind in (cold, warm)]
-    fewer = means[1][0] <= 2.0 and means[1][1] < means[0][1]
+    fewer = means[1][0] <= 2.0 and means[1][1] < means[0][1] \
+        and means[1][1] <= 5.0
     record_acceptance(
         f"warm starts {preset} (50 steps, N = 64, a record every 10): "
         f"{'FAIL' if bad or not fewer else 'PASS'} GMRES per cold solve "
@@ -214,10 +215,11 @@ def test_warm_starts_between_records(preset, tmp_path):
 
 
 def test_warm_pressure_start_keeps_null_mode_small(monkeypatch, tmp_path):
-    # on fig7's circular Gamma0 the pressure system is singular, with null
-    # vector (-1)^j on Gamma0, and GMRES leaves a start's null component as
-    # it is.  Over 799 warm steps the last-solution start holds that share of
-    # pbar on Gamma0 to 8.3e-13; an extrapolated start lets it reach 1.8e-11
+    # on fig7's circular Gamma0, (-1)^j on Gamma0 is a null vector of
+    # D00 - I/2, which `FieldSolver` deflates, so the pressure solution has
+    # no such component.  An extrapolated start carries one in, and GMRES
+    # takes it out only to its tolerance: over 799 warm steps its share of
+    # pbar on Gamma0 must stay small
     shares, solve = [], sol.FieldSolver.solve
 
     def measured(self, gamma):
