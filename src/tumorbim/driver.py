@@ -474,9 +474,11 @@ def convergence_study(config, dts=None, ns=None, jobs=1, out_root=None,
             for m, v in zip(members, values)]
     if jobs > 1:
         # submit the longest members (steps x N^2) first, so that no worker is
-        # left with two long ones; results come back in the given order
+        # left with two long ones; results come back in the given order.  A
+        # forked pool starts all its workers at the first submit, so it gets
+        # no more of them than there are members
         cost = [m.t_final / m.dt * m.n ** 2 for m in members]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             futures = {k: pool.submit(run, *work[k])
                        for k in sorted(range(len(work)), key=lambda k: -cost[k])}
             results = [futures[k].result() for k in range(len(work))]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
@@ -475,6 +476,31 @@ class TestConvergenceStudy:
         for a, b in zip(pooled_runs, serial_runs):
             assert a.steps_done == b.steps_done
             assert a.record.rows == b.record.rows
+
+    def test_pool_has_no_more_workers_than_members(self, monkeypatch):
+        # a forked pool starts all its workers at the first submit; the fake
+        # records the pool size and runs the members inline
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(drv, "ProcessPoolExecutor", InlinePool)
+        cfg = tiny_config(record_interval=1e-2, t_final=0.02)
+        drv.convergence_study(cfg, dts=[2e-3, 1e-3], jobs=64)
+        assert sizes == [2]
 
     def test_n_refinement(self):
         cfg = tiny_config(record_interval=1e-2, t_final=0.02, dt=1e-3)
