@@ -14,11 +14,11 @@ exact and the coefficients t_k = c_k s^k stay in range:
   e^x sqrt(x) K_nu(x) (DLMF 10.40.2) that
   `tools/make_bessel_coefficients.py` writes in powers of its variable.
   K0 and K1 agree with scipy to 7e-15 on [1e-8, 60], worst just below R_C.
-`i0_i1_k0` gives the self pairs' I0, I1 and K0 from one tiled pass in which
-the I0, I1 and S series share w, so I0, I1 keep the bits of `i0`, `i1` and
-S is summed only on the pairs up to R_C.  `bessel_ik` hands the linear
-model one scalar I_n, K_n pair: I_n from its series, K_n by the upward
-recurrence from K0, K1.
+`i0_i1_k0` yields the self pairs' I0, I1 and K0 tile by tile from one pass
+in which the I0, I1 and S series share w, so I0, I1 keep the bits of `i0`,
+`i1` and S is summed only on the pairs up to R_C.  `bessel_ik` hands the
+linear model one scalar I_n, K_n pair: I_n from its series, K_n by the
+upward recurrence from K0, K1.
 """
 
 import itertools
@@ -257,24 +257,28 @@ def k1(x):
 
 
 def i0_i1_k0(r):
-    """(I0, I1, K0) on a flat array of distances, from one pass over its
-    tiles.  I0 and I1 are summed on every pair, bit for bit the `i0`, `i1`
-    of r.  K0 is `_k0_near` up to R_C, with S summed on those pairs alone
-    but with the coefficients of the whole array, so each of them gets the
-    bits of a pass over all pairs, and `_k_far` above.  Beside the result,
-    the pass holds a few tiles."""
+    """(tile, I0, I1, K0) for each tile of a flat array of distances, from
+    one pass: `tile` is the tile's slice of r and the three arrays its
+    values, in buffers that the next tile reuses, so the caller consumes
+    (and may overwrite) them before it asks for the next.  I0 and I1 are
+    summed on every pair, bit for bit the `i0`, `i1` of r.  K0 is `_k0_near`
+    up to R_C, with S summed on those pairs alone but with the coefficients
+    of the whole array, so each of them gets the bits of a pass over all
+    pairs, and `_k_far` above.  The pass holds a few tiles."""
     z_max, scale = _scale(r)
     c0, c1, cs = (_coefficients(kind, z_max, scale) for kind in ("i0", "i1", "s"))
-    i0r, i1r, k0r = np.empty(r.size), np.empty(r.size), np.empty(r.size)
+    buffers = np.empty((3, min(TILE, r.size)))
     for tile, u, w in _tiles(r, scale):
-        x, i0x, k = r[tile], _horner(c0, w, i0r[tile]), k0r[tile]
-        _horner(c1, w, i1r[tile])
-        i1r[tile] *= u
+        x = r[tile]
+        i0x, i1x, k = buffers[:, :x.size]
+        _horner(c0, w, i0x)
+        _horner(c1, w, i1x)
+        i1x *= u
         near = x <= R_C
         k[near] = _k0_near(x[near], i0x[near], _horner(cs, w[near]))
         far = ~near
         k[far] = _k_far(x[far], 0)
-    return i0r, i1r, k0r
+        yield tile, i0x, i1x, k
 
 
 def _i_scalar(n, x):

@@ -4,16 +4,18 @@ Self-interaction blocks with a log singularity use Kress's rule for the
 log part and the trapezoidal rule for the smooth remainder (R. Kress,
 Linear Integral Equations, 3rd ed. 2014, section 12.3).  Both fold into
 one weight W = h ln(2|sin((a - a')/2)|) - Q, held with the node pairs.  One
-pass over the node pairs i <= j gives the distances and the self gap; a
+walk over row blocks of the coordinate differences gives the distances of
+the node pairs i <= j, the self gap and the double-layer numerators.  A
 block is one symmetric bracket of the kernel's smooth factors with h and W
-(carrying the double layers' 1/r or 1/r^2), formed in place on the pairs,
-expanded once and scaled by the source metric or the double-layer
-numerators; the diagonals carry the analytic limits.  A single layer may be
-written straight into a block of the caller's system matrix.  The
-Helmholtz self blocks take I0, I1 and K0 from one tiled pass of
-`bessel.i0_i1_k0` over the pairs and K1 from the Wronskian
-I0 K1 + I1 K0 = 1/r.  The Laplace double layer has only a removable
-singularity and is integrated by the alternating-point trapezoidal rule.
+(carrying the double layers' 1/r or 1/r^2), formed on the pairs
+(`SelfBlocks`).  `self_rows` walks the blocks in row blocks of about
+`bessel.TILE` entries, each gathered from the brackets, scaled by the source
+metric or the double-layer numerators and given the analytic diagonal
+limits, so no n x n block is formed beside the caller's own.  The
+Helmholtz brackets are formed tile by tile as `bessel.i0_i1_k0` yields I0,
+I1 and K0 of the pairs, with K1 from the Wronskian I0 K1 + I1 K0 = 1/r.
+The Laplace double layer has only a removable singularity and is
+integrated by the alternating-point trapezoidal rule.
 Cross-boundary blocks are smooth and use the plain trapezoidal rule.  When
 the source boundary lies well inside the disc |x| < min |target|, they are
 low-rank factors from the kernels' expansions about the origin (Graf's
@@ -35,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import bessel
 # i1 is no longer called here; perfbench's tracer wraps it in this module
 from .bessel import i0, i0_i1_k0, i1, k0, k1  # noqa: F401
 from .geometry import TWO_PI, PlanarCurveSamples
@@ -89,6 +92,23 @@ def _triangle(n):
     return _Triangle(flat, place, far, k % 2 == 1, w[k])
 
 
+def _block_rows(n):
+    """Rows of a row block of an n x n array: about `bessel.TILE` entries,
+    so that a few blocks stay in the L2 cache."""
+    return min(n, max(1, bessel.TILE // n))
+
+
+def _row_blocks(n):
+    """(rows, pairs) of each row block of n nodes: `rows` the slice of
+    `_block_rows(n)` rows of an n x n array, `pairs` the slice of the pairs
+    i <= j of `_triangle(n)` that lie in those rows."""
+    step = _block_rows(n)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        yield (slice(lo, hi),
+               slice(lo * n - lo * (lo - 1) // 2, hi * n - hi * (hi - 1) // 2))
+
+
 class SelfGeometry(NamedTuple):
     """One boundary acting on itself: `r` the distances of the pairs of
     `_triangle(n)` with the self distances set to 1, `dipole` the n x n
@@ -111,22 +131,28 @@ def _dipole(dx, dy, src):
 
 
 def self_geometry(bnd):
-    """Geometry of one boundary acting on itself.  r^2 is formed in place,
-    one coordinate's pair differences at a time, so beside the n x n
-    differences the pass holds at most two pair arrays."""
-    tri = _triangle(bnd.n)
-    dx = np.subtract.outer(bnd.x, bnd.x)
-    r = np.take(dx, tri.flat)
-    r *= r
-    dy = np.subtract.outer(bnd.y, bnd.y)
-    u = np.take(dy, tri.flat)
-    u *= u
-    r += u
-    del u
+    """Geometry of one boundary acting on itself, from one walk over row
+    blocks of the coordinate differences: each block's pairs get
+    r^2 = dx dx + dy dy, and its rows of the numerators are formed in place
+    on its dx, so the walk holds one block of dy beside its results."""
+    n = bnd.n
+    tri = _triangle(n)
+    r = np.empty(tri.flat.size)
+    dipole = np.empty((n, n))
+    for rows, pairs in _row_blocks(n):
+        dx = np.subtract.outer(bnd.x[rows], bnd.x, out=dipole[rows])
+        dy = np.subtract.outer(bnd.y[rows], bnd.y)
+        at = tri.flat[pairs] - rows.start * n
+        r2 = np.take(dx, at, out=r[pairs], mode="clip")
+        r2 *= r2
+        u = np.take(dy, at)
+        u *= u
+        r2 += u
+        _dipole(dx, dy, bnd)
     gap = float(np.sqrt(np.min(r, where=tri.far, initial=np.inf)))
     r[tri.place.diagonal()] = 1.0
     np.sqrt(r, out=r)
-    return SelfGeometry(bnd, r, _dipole(dx, dy, bnd), gap)
+    return SelfGeometry(bnd, r, dipole, gap)
 
 
 # largest rank 2M + 1 of the separable path, as a share of min(N, N0).
@@ -408,18 +434,48 @@ def _laplace_sides(exp):
             _side(src.polar, s_val, s_ang, s_ang))
 
 
-def _expand(pairs, place, factor, out=None):
-    """The n x n block of the pair values times `factor` (the source metric
-    or the double-layer numerators), into `out` if given.  The gather goes
-    to a contiguous array first: `np.take` into a strided `out` would buffer
-    one anyway."""
-    block = np.take(pairs, place)
-    return np.multiply(block, factor, out=block if out is None else out)
+class SelfBlocks(NamedTuple):
+    """A kernel's self blocks on one boundary before expansion: the
+    brackets `single` and `double` on the pairs of `_triangle(n)`, and the
+    n diagonal entries `single_diag` and `double_diag` of the blocks."""
+
+    single: np.ndarray
+    double: np.ndarray
+    single_diag: np.ndarray
+    double_diag: np.ndarray
 
 
-def helmholtz_self_blocks(geom, single=None):
-    """(single, double) modified-Helmholtz self blocks; the single layer is
-    written into `single` if given.
+def self_rows(geom, blocks, single):
+    """Walk the n x n self blocks of `blocks` (`SelfBlocks` of `geom`) in
+    the row blocks of `_row_blocks(n)`.  Each block's single-layer rows
+    (the bracket times the source metric/2pi) are written into the same rows
+    of `single`, an n x n array or view; then (rows, double-layer rows)
+    is yielded, the bracket times the double-layer numerators.  Both carry
+    their diagonal entries.  The double-layer rows are one buffer, which the
+    next block overwrites."""
+    bnd = geom.bnd
+    n = bnd.n
+    place = _triangle(n).place
+    scale = bnd.s_alpha / TWO_PI
+    buf = np.empty((_block_rows(n), n))
+    for rows, _ in _row_blocks(n):
+        # the gathers go to a contiguous buffer, which `np.take` would
+        # buffer again for a strided `out` or for mode="raise" (the
+        # indices are in range, so "clip" leaves them as they are)
+        block = buf[:rows.stop - rows.start]
+        diag = np.arange(block.shape[0]), np.arange(rows.start, rows.stop)
+        out = single[rows]
+        np.take(blocks.single, place[rows], out=block, mode="clip")
+        np.multiply(block, scale, out=out)
+        out[diag] = blocks.single_diag[rows]
+        np.take(blocks.double, place[rows], out=block, mode="clip")
+        block *= geom.dipole[rows]
+        block[diag] = blocks.double_diag[rows]
+        yield rows, block
+
+
+def helmholtz_self_blocks(geom):
+    """`SelfBlocks` of the modified-Helmholtz layers.
 
     With m the source metric, P the double-layer numerators and W the
     Kress-trapezoid weight: S = (m/2pi) [h K0 + I0 W] and
@@ -430,41 +486,35 @@ def helmholtz_self_blocks(geom, single=None):
     r -> m |a - a'| and K0(z) = -(ln(z/2) + C) I0(z) + ...; the double layer
     has G1 = 0 and G2 the limit of P K1(r)/r,
     -(1/4pi)(x_a y_aa - x_aa y_a)/(x_a^2 + y_a^2).
-    Both brackets are formed in place, each pair array dropped after its
-    last reader, so two of them are left when the blocks are expanded.
+    Both brackets are formed tile by tile as `i0_i1_k0` yields the tile's
+    Bessel values, so beside them the pass holds a few tiles.
     """
     bnd, r = geom.bnd, geom.r
-    tri = _triangle(bnd.n)
-    w = tri.weight
+    w = _triangle(bnd.n).weight
     h = TWO_PI / bnd.n
-    scale = bnd.s_alpha / TWO_PI
-    i0r, i1r, k0r = i0_i1_k0(r)
-    # I1 K0 < 1/r = I0 K1 + I1 K0: the subtraction loses at most one bit
-    inv_r = 1.0 / r
-    k1r = i1r * k0r
-    np.subtract(inv_r, k1r, out=k1r)
-    k1r /= i0r
-    # h K0 + I0 W into k0r
-    k0r *= h
-    i0r *= w
-    k0r += i0r
-    del i0r
-    # (h K1 - I1 W)/r into k1r
-    k1r *= h
-    i1r *= w
-    k1r -= i1r
-    del i1r
-    k1r *= inv_r
-    del inv_r
-    single = _expand(k0r, tri.place, scale, single)
-    del k0r
-    double = _expand(k1r, tri.place, geom.dipole)
+    single, double = np.empty(r.size), np.empty(r.size)
+    inv_r = np.empty(min(bessel.TILE, r.size))
+    for tile, i0x, i1x, k0x in i0_i1_k0(r):
+        inv = np.divide(1.0, r[tile], out=inv_r[:i0x.size])
+        wt = w[tile]
+        # K1 = (1/r - I1 K0)/I0; I1 K0 < 1/r = I0 K1 + I1 K0, so the
+        # subtraction loses at most one bit
+        d = np.multiply(i1x, k0x, out=double[tile])
+        np.subtract(inv, d, out=d)
+        d /= i0x
+        # h K0 + I0 W and (h K1 - I1 W)/r
+        s = np.multiply(k0x, h, out=single[tile])
+        i0x *= wt
+        s += i0x
+        d *= h
+        i1x *= wt
+        d -= i1x
+        d *= inv
     # w[0] = -q_0, as L vanishes on the diagonal
     diag = w[0] - h * (np.euler_gamma + np.log(bnd.s_alpha / 2.0))
-    np.fill_diagonal(single, diag * scale)
-    np.fill_diagonal(double, -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
-                     / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
-    return single, double
+    return SelfBlocks(single, double, diag * (bnd.s_alpha / TWO_PI),
+                      -h * (bnd.x_a * bnd.y_aa - bnd.x_aa * bnd.y_a)
+                      / (2.0 * TWO_PI * (bnd.x_a ** 2 + bnd.y_a ** 2)))
 
 
 def helmholtz_cross_blocks(geom):
@@ -476,29 +526,26 @@ def helmholtz_cross_blocks(geom):
     return _dense_blocks(geom, k0(geom.r), k1r)
 
 
-def laplace_self_blocks(geom, single=None):
-    """(single, double) Laplace self blocks; the single layer is written
-    into `single` if given.  The single layer is (m/2pi) [W - h ln r], with
-    diagonal q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi; the double layer's
-    kernel P/r^2 has only a removable singularity: alternating-point rule
-    with doubled weights, P [2h/r^2 on odd offsets].  Both brackets are
-    formed in turn in one pair array."""
+def laplace_self_blocks(geom):
+    """`SelfBlocks` of the Laplace layers.  The single layer is
+    (m/2pi) [W - h ln r], with diagonal q_0 G1 + h G2 = -(q_0 + h ln m) m/2pi;
+    the double layer's kernel P/r^2 has only a removable singularity:
+    alternating-point rule with doubled weights, P [2h/r^2 on odd offsets],
+    zero on the diagonal."""
     bnd, r = geom.bnd, geom.r
     n = bnd.n
     tri = _triangle(n)
     w = tri.weight
     h = TWO_PI / n
-    scale = bnd.s_alpha / TWO_PI
-    bracket = np.log(r)
-    bracket *= h
-    np.subtract(w, bracket, out=bracket)
-    single = _expand(bracket, tri.place, scale, single)
-    np.fill_diagonal(single, (w[0] - h * np.log(bnd.s_alpha)) * scale)
-    np.multiply(r, r, out=bracket)
-    np.divide(2.0 * h, bracket, out=bracket)
-    bracket[~tri.odd] = 0.0
-    double = _expand(bracket, tri.place, geom.dipole)
-    return single, double
+    single = np.log(r)
+    single *= h
+    np.subtract(w, single, out=single)
+    double = np.multiply(r, r)
+    np.divide(2.0 * h, double, out=double)
+    double[~tri.odd] = 0.0
+    return SelfBlocks(single, double,
+                      (w[0] - h * np.log(bnd.s_alpha)) * (bnd.s_alpha / TWO_PI),
+                      np.zeros(n))
 
 
 def laplace_cross_blocks(geom):

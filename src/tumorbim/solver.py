@@ -196,26 +196,28 @@ def nutrient_system(params, inner, pairs, out):
     Block order is (Gamma0 unknowns, Gamma unknowns); `inner` holds the static
     Gamma0 single layer S00 and the row sums D00 1 of its double layer, and
     `pairs` the step's (Gamma-Gamma `SelfGeometry`, Gamma0-Gamma
-    `PairGeometry`).
+    `PairGeometry`).  The Gamma-Gamma block is assembled row block by row
+    block: each becomes S, gives S's row sums, is scaled by beta and gets D.
     """
     beta, sigma_n = params.beta, params.sigma_n
     own, cross = pairs
-    n0 = cross.src.n
+    n0, n = cross.src.n, own.bnd.n
     s00, d00_ones = inner
-    # the Gamma-Gamma single layer S goes straight into its system block
     gg = out[n0:, n0:]
-    d_gg = ker.helmholtz_self_blocks(own, single=gg)[1]
+    ones_g = np.ones(n)
+    s_gg_ones = np.empty(n)
+    for rows, d_rows in ker.self_rows(own, ker.helmholtz_self_blocks(own), gg):
+        block = gg[rows]
+        np.matmul(block, ones_g, out=s_gg_ones[rows])
+        block *= beta
+        block += d_rows
+    gg[np.diag_indices(n)] += 0.5
     blocks = ker.helmholtz_cross_blocks(cross)
 
     out[:n0, :n0] = s00
     blocks.into(out[:n0, n0:], reverse=True, single=beta, double=1.0)
     blocks.into(out[n0:, :n0], reverse=False, single=1.0, double=0.0)
     ones0 = np.ones(n0)
-    ones_g = np.ones(own.bnd.n)
-    s_gg_ones = gg @ ones_g
-    gg *= beta
-    gg += d_gg
-    gg[np.diag_indices(own.bnd.n)] += 0.5
 
     rhs = np.empty(out.shape[0])
     rhs[:n0] = sigma_n * (d00_ones - 0.5) \
@@ -254,11 +256,16 @@ def pressure_rhs(gamma0, gamma, params, dsigma_dn0, sigma_gamma, kappa):
 def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     """Block matrix (into `out`) and right-hand side of the pressure solve;
     `inner` holds Gamma0's Laplace single layer S00 and its static block
-    D00 - I/2, otherwise as for `nutrient_system`."""
+    D00 - I/2 - v v^T/2, otherwise as for `nutrient_system`.  The Gamma-Gamma
+    single layer is written into its block row block by row block, and the
+    double layer enters only the right-hand side, as the rows of D g."""
     own, cross = pairs
     n0 = cross.src.n
     s00, d00_half = inner
-    d_gg = ker.laplace_self_blocks(own, single=out[n0:, n0:])[1]
+    d_g = np.empty(own.bnd.n)
+    for rows, d_rows in ker.self_rows(own, ker.laplace_self_blocks(own),
+                                      out[n0:, n0:]):
+        np.matmul(d_rows, g_dirichlet, out=d_g[rows])
     blocks = ker.laplace_cross_blocks(cross)
 
     out[:n0, :n0] = d00_half
@@ -269,7 +276,7 @@ def pressure_system(inner, pairs, g_neumann, g_dirichlet, out):
     rhs[:n0] = s00 @ g_neumann \
         + blocks.dot(g_dirichlet, reverse=True, single=0.0, double=1.0)
     rhs[n0:] = blocks.dot(g_neumann, reverse=False, single=1.0, double=0.0) \
-        + d_gg @ g_dirichlet + 0.5 * g_dirichlet
+        + d_g + 0.5 * g_dirichlet
     return rhs
 
 
@@ -308,13 +315,37 @@ def sigma_bounds_violation(fields, params):
                float(-np.min(fields.sigma_gamma)), 0.0)
 
 
+def inner_blocks(gamma0):
+    """The static Gamma0 data of both systems, from one self geometry and
+    a walk of each kernel's self blocks: (S00, D00 1) of the Helmholtz layers
+    for `nutrient_system` and (S00, D00 - I/2 - v v^T/2) of the Laplace ones
+    for `pressure_system` (see `FieldSolver`)."""
+    n = gamma0.n
+    geom = ker.self_geometry(gamma0)
+    ones = np.ones(n)
+    s_h, d_h_ones = np.empty((n, n)), np.empty(n)
+    for rows, d_rows in ker.self_rows(geom, ker.helmholtz_self_blocks(geom), s_h):
+        np.matmul(d_rows, ones, out=d_h_ones[rows])
+    s_l, d_l = np.empty((n, n)), np.empty((n, n))
+    for rows, d_rows in ker.self_rows(geom, ker.laplace_self_blocks(geom), s_l):
+        d_l[rows] = d_rows
+    d_l[np.diag_indices(n)] -= 0.5
+    # - v v^T/2 in place: -(-1)^(i+j) / (2 N0) on the even/odd sub-grids
+    half = 0.5 / n
+    d_l[::2, ::2] -= half
+    d_l[1::2, 1::2] -= half
+    d_l[::2, 1::2] += half
+    d_l[1::2, ::2] += half
+    return (s_h, d_h_ones), (s_l, d_l)
+
+
 class FieldSolver:
-    """Per-run solver caching the static inner-boundary self blocks (of the
-    Helmholtz double layer only its row sums, of the Laplace one the
-    pressure system's block D00 - I/2 - v v^T/2), the inner boundary's part
-    of the separable cross factors (`kernels.CrossSource`), one system
-    buffer, which each solve's two systems fill in turn, and the latest
-    interface's self geometry.
+    """Per-run solver caching the static inner-boundary self blocks of
+    `inner_blocks` (of the Helmholtz double layer only its row sums, of the
+    Laplace one the pressure system's block D00 - I/2 - v v^T/2), the inner
+    boundary's part of the separable cross factors (`kernels.CrossSource`),
+    one system buffer, which each solve's two systems fill in turn, and the
+    latest interface's self geometry.
 
     v = (-1)^j / sqrt(N0) is the alternating-point rule's odd/even mode on
     Gamma0, a null vector of D00 - I/2 on a circle and near one otherwise,
@@ -331,18 +362,7 @@ class FieldSolver:
     def __init__(self, gamma0, params):
         self.gamma0 = gamma0
         self.params = params
-        inner = ker.self_geometry(gamma0)
-        s00, d00 = ker.helmholtz_self_blocks(inner)
-        self._helm_blocks = s00, d00 @ np.ones(gamma0.n)
-        s00, d00 = ker.laplace_self_blocks(inner)
-        d00[np.diag_indices(gamma0.n)] -= 0.5
-        # - v v^T/2 in place: -(-1)^(i+j) / (2 N0) on the even/odd sub-grids
-        half = 0.5 / gamma0.n
-        d00[::2, ::2] -= half
-        d00[1::2, 1::2] -= half
-        d00[::2, 1::2] += half
-        d00[1::2, ::2] += half
-        self._lap_blocks = s00, d00
+        self._helm_blocks, self._lap_blocks = inner_blocks(gamma0)
         self._source = ker.CrossSource(gamma0)
         self._system = np.empty((0, 0))
         self._own = None

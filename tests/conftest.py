@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tumorbim import bessel
+
 # pass/fail lines registered by the acceptance suite, echoed after the run
 _ACCEPTANCE_LINES = []
 
@@ -18,6 +20,25 @@ def assert_same_floats(got, want):
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes(), (got, want)
+
+
+def check_memory_gate(gate, reading, bound):
+    """Assert a memory gate's reading, in pair arrays, against its bound,
+    and show the reading in the acceptance summary."""
+    ok = reading <= bound
+    record_acceptance(f"memory {gate}: {'PASS' if ok else 'FAIL'} "
+                      f"{reading:.2f} <= {bound} pair arrays")
+    assert ok, f"{gate} holds {reading:.2f} pair arrays"
+
+
+def i0_i1_k0_arrays(r):
+    """[I0, I1, K0] of `bessel.i0_i1_k0(r)` as arrays of r's size, each
+    tile's values copied out before the pass moves on."""
+    out = [np.empty(np.size(r)) for _ in range(3)]
+    for tile, *values in bessel.i0_i1_k0(r):
+        for column, value in zip(out, values):
+            column[tile] = value
+    return out
 
 
 def pair_array_peak(n, build, call):

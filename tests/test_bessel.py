@@ -12,6 +12,7 @@ from scipy import special
 from tumorbim import bessel
 from tumorbim.bessel import bessel_ik
 
+from conftest import i0_i1_k0_arrays
 from oracles import bessel_i_series, bessel_k_recurrence
 
 
@@ -208,7 +209,7 @@ def test_self_pairs_pass_matches_series_and_scipy():
     # over several tiles and both sides of R_C: I0 and I1 bit for bit the
     # array series, K0 within the array K0's bound
     r = np.random.default_rng(7).uniform(1e-3, 5.2, 3 * bessel.TILE + 11)
-    i0r, i1r, k0r = bessel.i0_i1_k0(r)
+    i0r, i1r, k0r = i0_i1_k0_arrays(r)
     assert np.array_equal(i0r, bessel.i0(r)) and np.array_equal(i1r, bessel.i1(r))
     assert np.max(np.abs(k0r / special.k0(r) - 1.0)) <= K_BOUND
 
@@ -218,7 +219,7 @@ def test_k_at_origin_is_inf():
     # and K1's 1/x - I1 K0 is not left as inf - 0 inf = NaN
     for func, _ in K_FUNCTIONS:
         assert list(func(np.array([0.0, 1.0])) == np.inf) == [True, False]
-    assert bessel.i0_i1_k0(np.array([0.0, 1.0]))[2][0] == np.inf
+    assert i0_i1_k0_arrays(np.array([0.0, 1.0]))[2][0] == np.inf
     for n in (0, 1, 7):
         assert bessel_k(n, 0.0) == np.inf
 
@@ -232,12 +233,12 @@ def test_k_propagates_nan_and_inf():
         assert np.isnan(got[[1, 4]]).all() and got[2] == 0.0
         assert got[[0, 3]] == pytest.approx(reference(x[[0, 3]]), rel=K_BOUND)
         assert np.isnan(func(np.array([np.nan, np.nan]))).all()
-    i0r, i1r, k0r = bessel.i0_i1_k0(x)
+    i0r, i1r, k0r = i0_i1_k0_arrays(x)
     assert np.isnan(k0r[[1, 4]]).all() and k0r[2] == 0.0
     assert (i0r[2], i1r[2]) == (np.inf, np.inf)
     assert k0r[[0, 3]] == pytest.approx(special.k0(x[[0, 3]]), rel=K_BOUND)
     assert all(np.isnan(row).all()
-               for row in bessel.i0_i1_k0(np.array([np.nan, np.nan])))
+               for row in i0_i1_k0_arrays(np.array([np.nan, np.nan])))
     for n in (0, 1, 4):
         assert all(np.isnan(bessel_ik(n, np.nan)))
 

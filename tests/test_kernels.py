@@ -9,7 +9,8 @@ from tumorbim import config as cfgmod
 from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 
-from conftest import pair_array_peak
+from conftest import (assert_same_floats, check_memory_gate, i0_i1_k0_arrays,
+                      pair_array_peak)
 from oracles import (DOUBLE, HELMHOLTZ, LAPLACE, SINGLE, eval_at_points,
                      richardson_limit)
 
@@ -95,6 +96,16 @@ def laplace_single_split(bnd):
     return g1, g2
 
 
+def self_matrices(blocks, geom):
+    """The n x n (single, double) self blocks of `blocks(geom)`, from the
+    walk of `kernels.self_rows`."""
+    n = geom.bnd.n
+    single, double = np.empty((n, n)), np.empty((n, n))
+    for rows, d_rows in ker.self_rows(geom, blocks(geom), single):
+        double[rows] = d_rows
+    return single, double
+
+
 def smooth_part(block, g1):
     """G2 recovered from a block Q G1 + h G2 and its G1."""
     n = block.shape[0]
@@ -138,11 +149,11 @@ class TestLogSplit:
         off = ~np.eye(64, dtype=bool)
         helm_single, helm_double = helmholtz_split(bnd)
         cases = [
-            (ker.laplace_self_blocks(geom)[0], laplace_single_split(bnd),
+            (self_matrices(ker.laplace_self_blocks, geom)[0], laplace_single_split(bnd),
              -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (ker.helmholtz_self_blocks(geom)[0], helm_single,
+            (self_matrices(ker.helmholtz_self_blocks, geom)[0], helm_single,
              k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (ker.helmholtz_self_blocks(geom)[1], helm_double, h_ker * k1(safe)),
+            (self_matrices(ker.helmholtz_self_blocks, geom)[1], helm_double, h_ker * k1(safe)),
         ]
         for block, (g1, g2), direct in cases:
             # the reference split recombines to the kernel off the diagonal,
@@ -152,7 +163,7 @@ class TestLogSplit:
 
     def test_laplace_single_antipode(self):
         bnd = circle(64)
-        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
+        s_mat, _ = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))
         # antipodal pair on the unit circle: kernel = -(1/2pi) ln 2, G1 = -1/2pi
         g1 = -1.0 / TWO_PI
         val = g1 * np.log(2.0) + smooth_part(s_mat, g1)[0, 32]
@@ -160,7 +171,7 @@ class TestLogSplit:
 
     def test_laplace_single_diagonal(self):
         bnd = wavy(64)
-        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
+        s_mat, _ = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))
         g1 = -bnd.s_alpha / TWO_PI
         expected = -np.log(bnd.s_alpha) * bnd.s_alpha / TWO_PI
         assert np.max(np.abs(np.diag(smooth_part(s_mat, g1)) - expected)) < 1e-14
@@ -169,7 +180,7 @@ class TestLogSplit:
         # G2(a, a) is the r -> 0 limit of (K0 + I0 ln 2|sin|) m/2pi:
         # -(C + ln(s_alpha/2)) m / 2pi from the K0 expansion
         bnd = wavy(128)
-        s_mat, _ = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+        s_mat, _ = self_matrices(ker.helmholtz_self_blocks, ker.self_geometry(bnd))
         g2 = smooth_part(s_mat, -i0(full_geometry(bnd)[0]) * bnd.s_alpha[None, :]
                          / TWO_PI)
         expected = -(np.euler_gamma + np.log(bnd.s_alpha / 2)) * bnd.s_alpha / TWO_PI
@@ -181,7 +192,7 @@ class TestLogSplit:
         # limit of h K1(r): -(1/4pi)(x_a y_aa - x_aa y_a)/s_alpha^2, which is
         # -1/(4pi) on the unit circle (counterclockwise, outward normal)
         bnd = circle(64)
-        _, d_mat = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+        _, d_mat = self_matrices(ker.helmholtz_self_blocks, ker.self_geometry(bnd))
         r, h_ker = full_geometry(bnd)
         g1 = h_ker * i1(r)
         g2 = smooth_part(d_mat, g1)
@@ -201,7 +212,7 @@ class TestLogSplit:
 class TestGaussAndJumpIdentities:
     def test_double_layer_pv_on_boundary(self):
         for bnd in (circle(256), wavy(256)):
-            _, d_mat = ker.laplace_self_blocks(ker.self_geometry(bnd))
+            _, d_mat = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))
             assert np.max(np.abs(d_mat @ np.ones(bnd.n) + 0.5)) < 1e-10
 
     def test_double_layer_inside_outside(self):
@@ -240,7 +251,7 @@ class TestGaussAndJumpIdentities:
         bnd = wavy(256)
         a = geo.alpha_grid(256)
         density = 1.0 + 0.3 * np.cos(3 * a)
-        d_pv = (ker.laplace_self_blocks(ker.self_geometry(bnd))[1] @ density)[:1]
+        d_pv = (self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1] @ density)[:1]
         pts = np.array([[bnd.x[0], bnd.y[0]]])
         nrm = np.array([[bnd.normal_x[0], bnd.normal_y[0]]])
         avg = {}
@@ -297,7 +308,7 @@ class TestGreenRepresentation:
 class TestSelfMatrices:
     def test_laplace_single_symmetric_up_to_metric(self):
         bnd = wavy(64)
-        s_mat, _ = ker.laplace_self_blocks(ker.self_geometry(bnd))
+        s_mat, _ = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))
         # kernel symmetric in (i, j): matrix / m_j is symmetric
         sym = s_mat / bnd.s_alpha[None, :]
         assert np.max(np.abs(sym - sym.T)) < 1e-13
@@ -308,7 +319,7 @@ class TestSelfMatrices:
         for n in (32, 64, 128):
             bnd = wavy(n)
             a = geo.alpha_grid(n)
-            s_mat, _ = ker.helmholtz_self_blocks(ker.self_geometry(bnd))
+            s_mat, _ = self_matrices(ker.helmholtz_self_blocks, ker.self_geometry(bnd))
             vals.append((s_mat @ np.cos(2 * a))[0])
         assert abs(vals[1] - vals[2]) < 1e-10
         assert abs(vals[0] - vals[2]) < 1e-6
@@ -318,7 +329,7 @@ class TestSelfMatrices:
         bnd = wavy(128)
         a = geo.alpha_grid(128)
         density = np.exp(np.cos(a))
-        coarse = ker.laplace_self_blocks(ker.self_geometry(bnd))[1] @ density
+        coarse = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1] @ density
         pts = np.column_stack([bnd.x[:2], bnd.y[:2]])
         nrm = np.column_stack([bnd.normal_x[:2], bnd.normal_y[:2]])
         vals = {}
@@ -342,16 +353,24 @@ def full_distances(bnd):
     return np.sqrt(dx * dx + dy * dy), dipole
 
 
-def test_self_distances_symmetric_bitwise():
-    # the pairs i <= j, expanded, are the bitwise-symmetric full matrix
+# bessel.TILE of a walk in one row block of n nodes, and of one in blocks of
+# three rows (the last one shorter where 3 does not divide n)
+BLOCKS = {"one": lambda n: n * n, "several": lambda n: 3 * n}
+
+
+def test_self_distances_symmetric_bitwise(monkeypatch):
+    # the pairs i <= j, expanded, are the bitwise-symmetric full matrix, and
+    # the numerators are the full matrix's, from one row block or several
     bnd = wavy(64, eps=0.3, k=3)
-    geom = ker.self_geometry(bnd)
     r, dipole = full_distances(bnd)
     assert np.array_equal(r, r.T)
-    expanded = geom.r[ker._triangle(64).place]
-    np.fill_diagonal(expanded, 0.0)
-    assert np.array_equal(expanded, r)
-    assert np.array_equal(geom.dipole, dipole)
+    for tile in BLOCKS.values():
+        monkeypatch.setattr(bessel, "TILE", tile(64))
+        geom = ker.self_geometry(bnd)
+        expanded = geom.r[ker._triangle(64).place]
+        np.fill_diagonal(expanded, 0.0)
+        assert np.array_equal(expanded, r)
+        assert_same_floats(geom.dipole, dipole)
 
 
 @pytest.mark.parametrize("bnd", [wavy(64, eps=0.3, k=3), wavy(8), circle(4),
@@ -372,31 +391,87 @@ def test_far_pairs_are_the_triangle_pairs_not_near(n):
                           np.flatnonzero(~near.ravel()[tri.flat]))
 
 
-@pytest.mark.parametrize("blocks", [ker.helmholtz_self_blocks,
+def expand(pairs, place, factor):
+    """The n x n block of the pair values times `factor` (the source metric
+    or the double-layer numerators), as the blocks were formed whole."""
+    block = np.take(pairs, place)
+    return np.multiply(block, factor, out=block)
+
+
+def expanded_self_blocks(bnd, blocks):
+    """The n x n (single, double) blocks of the `SelfBlocks` of `bnd`,
+    expanded whole with the numerators of `full_distances`."""
+    place = ker._triangle(bnd.n).place
+    single = expand(blocks.single, place, bnd.s_alpha / TWO_PI)
+    double = expand(blocks.double, place, full_distances(bnd)[1])
+    np.fill_diagonal(single, blocks.single_diag)
+    np.fill_diagonal(double, blocks.double_diag)
+    return single, double
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+@pytest.mark.parametrize("n", [8, 64, 512])
+@pytest.mark.parametrize("preset", ["fig7", "fig11"])
+@pytest.mark.parametrize("kernel", [ker.helmholtz_self_blocks,
                                     ker.laplace_self_blocks])
-def test_self_blocks_write_single_into_strided_block(blocks):
-    # the single layer written into a block of a larger buffer is the one
-    # returned as its own array, bit for bit; the double layer is unchanged
+def test_walk_matches_full_expansion(monkeypatch, kernel, preset, n, blocks):
+    # the S rows, D rows and numerator rows of the row-block walk are, bit
+    # for bit, the blocks expanded whole from the same brackets
+    monkeypatch.setattr(bessel, "TILE", BLOCKS[blocks](n))
+    bnd = preset_boundary(preset, n)
+    geom = ker.self_geometry(bnd)
+    assert_same_floats(geom.dipole, full_distances(bnd)[1])
+    pairs = kernel(geom)
+    want_single, want_double = expanded_self_blocks(bnd, pairs)
+    single = np.full((n, n), np.nan)
+    walked = []
+    for rows, d_rows in ker.self_rows(geom, pairs, single):
+        walked.append((rows.start, rows.stop))
+        assert_same_floats(d_rows, want_double[rows])
+    step = min(n, max(1, bessel.TILE // n))
+    assert walked == [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    assert (len(walked) == 1) == (blocks == "one")
+    assert_same_floats(single, want_single)
+
+
+@pytest.mark.parametrize("kernel", [ker.helmholtz_self_blocks,
+                                    ker.laplace_self_blocks])
+def test_self_blocks_write_single_into_strided_block(kernel):
+    # the single layer the walk writes into a block of a larger buffer is
+    # the one it writes into an array of its own, bit for bit; the rest of
+    # the buffer is untouched and the double layer's rows are unchanged
     bnd = wavy(64, eps=0.3, k=3)
     geom = ker.self_geometry(bnd)
-    single, double = blocks(geom)
+    single, double = self_matrices(kernel, geom)
     buf = np.zeros((96, 96))
-    got_single, got_double = blocks(geom, single=buf[32:, 32:])
-    assert np.shares_memory(got_single, buf)
+    got_double = np.empty((64, 64))
+    for rows, d_rows in ker.self_rows(geom, kernel(geom), buf[32:, 32:]):
+        got_double[rows] = d_rows
     assert np.array_equal(buf[32:, 32:], single)
     assert not np.any(buf[:32]) and not np.any(buf[:, :32])
     assert np.array_equal(got_double, double)
 
 
 def test_helmholtz_self_pass_peak_memory():
-    # beside its two n x n blocks, the pass holds at most 2.5 arrays of the
-    # n(n + 1)/2 node pairs at any time (it held 5 when each bracket
-    # allocated its own operands)
+    # the brackets are formed tile by tile as the Bessel pass yields them,
+    # and the walk writes the single layer into a held n x n block: beside
+    # the two bracket pair arrays the pass holds at most 1.5 arrays of the
+    # n(n + 1)/2 node pairs at any time (it held 2.5 beside two n x n
+    # blocks, and 5 when each bracket allocated its own operands)
     n = 512
-    blocks, peak = pair_array_peak(n, lambda: ker.self_geometry(wavy(n)),
-                                   ker.helmholtz_self_blocks)
-    pair_arrays = peak - sum(b.nbytes for b in blocks) / (4 * n * (n + 1))
-    assert pair_arrays <= 2.5, f"peak holds {pair_arrays:.2f} pair arrays"
+
+    def call(built):
+        geom, single = built
+        pairs = ker.helmholtz_self_blocks(geom)
+        for _ in ker.self_rows(geom, pairs, single):
+            pass
+        return pairs
+
+    pairs, peak = pair_array_peak(
+        n, lambda: (ker.self_geometry(wavy(n)), np.empty((n, n))), call)
+    brackets = (pairs.single.nbytes + pairs.double.nbytes) / (4 * n * (n + 1))
+    check_memory_gate("Helmholtz self pass beside its brackets (N = 512)",
+                      peak - brackets, 1.5)
 
 
 def full_matrix_self_blocks(bnd):
@@ -418,7 +493,7 @@ def full_matrix_self_blocks(bnd):
     np.fill_diagonal(ls, 0.0)
     w = h * ls - kress_matrix(n)
     scale = bnd.s_alpha / TWO_PI
-    i0s, i1s, k0s = (a.reshape(n, n) for a in bessel.i0_i1_k0(safe.ravel()))
+    i0s, i1s, k0s = (a.reshape(n, n) for a in i0_i1_k0_arrays(safe.ravel()))
     inv = 1.0 / safe
     k1s = (inv - i1s * k0s) / i0s
     single = (h * k0s + i0s * w) * scale
@@ -433,7 +508,7 @@ def full_matrix_self_blocks(bnd):
 @pytest.mark.parametrize("bnd", [wavy(64, eps=0.3, k=3), circle(32, radius=0.5)])
 def test_upper_triangle_bessel_matches_full_matrix(bnd):
     geom = ker.self_geometry(bnd)
-    for block, want in zip(ker.helmholtz_self_blocks(geom),
+    for block, want in zip(self_matrices(ker.helmholtz_self_blocks, geom),
                            full_matrix_self_blocks(bnd)):
         assert np.array_equal(block, want)
 
@@ -461,8 +536,8 @@ def test_self_blocks_match_kress_reference(preset, n):
         bnd = preset_boundary(preset, n)
         bounds = (1e-13,) * 3
     geom = ker.self_geometry(bnd)
-    helm_single, helm_double = ker.helmholtz_self_blocks(geom)
-    lap_single, lap_double = ker.laplace_self_blocks(geom)
+    helm_single, helm_double = self_matrices(ker.helmholtz_self_blocks, geom)
+    lap_single, lap_double = self_matrices(ker.laplace_self_blocks, geom)
     split_single, split_double = helmholtz_split(bnd)
     for block, split, bound in ((helm_single, split_single, bounds[0]),
                                 (helm_double, split_double, bounds[1]),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from tumorbim import geometry as geo
 from tumorbim import kernels as ker
 from tumorbim import solver as sol
 
-from conftest import pair_array_peak
+from conftest import check_memory_gate, pair_array_peak
 from oracles import annulus_nutrient_coeffs, interior_value_nutrient
 
 PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -37,8 +38,7 @@ def pair_geometries(g0, g):
 
 def helmholtz_inner(g0):
     """The nutrient system's static Gamma0 data: S00 and D00's row sums."""
-    s00, d00 = ker.helmholtz_self_blocks(ker.self_geometry(g0))
-    return s00, d00 @ np.ones(g0.n)
+    return sol.inner_blocks(g0)[0]
 
 
 def solve_nutrient(g0, g, params):
@@ -49,11 +49,11 @@ def solve_nutrient(g0, g, params):
 
 
 def solve_pressure(g0, g, g_neumann, g_dirichlet):
-    """(pbar on Gamma0, d pbar/dn, iterations) of one pressure solve."""
-    s00, d00 = ker.laplace_self_blocks(ker.self_geometry(g0))
-    d00[np.diag_indices(g0.n)] -= 0.5
-    x, iters, _ = sol.solve_pressure((s00, d00), pair_geometries(g0, g),
-                                     g_neumann, g_dirichlet, system_buffer(g0, g))
+    """(pbar on Gamma0, d pbar/dn, iterations) of one pressure solve, with
+    the static Gamma0 block that `FieldSolver` solves with."""
+    x, iters, _ = sol.solve_pressure(sol.inner_blocks(g0)[1],
+                                     pair_geometries(g0, g), g_neumann,
+                                     g_dirichlet, system_buffer(g0, g))
     return x[:g0.n], x[g0.n:], iters
 
 
@@ -484,8 +484,9 @@ def test_solve_reuses_interface_geometry(monkeypatch):
 
 def test_interface_geometry_peak_memory():
     # the next interface's geometry is built after the previous one is
-    # dropped, and its build forms r^2 in place: at most 4 arrays of the
-    # n(n + 1)/2 node pairs above what was held before (8.1 when the
+    # dropped, and its build walks row blocks of the coordinate
+    # differences: at most 1 array of the n(n + 1)/2 node pairs above what
+    # was held before (3.0 when it formed n x n differences, 8.1 when the
     # previous geometry was held through a build of 8 pair arrays)
     n = 512
     g0 = geo.radial_boundary(0.5, 0.1, 3, 16)
@@ -500,7 +501,39 @@ def test_interface_geometry_peak_memory():
     own, peak = pair_array_peak(n, build,
                                 lambda solver: solver.interface_geometry(second))
     assert own.bnd is second
-    assert peak <= 4.0, f"peak holds {peak:.2f} pair arrays"
+    check_memory_gate("interface geometry build (N = 512)", peak, 1.0)
+
+
+def test_solve_peak_memory():
+    # a second solve at N = N0 = 512 from the fig7 start.  Between steps the
+    # solver holds no n x n array beyond its system buffer, its three static
+    # Gamma0 blocks and the interface's double-layer numerators, and the
+    # solve's peak above that is at most 4.1 arrays of the n(n + 1)/2 node
+    # pairs, most of it the GMRES basis of 501 rows (5.1 when the self
+    # blocks were expanded whole)
+    n = 512
+    cfg = cfgmod.load_config(PRESET_DIR / "fig7.cfg")
+    g0 = geo.radial_boundary(cfg.r0, cfg.eps0, cfg.k0, n)
+    first = geo.initial_interface(cfg.r_init, cfg.eps_init, cfg.k_init,
+                                  n).samples()
+    second = geo.PlanarCurveSamples.from_xy(1.001 * first.x, 1.001 * first.y)
+    ker._triangle(n)
+    square = 8 * n * n
+    tracemalloc.start()
+    try:
+        solver = sol.FieldSolver(g0, cfg.params())
+        solver.solve(first)
+        held = sorted(trace.size for trace in tracemalloc.take_snapshot().traces
+                      if trace.size >= square)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        solver.solve(second)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held == [square] * 4 + [4 * square]
+    check_memory_gate("second solve above the held state (fig7, N = 512)",
+                      peak / (4 * n * (n + 1)), 4.1)
 
 
 def test_reused_buffer_keeps_no_stale_entries():
@@ -512,8 +545,7 @@ def test_reused_buffer_keeps_no_stale_entries():
     g_b = geo.initial_interface(2.2, 0.2, 3, n).samples()
     pairs_b = pair_geometries(g0, g_b)
     params = sol.Params(**FIG7)
-    helm = helmholtz_inner(g0)
-    lap = ker.laplace_self_blocks(ker.self_geometry(g0))
+    helm, lap = sol.inner_blocks(g0)
     g_n, g_d = np.cos(g0.alpha), np.sin(2 * g_b.alpha)
     assemblies = (lambda pairs, out: sol.nutrient_system(params, helm, pairs, out),
                   lambda pairs, out: sol.pressure_system(lap, pairs, g_n, g_d, out))
