@@ -148,12 +148,13 @@ class TestLogSplit:
         safe = np.where(r == 0.0, 1.0, r)
         off = ~np.eye(64, dtype=bool)
         helm_single, helm_double = helmholtz_split(bnd)
+        helm = self_matrices(ker.helmholtz_self_blocks, geom)
         cases = [
-            (self_matrices(ker.laplace_self_blocks, geom)[0], laplace_single_split(bnd),
+            (self_matrices(ker.laplace_self_blocks, geom)[0],
+             laplace_single_split(bnd),
              -np.log(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (self_matrices(ker.helmholtz_self_blocks, geom)[0], helm_single,
-             k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
-            (self_matrices(ker.helmholtz_self_blocks, geom)[1], helm_double, h_ker * k1(safe)),
+            (helm[0], helm_single, k0(safe) * bnd.s_alpha[None, :] / TWO_PI),
+            (helm[1], helm_double, h_ker * k1(safe)),
         ]
         for block, (g1, g2), direct in cases:
             # the reference split recombines to the kernel off the diagonal,
@@ -251,7 +252,8 @@ class TestGaussAndJumpIdentities:
         bnd = wavy(256)
         a = geo.alpha_grid(256)
         density = 1.0 + 0.3 * np.cos(3 * a)
-        d_pv = (self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1] @ density)[:1]
+        d_mat = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1]
+        d_pv = (d_mat @ density)[:1]
         pts = np.array([[bnd.x[0], bnd.y[0]]])
         nrm = np.array([[bnd.normal_x[0], bnd.normal_y[0]]])
         avg = {}
@@ -329,7 +331,8 @@ class TestSelfMatrices:
         bnd = wavy(128)
         a = geo.alpha_grid(128)
         density = np.exp(np.cos(a))
-        coarse = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1] @ density
+        d_mat = self_matrices(ker.laplace_self_blocks, ker.self_geometry(bnd))[1]
+        coarse = d_mat @ density
         pts = np.column_stack([bnd.x[:2], bnd.y[:2]])
         nrm = np.column_stack([bnd.normal_x[:2], bnd.normal_y[:2]])
         vals = {}
