@@ -463,14 +463,15 @@ def self_rows(geom, blocks, single):
         # buffer again for a strided `out` or for mode="raise" (the
         # indices are in range, so "clip" leaves them as they are)
         block = buf[:rows.stop - rows.start]
-        diag = np.arange(block.shape[0]), np.arange(rows.start, rows.stop)
         out = single[rows]
         np.take(blocks.single, place[rows], out=block, mode="clip")
         np.multiply(block, scale, out=out)
-        out[diag] = blocks.single_diag[rows]
+        # the rows' diagonal entries are the diagonal of their square
+        # columns `rows`
+        np.fill_diagonal(out[:, rows], blocks.single_diag[rows])
         np.take(blocks.double, place[rows], out=block, mode="clip")
         block *= geom.dipole[rows]
-        block[diag] = blocks.double_diag[rows]
+        np.fill_diagonal(block[:, rows], blocks.double_diag[rows])
         yield rows, block
 
 
