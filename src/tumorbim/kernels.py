@@ -466,8 +466,7 @@ def self_rows(geom, blocks, single):
         out = single[rows]
         np.take(blocks.single, place[rows], out=block, mode="clip")
         np.multiply(block, scale, out=out)
-        # the rows' diagonal entries are the diagonal of their square
-        # columns `rows`
+        # the rows' diagonal entries lie in their square columns `rows`
         np.fill_diagonal(out[:, rows], blocks.single_diag[rows])
         np.take(blocks.double, place[rows], out=block, mode="clip")
         block *= geom.dipole[rows]
