@@ -280,68 +280,40 @@ def area(samples):
                                              - samples.y * samples.x_a))
 
 
-def _back_substitute(dl, d, du, x):
-    """Solve U x = b for `_dgtsv`'s upper factor (diagonal d, superdiagonals
-    du and dl), overwriting the list x = b."""
-    n = len(d)
-    x[-1] /= d[-1]
-    if n > 1:
-        x[-2] = (x[-2] - du[-1] * x[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - dl[i] * x[i + 2]) / d[i]
-    return x
-
-
-def _dgtsv(dl, d, du, b):
+def _sweep(dl, d, du, b):
     """The tridiagonal system with sub-, main and superdiagonals dl, d, du
-    solved for the two columns of the n x 2 array b: LAPACK's dgtsv,
-    operation for operation (LAPACK Users' Guide, 3rd ed., SIAM 1999), so
-    the solution is the same float.  The diagonals must be finite and stay
-    so under elimination: a NaN pivot over a zero subdiagonal entry, which
-    LAPACK carries on as NaN, raises ZeroDivisionError here.
+    solved for the two columns of the n x 2 array b by Gaussian elimination
+    without row swaps, then back substitution.
 
-    Gaussian elimination with partial pivoting: row i swaps with row i + 1
-    when |d_i| < |dl_i|, and dl_i then holds the second superdiagonal this
-    creates.  A zero pivot returns the partly eliminated right-hand sides
-    at once, as LAPACK does (with info > 0).
+    The spline's slope system is diagonally dominant (each diagonal entry
+    is twice the sum of its row's off-diagonal entries when the knots
+    strictly increase), so elimination without pivoting is stable on it,
+    with every pivot positive, and does LAPACK dgtsv's arithmetic whenever
+    dgtsv swaps no row.
     """
-    n = len(d)
     dl, d, du = dl.tolist(), d.tolist(), du.tolist()
     b1, b2 = b.T.tolist()
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            if d[i] == 0.0:
-                return np.column_stack((b1, b2))
-            fact = dl[i] / d[i]
-            d[i + 1] -= fact * du[i]
-            b1[i + 1] -= fact * b1[i]
-            b2[i + 1] -= fact * b2[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b1[i], b1[i + 1] = b1[i + 1], b1[i] - fact * b1[i + 1]
-            b2[i], b2[i + 1] = b2[i + 1], b2[i] - fact * b2[i + 1]
-    if d[-1] == 0.0:
-        return np.column_stack((b1, b2))
-    return np.column_stack((_back_substitute(dl, d, du, b1),
-                            _back_substitute(dl, d, du, b2)))
+    for i in range(len(d) - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b1[i + 1] -= fact * b1[i]
+        b2[i + 1] -= fact * b2[i]
+    b1[-1] /= d[-1]
+    b2[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b1[i] = (b1[i] - du[i] * b1[i + 1]) / d[i]
+        b2[i] = (b2[i] - du[i] * b2[i + 1]) / d[i]
+    return np.column_stack((b1, b2))
 
 
 def periodic_spline(x, y, points):
     """Periodic cubic spline through the knots (x, y), y[-1] == y[0] and at
-    least five knots, at `points`: scipy's CubicSpline(x, y,
-    bc_type="periodic")(points), float for float.
+    least five strictly increasing knots (as scipy requires), at `points`:
+    scipy's CubicSpline(x, y, bc_type="periodic")(points), float for float.
 
     The slopes solve scipy's condensed tridiagonal system (the periodic
     system without its last unknown) for its two right-hand sides by
-    `_dgtsv`, and its periodic correction gives the last slope.
+    `_sweep`, and its periodic correction gives the last slope.
     A point maps into [x[0], x[-1]] as in scipy, and its piece sums the power
     terms in PPoly's order: c3 + c2 d, then + c1 d*d, then + c0 (d*d)*d.
     """
@@ -358,7 +330,7 @@ def periodic_spline(x, y, points):
     b[:, 0] = rhs[:m]
     b[0, 1] = -dx[0]
     b[-1, 1] = -dx[-3]
-    sol = _dgtsv(dx[1:m], 2 * (dx_prev[:m] + dx[:m]), dx_prev[:m - 1], b)
+    sol = _sweep(dx[1:m], 2 * (dx_prev[:m] + dx[:m]), dx_prev[:m - 1], b)
     s1, s2 = sol[:, 0], sol[:, 1]
     s_last = ((rhs[m] - dx[-2] * s1[0] - dx[-1] * s1[-1])
               / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
@@ -390,7 +362,8 @@ def shape_diagnostics(samples, mode):
     Fourier mode `mode` of the polar radius about the area centroid (the
     boundary integrals of x dA and y dA over the signed area), resampled at
     uniform polar angle through a periodic cubic spline.  ok is False (and
-    the amplitudes NaN) when the curve is not star-shaped about its centroid.
+    the amplitudes NaN) when the curve is not star-shaped about its centroid,
+    its polar angle turning back or more than once around.
     """
     a = area(samples)
     r_eff = np.sqrt(abs(a) / np.pi)
@@ -398,13 +371,14 @@ def shape_diagnostics(samples, mode):
     cx = 0.5 * h * float(np.sum(samples.x ** 2 * samples.y_a)) / a
     cy = -0.5 * h * float(np.sum(samples.y ** 2 * samples.x_a)) / a
     phi = np.unwrap(np.arctan2(samples.y - cy, samples.x - cx))
-    dphi = np.diff(phi)
-    if not (np.all(dphi > 0) or np.all(dphi < 0)):
-        return r_eff, float("nan"), False
     rad = np.hypot(samples.x - cx, samples.y - cy)
-    if dphi[0] < 0:
+    if phi[1] < phi[0]:
         phi, rad = phi[::-1], rad[::-1]
     phi_ext = np.concatenate([phi, [phi[0] + TWO_PI]])
+    # the spline's knots increase strictly when the angle turns one way,
+    # and through less than one full turn
+    if not np.all(np.diff(phi_ext) > 0):
+        return r_eff, float("nan"), False
     rad_ext = np.concatenate([rad, [rad[0]]])
     m = max(512, samples.n)
     uniform = phi[0] + TWO_PI * np.arange(m) / m

@@ -124,20 +124,19 @@ def centroid(samples):
 def shape_diagnostics(samples, mode):
     """`geometry.shape_diagnostics` through scipy's spline: (r_eff,
     delta_over_r, ok), NaN and False for a curve that is not star-shaped
-    about its centroid."""
+    about its centroid or whose polar angle turns more than once around."""
     r_eff = np.sqrt(area(samples) / np.pi)
     cx, cy = centroid(samples)
     phi = np.unwrap(np.arctan2(samples.y - cy, samples.x - cx))
-    dphi = np.diff(phi)
-    if not (np.all(dphi > 0) or np.all(dphi < 0)):
-        return r_eff, float("nan"), False
     rad = np.hypot(samples.x - cx, samples.y - cy)
-    if dphi[0] < 0:
+    if phi[1] < phi[0]:
         phi, rad = phi[::-1], rad[::-1]
+    knots = np.append(phi, phi[0] + TWO_PI)
+    if not np.all(np.diff(knots) > 0):
+        return r_eff, float("nan"), False
     m = max(512, samples.n)
     uniform = phi[0] + TWO_PI * np.arange(m) / m
-    values = periodic_cubic_spline(np.append(phi, phi[0] + TWO_PI),
-                                   np.append(rad, rad[0]), uniform)
+    values = periodic_cubic_spline(knots, np.append(rad, rad[0]), uniform)
     delta = 2.0 * np.abs(np.fft.rfft(values)[mode]) / m
     return r_eff, delta / r_eff, True
 
